@@ -22,7 +22,7 @@ from .bench import (
     write_results,
     write_summary,
 )
-from .energy import SUPPORT_CAPACITY_FACTOR, DroneSpec, EnergyModel
+from .energy import DroneSpec
 from .formations import default_table, load_coefficients
 from .network import (
     NetworkFormatError,
@@ -36,12 +36,11 @@ from .network import (
 )
 from .preflight import (
     DEFAULT_FAILURE_SCALE,
-    FailureInputs,
     failure_probability,
     network_diameter,
-    payload_ratio,
     redundancy_count,
     route_average_wind,
+    route_failure_inputs,
 )
 
 
@@ -138,7 +137,8 @@ def _cmd_run(args) -> None:
     net = _load_or_synthesize(args.network, args.synth_nodes, args.seed)
     table = load_coefficients(args.coeffs) if args.coeffs else default_table()
     if args.requests_file:
-        requests = load_requests(args.requests_file)
+        requests = load_requests(args.requests_file, max_weight=DroneSpec().max_payload,
+                                 nodes=net.nodes)
     else:
         requests = synthesize_requests(net, args.requests, args.seed)
 
@@ -183,12 +183,8 @@ def _cmd_calibrate(args) -> None:
             continue
         wind = route_average_wind(net, tree.path_to_root(req.source))
         inputs.append((
-            FailureInputs(
-                payload=payload_ratio(req.package_weights, spec.max_payload),
-                distance=min(1.0, distance / diameter),
-                capacity=SUPPORT_CAPACITY_FACTOR / SUPPORT_CAPACITY_FACTOR,
-                wind=wind.speed / 13.8,
-            ),
+            route_failure_inputs(req.package_weights, spec.max_payload,
+                                 distance, diameter, wind),
             len(req.package_weights),
         ))
     print(f"{len(inputs)} reachable requests; support-count histogram per scale:")

@@ -25,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .network import Wind
+from .network import NetworkFormatError, Wind
 
 FORMATION_KINDS = ("column", "front", "echelon", "vee", "diamond")
 WIND_SECTORS = ("head", "tail", "left", "right")
@@ -199,8 +199,11 @@ def load_coefficients(path) -> CoefficientTable:
                     raise ValueError(f"expected 4 fields, got {len(row)}")
                 values[(row[0], int(row[1]), row[2])] = float(row[3])
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return CoefficientTable(values)
+                raise NetworkFormatError(f"line {lineno}: {exc}") from None
+    try:
+        return CoefficientTable(values)
+    except ValueError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
 
 
 def save_coefficients(table: CoefficientTable, path) -> None:

@@ -11,13 +11,14 @@ import csv
 import heapq
 import math
 import random
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 MAX_WIND_SPEED = 13.8  # m/s, flight-safe bound (exclusive)
 
 
 class NetworkFormatError(ValueError):
-    """Raised when a network or request file cannot be parsed."""
+    """Raised when a network, request or coefficient file cannot be parsed."""
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,10 @@ def save_network(net: SkywayNetwork, path) -> None:
             writer.writerow(row)
 
 
-def load_requests(path, max_weight: float | None = None) -> list[DeliveryRequest]:
-    """Read request rows ``id,source,dest,w1;w2;...``."""
+def load_requests(path, max_weight: float | None = None,
+                  nodes: Container[int] | None = None) -> list[DeliveryRequest]:
+    """Read request rows ``id,source,dest,w1;w2;...``, rejecting packages
+    over ``max_weight`` and node ids outside ``nodes`` when those are given."""
     requests = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -217,6 +220,9 @@ def load_requests(path, max_weight: float | None = None) -> list[DeliveryRequest
                             raise ValueError(
                                 f"request {req.id}: weight {w} exceeds {max_weight}"
                             )
+                for nid in (req.source, req.destination):
+                    if nodes is not None and nid not in nodes:
+                        raise ValueError(f"request {req.id}: unknown node {nid}")
             except ValueError as exc:
                 raise NetworkFormatError(f"line {lineno}: {exc}") from None
             requests.append(req)

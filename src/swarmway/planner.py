@@ -30,10 +30,10 @@ from .sharing import (
     EnergyOffer,
     ShareContext,
     SharingPlan,
+    SwapPlan,
     fb_compose,
     pb_compose,
     reorder_fixed,
-    swap_back,
 )
 
 FLOOR_TOLERANCE = 1e-9
@@ -150,21 +150,48 @@ class DeliveryPlan:
 
 
 class _RateCache:
-    """Per-sector drain rates at the swarm's standing slot assignment."""
+    """Per-sector drain rates and swap tables at the swarm's standing slots."""
 
     def __init__(self, swarm: Swarm, model: EnergyModel):
         self.swarm = swarm
         self.model = model
         self._by_sector: dict[str, dict[int, float]] = {}
+        self._swaps_by_sector: dict[str, dict[int, SwapPlan | None]] = {}
+
+    def _rate(self, drone, slot: int, sector: str) -> float:
+        return consumption_rate(self.model, drone.payload, self.swarm.formation,
+                                slot, sector)
 
     def rates(self, sector: str) -> dict[int, float]:
         if sector not in self._by_sector:
             self._by_sector[sector] = {
-                d.id: consumption_rate(self.model, d.payload, self.swarm.formation,
-                                       d.position, sector)
-                for d in self.swarm.drones
+                d.id: self._rate(d, d.position, sector) for d in self.swarm.drones
             }
         return self._by_sector[sector]
+
+    def swaps(self, sector: str) -> dict[int, SwapPlan | None]:
+        """Each consumer's swap toward its block's provider, None if adjacent.
+
+        Rates while swapped cover the consumer and a partner from the same
+        block; a partner from another block keeps its standing rate there,
+        since that block composes independently.
+        """
+        if sector not in self._swaps_by_sector:
+            table: dict[int, SwapPlan | None] = {}
+            for provider, block in _provider_blocks(self.swarm):
+                tracked = {c.id for c in block}
+                for c in block:
+                    rec = reorder_fixed(self.swarm, c.id, provider.id)
+                    if rec is None:
+                        table[c.id] = None
+                        continue
+                    rates = {c.id: self._rate(c, rec.partner_slot, sector)}
+                    if rec.partner_id in tracked:
+                        partner = self.swarm.drone(rec.partner_id)
+                        rates[partner.id] = self._rate(partner, rec.consumer_slot, sector)
+                    table[c.id] = ((rec.consumer_slot, rec.partner_slot), rates)
+            self._swaps_by_sector[sector] = table
+        return self._swaps_by_sector[sector]
 
 
 def _provider_blocks(swarm: Swarm):
@@ -179,30 +206,6 @@ def _provider_blocks(swarm: Swarm):
         blocks.append((provider, consumers[at:at + size]))
         at += size
     return blocks
-
-
-def _make_reorder_hook(swarm: Swarm, provider_id: int, model: EnergyModel,
-                       sector: str, tracked_ids: frozenset[int]):
-    """Swap-into-range callback for one provider's composer run.
-
-    Rate overrides only cover drones the serving context simulates; a
-    swap partner pulled from another provider's block keeps its
-    standing-slot rate there, since that block composes independently.
-    """
-    def hook(consumer_id: int):
-        record = reorder_fixed(swarm, consumer_id, provider_id)
-        if record is None:
-            return None
-        overrides = {}
-        for did in (record.consumer_id, record.partner_id):
-            if did in tracked_ids:
-                d = swarm.drone(did)
-                overrides[did] = consumption_rate(model, d.payload, swarm.formation,
-                                                  d.position, sector)
-        def undo():
-            swap_back(swarm, record)
-        return overrides, [(record.consumer_slot, record.partner_slot)], undo
-    return hook
 
 
 def _grid_feasible(traces: dict[int, list[tuple[float, float]]], tt: float) -> bool:
@@ -254,10 +257,8 @@ def feasible_leg(
 
     providers = swarm.support_drones()
     consumers = swarm.delivery_drones()
+    after, consumed, traces = {}, {}, {}
     if share is None or not providers or not consumers:
-        after = {}
-        consumed = {}
-        traces = {}
         for d in swarm.drones:
             spent = rates[d.id] * tt
             consumed[d.id] = spent
@@ -265,11 +266,8 @@ def feasible_leg(
             traces[d.id] = [(0.0, before[d.id]), (tt, after[d.id])]
         plan = None
     else:
-        after = {}
-        consumed = {}
-        traces = {}
         plan = SharingPlan()
-        slots = {d.id: d.position for d in swarm.drones}
+        swaps = cache.swaps(sector)
         for provider, block in _provider_blocks(swarm):
             ids = [provider.id] + [c.id for c in block]
             ctx = ShareContext(
@@ -278,18 +276,15 @@ def feasible_leg(
                 rates={i: rates[i] for i in ids},
                 consumer_ids=[c.id for c in block],
                 share_rate=model.spec.inflight_share_rate,
-                slots=slots,
             )
             ae = max(0.0, before[provider.id] - rates[provider.id] * tt)
             offer = EnergyOffer(provider.id, ae, 0.0, tt)
-            hook = _make_reorder_hook(swarm, provider.id, model, sector,
-                                      frozenset(ids))
             if share.strategy == "pb":
-                result = pb_compose(ctx, offer, (0.0, tt), share.gamma, reorder=hook)
+                result = pb_compose(ctx, offer, (0.0, tt), share.gamma, swaps=swaps)
             else:
                 reserve = share.delta_frac * provider.capacity
                 result = fb_compose(ctx, offer, (0.0, tt), share.quantum, reserve,
-                                    reorder=hook)
+                                    swaps=swaps)
             after.update(result.batteries_after)
             consumed.update(result.consumed)
             traces.update(result.traces)
@@ -329,7 +324,7 @@ def _full_recharge(swarm, batteries, node, model, greedy=False):
 
 
 def compose(
-    swarm_template: Swarm,
+    swarm: Swarm,
     net: SkywayNetwork,
     request: DeliveryRequest,
     model: EnergyModel,
@@ -348,7 +343,6 @@ def compose(
     strands the plan as "stuck".
     """
     strategy = share.strategy if share else "baseline"
-    swarm = swarm_template.clone()
     if tree is None or tree.root != request.destination:
         tree = shortest_path_tree(net, request.destination)
     plan = DeliveryPlan(request.id, strategy, "stuck", [request.source], [], [])
@@ -508,7 +502,7 @@ def _simulate_static_path(swarm, net, path, model, request_id, strategy, static_
 
 
 def dijkstra_baseline(
-    swarm_template: Swarm,
+    swarm: Swarm,
     net: SkywayNetwork,
     request: DeliveryRequest,
     model: EnergyModel,
@@ -517,7 +511,6 @@ def dijkstra_baseline(
     greedy_pads: bool = False,
 ) -> DeliveryPlan:
     """Route on static costs with Dijkstra, then fly that path as-is."""
-    swarm = swarm_template.clone()
     if costs is None:
         costs = static_edge_costs(swarm, net, model, greedy_pads)
     dist, parent = static_dijkstra(net, costs, request.source)
@@ -533,7 +526,7 @@ def dijkstra_baseline(
 
 
 def floyd_warshall_baseline(
-    swarm_template: Swarm,
+    swarm: Swarm,
     net: SkywayNetwork,
     request: DeliveryRequest,
     model: EnergyModel,
@@ -543,7 +536,6 @@ def floyd_warshall_baseline(
     greedy_pads: bool = False,
 ) -> DeliveryPlan:
     """Route on static costs with Floyd-Warshall, then fly that path as-is."""
-    swarm = swarm_template.clone()
     if costs is None:
         costs = static_edge_costs(swarm, net, model, greedy_pads)
     ids, dist, nxt = tables if tables is not None else floyd_warshall_tables(net, costs)

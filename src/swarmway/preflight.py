@@ -11,17 +11,22 @@ delivery-drone safety ("location-aware") against node recharge time
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .energy import (
     EnergyModel,
-    SUPPORT_CAPACITY_FACTOR,
     consumption_rate,
     make_delivery_drone,
     make_support_drone,
 )
 from .formations import FORMATION_KINDS, Formation, make_formation, wind_sector
-from .network import DeliveryRequest, SkywayNetwork, Wind, shortest_path_tree
+from .network import (
+    MAX_WIND_SPEED,
+    DeliveryRequest,
+    SkywayNetwork,
+    Wind,
+    shortest_path_tree,
+)
 
 POSITIONING_SETTINGS = ("location-aware", "energy-aware")
 DEFAULT_FAILURE_SCALE = 12.0
@@ -30,7 +35,10 @@ DEFAULT_FACTOR_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
 
 @dataclass
 class Swarm:
-    """Drones plus the formation they fly; slot state lives on the drones."""
+    """Drones plus the formation they fly, each drone in its standing slot.
+
+    Planning reads slots and batteries and never changes them.
+    """
 
     drones: list
     formation: Formation
@@ -63,10 +71,6 @@ class Swarm:
                 return d
         raise KeyError(f"no drone at slot {slot}")
 
-    def clone(self) -> "Swarm":
-        """Independent copy; composition mutates batteries and slots."""
-        return Swarm([replace(d) for d in self.drones], self.formation)
-
 
 def payload_ratio(weights: list[float], max_payload: float) -> float:
     """Mean package weight as a fraction of the payload ceiling."""
@@ -98,6 +102,20 @@ class FailureInputs:
         for w in self.weights:
             if w <= 0:
                 raise ValueError(f"factor weight {w} must be > 0")
+
+
+def route_failure_inputs(
+    weights: list[float], max_payload: float, distance_m: float, diameter_m: float,
+    wind: Wind, factor_weights: tuple[float, ...] = DEFAULT_FACTOR_WEIGHTS,
+) -> FailureInputs:
+    """Failure factors for one route, with support drones at full capacity."""
+    return FailureInputs(
+        payload=payload_ratio(weights, max_payload),
+        distance=min(1.0, distance_m / diameter_m),
+        capacity=1.0,
+        wind=wind.speed / MAX_WIND_SPEED,
+        weights=factor_weights,
+    )
 
 
 def failure_probability(inputs: FailureInputs, scale: float = DEFAULT_FAILURE_SCALE) -> float:
@@ -238,13 +256,9 @@ def build_swarm(
         for i, w in enumerate(request.package_weights)
     ]
     if include_support:
-        inputs = FailureInputs(
-            payload=payload_ratio(request.package_weights, model.spec.max_payload),
-            distance=min(1.0, route_distance_m / diameter_m),
-            capacity=SUPPORT_CAPACITY_FACTOR / SUPPORT_CAPACITY_FACTOR,
-            wind=route_wind.speed / 13.8,
-            weights=factor_weights,
-        )
+        inputs = route_failure_inputs(request.package_weights, model.spec.max_payload,
+                                      route_distance_m, diameter_m, route_wind,
+                                      factor_weights)
         probability = failure_probability(inputs, failure_scale)
         for k in range(redundancy_count(probability, n)):
             drones.append(make_support_drone(n + k, model.spec))

@@ -4,7 +4,11 @@ While a swarm crosses a segment, a support drone (the provider) can top
 up delivery drones that fall below a battery threshold.  Transfers run
 one consumer at a time and require the consumer to sit next to the
 provider, so each allocation may transiently swap the consumer with one
-of the provider's formation neighbors.
+of the provider's formation neighbors.  Every swap is undone when its
+transfer ends, so the swarm sits in its standing slot assignment at the
+start of each allocation and the swap a consumer needs is known before
+the segment starts: the composers take it as a ``swaps`` table and never
+touch the swarm.
 
 Two composition policies are provided:
 
@@ -35,7 +39,6 @@ class EnergyRequest:
     amount: float
     start: float
     end: float
-    slot: int | None = None
 
     def __post_init__(self):
         if self.amount <= 0:
@@ -78,6 +81,10 @@ class SwapEvent:
     slot_b: int
 
 
+# a consumer's (slot, partner slot) exchange and the drain rates while swapped
+SwapPlan = tuple[tuple[int, int], dict[int, float]]
+
+
 @dataclass
 class SharingPlan:
     allocations: list[Allocation] = field(default_factory=list)
@@ -112,7 +119,6 @@ class ShareContext:
     rates: dict[int, float]
     consumer_ids: list[int]
     share_rate: float
-    slots: dict[int, int] | None = None
 
     def __post_init__(self):
         if self.share_rate <= 0:
@@ -136,19 +142,21 @@ class _LegState:
     def __init__(self, ctx: ShareContext, t0: float):
         self.t = t0
         self.b = dict(ctx.batteries)
-        self.rates = dict(ctx.rates)
+        self.rates = ctx.rates
         self.consumed = {i: 0.0 for i in self.b}
         self.traces = {i: [(t0, self.b[i])] for i in self.b}
-        self._saved: list[dict[int, float]] = []
 
-    def advance(self, t2: float, deltas: dict[int, float] | None = None):
+    def advance(self, t2: float, deltas: dict[int, float] | None = None,
+                overrides: dict[int, float] | None = None):
+        """Drain to ``t2`` (at ``overrides`` rates where given), then credit ``deltas``."""
         dt = t2 - self.t
         if dt < 0:
             raise ValueError("time cannot move backwards")
         if dt == 0 and not deltas:
             return
+        rates = {**self.rates, **overrides} if overrides else self.rates
         for i in self.b:
-            drained = self.rates.get(i, 0.0) * dt
+            drained = rates.get(i, 0.0) * dt
             self.consumed[i] += drained
             b2 = self.b[i] - drained
             if deltas and i in deltas:
@@ -156,13 +164,6 @@ class _LegState:
             self.b[i] = b2
             self.traces[i].append((t2, b2))
         self.t = t2
-
-    def push_rates(self, overrides: dict[int, float]):
-        self._saved.append({i: self.rates[i] for i in overrides})
-        self.rates.update(overrides)
-
-    def pop_rates(self):
-        self.rates.update(self._saved.pop())
 
 
 def generate_requests(
@@ -174,7 +175,6 @@ def generate_requests(
     *,
     open_ids: frozenset[int] = frozenset(),
     start_id: int = 0,
-    slots: dict[int, int] | None = None,
 ) -> list[EnergyRequest]:
     """File a top-up request for every drone strictly below gamma * capacity.
 
@@ -197,34 +197,27 @@ def generate_requests(
                 amount=capacities[drone_id] - batteries[drone_id],
                 start=now,
                 end=segment_end,
-                slot=slots.get(drone_id) if slots else None,
             ))
             next_id += 1
     return out
 
 
-def _begin_swap(state, plan, reorder, consumer_id, time):
-    """Apply the pre-transfer slot swap, if any. Returns (undo, pairs)."""
-    if reorder is None:
-        return None, ()
-    swap = reorder(consumer_id)
+def _transfer(state, plan, swaps, provider_id, consumer_id, amount, start, end):
+    """Step from ``start`` to ``end`` while ``amount`` flows to the consumer.
+
+    A consumer listed in ``swaps`` flies the transfer in its partner's
+    slot at the table's rates, logged as one exchange at each end.
+    """
+    deltas = {consumer_id: amount, provider_id: -amount}
+    swap = swaps.get(consumer_id) if swaps else None
     if swap is None:
-        return None, ()
-    overrides, pairs, undo = swap
-    state.push_rates(overrides)
-    for a, b in pairs:
-        plan.swaps.append(SwapEvent(time, a, b))
-    return undo, pairs
-
-
-def _end_swap(state, plan, undo, pairs, time):
-    if undo is None:
+        state.advance(end, deltas)
         return
-    undo()
-    state.pop_rates()
-    for a, b in pairs:
-        # the same slot pair exchanges back
-        plan.swaps.append(SwapEvent(time, a, b))
+    (slot_a, slot_b), rates = swap
+    plan.swaps.append(SwapEvent(start, slot_a, slot_b))
+    state.advance(end, deltas, rates)
+    # the same slot pair exchanges back
+    plan.swaps.append(SwapEvent(end, slot_a, slot_b))
 
 
 def pb_compose(
@@ -234,7 +227,7 @@ def pb_compose(
     gamma: float,
     *,
     requests: list[EnergyRequest] | None = None,
-    reorder=None,
+    swaps: dict[int, SwapPlan | None] | None = None,
 ) -> ShareResult:
     """Serve requests fully, ordered by start time then largest amount.
 
@@ -243,6 +236,7 @@ def pb_compose(
     window, and only if its full amount still fits the offer.  A service
     running into the segment end is cut there with a proportional
     amount.  New requests are generated after each completed allocation.
+    ``swaps`` maps a consumer to the slot swap its transfers need.
     """
     w_start, w_end = window
     if not w_start < w_end:
@@ -256,7 +250,7 @@ def pb_compose(
     else:
         pending = generate_requests(
             {c: state.b[c] for c in ctx.consumer_ids}, consumer_caps,
-            gamma, w_start, w_end, slots=ctx.slots,
+            gamma, w_start, w_end,
         )
     next_id = max((er.id for er in pending), default=-1) + 1
     given = 0.0
@@ -282,9 +276,8 @@ def pb_compose(
             end = w_end
             amount = ctx.share_rate * (end - start)
         state.advance(start)
-        undo, pairs = _begin_swap(state, plan, reorder, chosen.drone_id, start)
-        state.advance(end, {chosen.drone_id: amount, offer.provider_id: -amount})
-        _end_swap(state, plan, undo, pairs, end)
+        _transfer(state, plan, swaps, offer.provider_id, chosen.drone_id, amount,
+                  start, end)
         plan.allocations.append(
             Allocation(offer.provider_id, chosen.drone_id, start, end - start, amount)
         )
@@ -296,7 +289,7 @@ def pb_compose(
             {c: state.b[c] for c in ctx.consumer_ids}, consumer_caps,
             gamma, state.t, w_end,
             open_ids=frozenset(er.drone_id for er in pending),
-            start_id=next_id, slots=ctx.slots,
+            start_id=next_id,
         ))
         next_id = max((er.id for er in pending), default=next_id - 1) + 1
     state.advance(w_end)
@@ -310,7 +303,7 @@ def fb_compose(
     quantum: float,
     reserve: float,
     *,
-    reorder=None,
+    swaps: dict[int, SwapPlan | None] | None = None,
 ) -> ShareResult:
     """Round-robin a fixed quantum to every non-full delivery drone.
 
@@ -320,7 +313,7 @@ def fb_compose(
     begin whenever time remains and the provider still holds strictly
     more than ``reserve``; the final turn's transfer completes in full
     but its recorded interval stops at the window end.  Full drones cost
-    nothing.
+    nothing.  ``swaps`` maps a consumer to the slot swap its turns need.
     """
     w_start, w_end = window
     if not w_start < w_end:
@@ -348,9 +341,8 @@ def fb_compose(
             start = ct
             end_recorded = min(ct + turn_time, w_end)
             ct += turn_time
-            undo, pairs = _begin_swap(state, plan, reorder, cid, start)
-            state.advance(end_recorded, {cid: amount, offer.provider_id: -amount})
-            _end_swap(state, plan, undo, pairs, end_recorded)
+            _transfer(state, plan, swaps, offer.provider_id, cid, amount,
+                      start, end_recorded)
             plan.allocations.append(
                 Allocation(offer.provider_id, cid, start, end_recorded - start, amount)
             )
@@ -366,7 +358,7 @@ def fb_compose(
 
 @dataclass(frozen=True)
 class SwapRecord:
-    """One applied slot exchange, with enough to undo it."""
+    """The slot exchange that would bring a consumer next to its provider."""
 
     consumer_id: int
     partner_id: int
@@ -377,10 +369,11 @@ class SwapRecord:
 def reorder_fixed(swarm, consumer_id: int, provider_id: int) -> SwapRecord | None:
     """Bring a consumer next to its provider without moving any support drone.
 
-    Returns None when they are already adjacent; otherwise the consumer
-    swaps slots with the delivery drone in the provider's
-    lowest-numbered adjacent slot.  The swap costs nothing and is undone
-    with ``swap_back`` once the transfer ends.
+    Returns None when they are already adjacent; otherwise the exchange
+    of the consumer's slot with that of the delivery drone in the
+    provider's lowest-numbered adjacent slot.  The swarm is left as it
+    is: the swap costs nothing and only lasts one transfer, so the
+    composers apply it through their ``swaps`` table.
     """
     consumer = swarm.drone(consumer_id)
     provider = swarm.drone(provider_id)
@@ -393,16 +386,8 @@ def reorder_fixed(swarm, consumer_id: int, provider_id: int) -> SwapRecord | Non
     for slot in sorted(swarm.formation.neighbors(provider.position)):
         partner = swarm.occupant(slot)
         if partner.role == "delivery":
-            record = SwapRecord(consumer_id, partner.id, consumer.position, slot)
-            consumer.position, partner.position = slot, consumer.position
-            return record
+            return SwapRecord(consumer_id, partner.id, consumer.position, slot)
     raise ValueError(
         f"provider {provider_id} has no delivery drone in an adjacent slot; "
         "positioning should never cluster support drones together"
     )
-
-
-def swap_back(swarm, record: SwapRecord) -> None:
-    consumer = swarm.drone(record.consumer_id)
-    partner = swarm.drone(record.partner_id)
-    consumer.position, partner.position = record.consumer_slot, record.partner_slot

@@ -426,6 +426,49 @@ class TestCli:
                      "--out", str(tmp_path), "--quiet"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def requests_file(self, tmp_path, source=None, destination=None,
+                      weights="0.5;0.7"):
+        """A synthesized network plus a one-row requests file; both paths."""
+        net = tmp_path / "net.csv"
+        main(["synth", "--seed", "5", "--nodes", "30", "--out", str(net)])
+        ids = sorted(load_network(net).nodes)
+        source = ids[0] if source is None else source
+        destination = ids[-1] if destination is None else destination
+        reqs = tmp_path / "requests.csv"
+        reqs.write_text(f"0,{source},{destination},{weights}\n")
+        return net, reqs
+
+    def run_requests_file(self, tmp_path, net, reqs, *extra):
+        return main(["run", "--network", str(net), "--requests-file", str(reqs),
+                     "--strategies", "baseline", "--out", str(tmp_path / "exp"),
+                     "--quiet", *extra])
+
+    def test_requests_file_runs(self, tmp_path):
+        net, reqs = self.requests_file(tmp_path)
+        assert self.run_requests_file(tmp_path, net, reqs) == 0
+        with open(tmp_path / "exp" / "results.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 1
+
+    @pytest.mark.parametrize("end", ["source", "destination"])
+    def test_unknown_request_node_exits_3(self, tmp_path, capsys, end):
+        net, reqs = self.requests_file(tmp_path, **{end: 99999})
+        assert self.run_requests_file(tmp_path, net, reqs) == 3
+        assert "unknown node 99999" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "results.csv").exists()
+
+    def test_overweight_package_exits_3(self, tmp_path, capsys):
+        net, reqs = self.requests_file(tmp_path, weights="0.5;2.5")
+        assert self.run_requests_file(tmp_path, net, reqs) == 3
+        assert "weight 2.5 exceeds" in capsys.readouterr().err
+
+    def test_malformed_coefficients_exit_3(self, tmp_path, capsys):
+        net, reqs = self.requests_file(tmp_path)
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("formation,slot,wind_sector,coefficient\nvee,zero,head,1.0\n")
+        code = self.run_requests_file(tmp_path, net, reqs, "--coeffs", str(coeffs))
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+
     def test_calibrate_scale_smoke(self, capsys):
         code = main(["calibrate-scale", "--synth-nodes", "30",
                      "--requests", "10", "--seed", "2",

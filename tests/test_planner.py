@@ -30,7 +30,7 @@ from swarmway.planner import (
     static_dijkstra,
     static_edge_costs,
 )
-from swarmway.preflight import Swarm
+from swarmway.preflight import POSITIONING_SETTINGS, Swarm, assign_positions
 from swarmway.network import shortest_path_tree
 
 from oracles import leg_grid_feasible
@@ -304,9 +304,27 @@ class TestCompose:
         assert shared.dt == 82.0
         assert shared.energy_shared > 0.0
         assert shared.strategy == "pb"
-        # composing works on a clone; the template swarm is untouched
+        # composing leaves the swarm it was given untouched
         assert [d.position for d in swarm.drones] == [0, 1, 2]
         assert all(d.battery == d.capacity for d in swarm.drones)
+
+    def test_planning_leaves_the_swarm_unchanged(self):
+        # three couriers, so a swap left in place would not undo itself
+        drones = [make_delivery_drone(i, 0.0, SHARE_SPEC) for i in range(3)]
+        swarm = swarm_of(drones + [make_support_drone(3, SHARE_SPEC)])
+        model, net = model_for(SHARE_SPEC), line_net(16, 66)
+        request = DeliveryRequest(7, 0, 2, [0.5, 0.5, 0.5])
+        for setting in POSITIONING_SETTINGS:
+            assign_positions(swarm, setting, "tail", model)
+            standing = [(d.id, d.position, d.battery) for d in swarm.drones]
+            for strategy in ("pb", "fb"):
+                plan = compose(swarm, net, request, model,
+                               share=ShareConfig(strategy, gamma=0.95))
+                assert any(leg.plan and leg.plan.swaps for leg in plan.legs), \
+                    (setting, strategy)
+            dijkstra_baseline(swarm, net, request, model)
+            floyd_warshall_baseline(swarm, net, request, model)
+            assert [(d.id, d.position, d.battery) for d in swarm.drones] == standing
 
     def test_sharing_stays_idle_when_batteries_suffice(self):
         swarm, model = self.stop_swarm()

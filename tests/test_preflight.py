@@ -213,17 +213,6 @@ class TestSwarmType:
         with pytest.raises(KeyError):
             swarm.occupant(99)
 
-    def test_clone_is_independent(self):
-        swarm = small_swarm(2, 1)
-        copy = swarm.clone()
-        copy.drones[0].battery -= 1000.0
-        copy.drones[0].position, copy.drones[1].position = (
-            copy.drones[1].position,
-            copy.drones[0].position,
-        )
-        assert swarm.drones[0].battery == DroneSpec().battery_capacity
-        assert swarm.drones[0].position == 0
-
 
 class TestRouteStats:
     def line_net(self, winds):

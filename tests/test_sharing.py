@@ -17,7 +17,6 @@ from swarmway.sharing import (
     generate_requests,
     pb_compose,
     reorder_fixed,
-    swap_back,
     write_plan_csv,
 )
 
@@ -65,11 +64,6 @@ class TestGenerateRequests:
         out = generate_requests({2: 100.0, 1: 100.0}, self.CAPS, 0.75, 0.0, 10.0,
                                 start_id=7)
         assert [(er.id, er.drone_id) for er in out] == [(7, 1), (8, 2)]
-
-    def test_slots_attached(self):
-        out = generate_requests({1: 100.0}, self.CAPS, 0.75, 0.0, 10.0,
-                                slots={1: 3})
-        assert out[0].slot == 3
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
@@ -357,9 +351,7 @@ class TestReorder:
         assert record is not None
         assert (record.consumer_id, record.partner_id) == (0, 2)
         assert (record.consumer_slot, record.partner_slot) == (0, 2)
-        assert swarm.drone(0).position == 2
-        assert swarm.drone(2).position == 0
-        swap_back(swarm, record)
+        # the swap is only described; the swarm keeps its standing slots
         assert [d.position for d in swarm.drones] == [0, 1, 2, 3]
 
     def test_role_validation(self):
@@ -381,7 +373,7 @@ class TestReorder:
 
 
 class TestSwapAccounting:
-    def test_hook_changes_rates_and_logs_paired_swaps(self):
+    def test_swap_table_changes_rates_and_logs_paired_swaps(self):
         ctx = ShareContext(
             batteries={1: 1024.0, 9: 8192.0},
             capacities={1: 4096.0, 9: 65536.0},
@@ -389,22 +381,31 @@ class TestSwapAccounting:
             consumer_ids=[1],
             share_rate=64.0,
         )
-        undone = []
-
-        def hook(consumer_id):
-            assert consumer_id == 1
-            return {1: 32.0}, [(0, 2)], lambda: undone.append(consumer_id)
-
         res = pb_compose(ctx, EnergyOffer(9, 4096.0, 0.0, 64.0), (0.0, 64.0),
-                         0.75, reorder=hook)
+                         0.75, swaps={1: ((0, 2), {1: 32.0})})
         assert [(a.start, a.duration, a.amount) for a in res.plan.allocations] == \
             [(0.0, 48.0, 3072.0)]
         assert res.plan.swaps == [SwapEvent(0.0, 0, 2), SwapEvent(48.0, 0, 2)]
-        assert undone == [1]
         # doubled draw for the 48 served minutes, normal for the rest
         assert res.consumed[1] == 32.0 * 48.0 + 16.0 * 16.0
         assert res.batteries_after[1] == 1024.0 - res.consumed[1] + 3072.0
         assert res.batteries_after[9] == 8192.0 - 8.0 * 64.0 - 3072.0
+
+    def test_fb_turns_swap_only_listed_consumers(self):
+        ctx = ShareContext(
+            batteries={1: 1024.0, 2: 1024.0, 9: 8192.0},
+            capacities={1: 4096.0, 2: 4096.0, 9: 65536.0},
+            rates={1: 16.0, 2: 16.0, 9: 8.0},
+            consumer_ids=[1, 2],
+            share_rate=64.0,
+        )
+        res = fb_compose(ctx, EnergyOffer(9, 4096.0, 0.0, 64.0), (0.0, 64.0),
+                         1024.0, 2048.0, swaps={1: ((0, 2), {1: 32.0}), 2: None})
+        assert [(a.consumer, a.start, a.amount) for a in res.plan.allocations] == \
+            [(1, 0.0, 1024.0), (2, 16.0, 1024.0)]
+        assert res.plan.swaps == [SwapEvent(0.0, 0, 2), SwapEvent(16.0, 0, 2)]
+        assert res.consumed[1] == 32.0 * 16.0 + 16.0 * 48.0
+        assert res.consumed[2] == 16.0 * 64.0
 
 
 class TestPlanCsv:
