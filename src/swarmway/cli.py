@@ -16,14 +16,15 @@ import os
 import sys
 
 from .bench import (
+    SHARING_STRATEGIES,
     ExperimentConfig,
     run_experiment,
     write_plot_data,
     write_results,
     write_summary,
 )
-from .energy import DroneSpec
-from .formations import default_table, load_coefficients
+from .energy import PAD_EXHAUSTIVE_CAP, DroneSpec
+from .formations import FORMATION_KINDS, default_table, load_coefficients
 from .network import (
     NetworkFormatError,
     largest_connected_component,
@@ -113,6 +114,32 @@ def _load_or_synthesize(network_path, synth_nodes, seed):
     return largest_connected_component(synthesize_network(synth_nodes, seed))
 
 
+def _check_swarm_sizes(requests, table, strategies, greedy_pads) -> None:
+    """Reject requests whose largest possible swarm the sweep cannot plan.
+
+    With pb or fb in the sweep, ``redundancy_count`` adds at most
+    max(n, 4) support drones to n delivery drones.  Every formation kind
+    is costed for every swarm, so the smallest kind bounds the size.
+    """
+    sharing = any(s in SHARING_STRATEGIES for s in strategies)
+    kind = min(FORMATION_KINDS, key=table.max_slots)
+    slots = table.max_slots(kind)
+    for req in requests:
+        n = len(req.package_weights)
+        size = n + max(n, 4) if sharing else n
+        if size > slots:
+            raise NetworkFormatError(
+                f"request {req.id}: {n} packages need up to {size} drones, "
+                f"but formation {kind!r} has only {slots} slots"
+            )
+        if size > PAD_EXHAUSTIVE_CAP and not greedy_pads:
+            raise NetworkFormatError(
+                f"request {req.id}: {n} packages need up to {size} drones, "
+                f"above the exact pad search cap of {PAD_EXHAUSTIVE_CAP}; "
+                "pass --greedy-pads to allow approximate pad schedules"
+            )
+
+
 def _cmd_run(args) -> None:
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     positionings = tuple(s.strip() for s in args.positioning.split(",") if s.strip())
@@ -141,6 +168,7 @@ def _cmd_run(args) -> None:
                                  nodes=net.nodes)
     else:
         requests = synthesize_requests(net, args.requests, args.seed)
+    _check_swarm_sizes(requests, table, strategies, args.greedy_pads)
 
     progress = None
     if not args.quiet:

@@ -190,32 +190,50 @@ def _greedy_assignment(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
     return tuple(assign)
 
 
-@lru_cache(maxsize=200_000)
-def _best_assignment(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
-    """Exhaustive makespan-minimal pad assignment.
+def _queues(assign: tuple[int, ...], pads: int) -> tuple[tuple[int, ...], ...]:
+    """Drone indices per pad, in input order, for a pad assignment."""
+    return tuple(
+        tuple(i for i in range(len(assign)) if assign[i] == p) for p in range(pads)
+    )
 
-    Enumerates canonical assignments (pad labels in first-use order) in
-    lexicographic order, so the first optimum found is the
-    lexicographically smallest one over all labelings.
+
+def _makespan(queues, times, intervals=None) -> float:
+    """Finish time of the last pad when each serves its queue in order from 0.0.
+
+    Records each drone's (start, end) in ``intervals`` when one is given.
+    """
+    node_time = 0.0
+    for queue in queues:
+        clock = 0.0
+        for drone in queue:
+            start = clock
+            clock = start + times[drone]
+            if intervals is not None:
+                intervals[drone] = (start, clock)
+        node_time = max(node_time, clock)
+    return node_time
+
+
+def _search(times: tuple[float, ...], pads: int, leaf, band: float = 1.0) -> None:
+    """Branch and bound over canonical pad assignments.
+
+    Canonical assignments use pad labels in first-use order and are
+    visited in lexicographic order.  A branch is cut as soon as its
+    partial makespan exceeds the limit, which starts at ``band`` times the
+    LPT makespan; ``leaf(makespan, assign)`` sees every complete
+    assignment that survives and returns a new cap on the limit.
     """
     n = len(times)
-    greedy = _greedy_assignment(times, pads)
-    bound = max(
-        (sum(times[i] for i in range(n) if greedy[i] == p) for p in range(pads)),
-        default=0.0,
-    )
-    best_assign = None
-    best_nt = math.inf
+    limit = _makespan(_queues(_greedy_assignment(times, pads), pads), times) * band
     assign = [0] * n
     loads = [0.0] * pads
 
     def recurse(i: int, used: int, cur_max: float):
-        nonlocal best_assign, best_nt
-        if cur_max > bound or cur_max >= best_nt:
+        nonlocal limit
+        if cur_max > limit:
             return
         if i == n:
-            best_nt = cur_max
-            best_assign = tuple(assign)
+            limit = min(limit, leaf(cur_max, tuple(assign)))
             return
         for pad in range(min(used + 1, pads)):
             assign[i] = pad
@@ -227,8 +245,40 @@ def _best_assignment(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
             loads[pad] = prev
 
     recurse(0, 0, 0.0)
-    assert best_assign is not None
-    return best_assign
+
+
+@lru_cache(maxsize=200_000)
+def _best_assignment(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
+    """Exhaustive makespan-minimal pad assignment.
+
+    Only strict improvements survive the search, so the first optimum
+    found is the lexicographically smallest one over all labelings.
+    """
+    found = []
+
+    def leaf(node_time, assign):
+        found.append(assign)
+        return math.nextafter(node_time, -math.inf)  # strictly better only
+
+    _search(times, pads, leaf)
+    return found[-1]
+
+
+def _near_optimal_queues(weights: tuple[float, ...],
+                         pads: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Queues of every canonical assignment whose makespan on ``weights``
+    is within a relative 1e-9 of the optimum, in lexicographic order."""
+    band = 1.0 + 1e-9
+    found = []
+
+    def leaf(node_time, assign):
+        found.append((node_time, assign))
+        return node_time * band
+
+    _search(weights, pads, leaf, band)
+    best = min(node_time for node_time, _ in found)
+    return [_queues(assign, pads) for node_time, assign in found
+            if node_time <= best * band]
 
 
 def pad_schedule(
@@ -261,16 +311,7 @@ def pad_schedule(
         assign = _greedy_assignment(times, pads)
     else:
         assign = _best_assignment(times, pads)
-    queues = tuple(
-        tuple(i for i in range(len(times)) if assign[i] == p) for p in range(pads)
-    )
-    intervals = {}
-    node_time = 0.0
-    for queue in queues:
-        clock = 0.0
-        for drone in queue:
-            start = clock
-            clock = start + times[drone]
-            intervals[drone] = (start, clock)
-        node_time = max(node_time, clock)
+    queues = _queues(assign, pads)
+    intervals: dict[int, tuple[float, float]] = {}
+    node_time = _makespan(queues, times, intervals)
     return PadSchedule(queues=queues, node_time=node_time, intervals=intervals)

@@ -202,9 +202,11 @@ def save_network(net: SkywayNetwork, path) -> None:
 
 def load_requests(path, max_weight: float | None = None,
                   nodes: Container[int] | None = None) -> list[DeliveryRequest]:
-    """Read request rows ``id,source,dest,w1;w2;...``, rejecting packages
-    over ``max_weight`` and node ids outside ``nodes`` when those are given."""
+    """Read request rows ``id,source,dest,w1;w2;...``, rejecting repeated
+    ids, and packages over ``max_weight`` and node ids outside ``nodes``
+    when those are given."""
     requests = []
+    first_line: dict[int, int] = {}  # request id -> line that defined it
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -223,8 +225,13 @@ def load_requests(path, max_weight: float | None = None,
                 for nid in (req.source, req.destination):
                     if nodes is not None and nid not in nodes:
                         raise ValueError(f"request {req.id}: unknown node {nid}")
+                if req.id in first_line:
+                    raise ValueError(
+                        f"request id {req.id} repeats line {first_line[req.id]}"
+                    )
             except ValueError as exc:
                 raise NetworkFormatError(f"line {lineno}: {exc}") from None
+            first_line[req.id] = lineno
             requests.append(req)
     return requests
 

@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyModel, consumption_rate, pad_schedule, travel_time
+from .energy import (
+    PAD_EXHAUSTIVE_CAP,
+    EnergyModel,
+    _makespan,
+    _near_optimal_queues,
+    consumption_rate,
+    pad_schedule,
+    travel_time,
+)
 from .formations import wind_sector
 from .network import DeliveryRequest, PathTree, SkywayNetwork, shortest_path_tree
 from .preflight import Swarm
@@ -411,6 +419,22 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel,
     how the static routers then simulate their chosen path.
     """
     cache = _RateCache(swarm, model)
+    n = len(swarm.drones)
+    # Drone d's restore time on an edge is rate_d(sector) * tt / pad rate,
+    # so within one (sector, pad count) every edge scales the same rate
+    # vector and one search over it serves them all.  pad_schedule's
+    # node_time is the float minimum of the makespan over all assignments,
+    # whatever its tie-break.  An assignment's float makespan on an edge's
+    # times lies within (n+2)*2**-53 relative of tt / pad rate times its
+    # real makespan on the rates, and its float makespan on the rates
+    # within (n-1)*2**-53 of that real makespan.  So an assignment more
+    # than 1e-9 relative above the optimum on the rates never gives the
+    # minimum on an edge, and the minimum over the kept candidates is
+    # node_time, bit for bit.  With a pad per drone that minimum is
+    # max(times); above the exhaustive cap pad_schedule still decides.
+    pad_rate = model.spec.pad_charge_rate
+    rate_vectors: dict[str, tuple[float, ...]] = {}  # sector -> rates by drone
+    candidates: dict[tuple[str, int], list] = {}
     costs: dict[tuple[int, int], float] = {}
     for seg in net.segments:
         if seg.wind is None:
@@ -422,12 +446,20 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel,
                 costs[(a, b)] = math.inf
                 continue
             sector = wind_sector(net.heading(a, b), seg.wind)
-            rates = cache.rates(sector)
-            times = [
-                rates[d.id] * tt / model.spec.pad_charge_rate for d in swarm.drones
-            ]
-            costs[(a, b)] = tt + pad_schedule(times, head.pads,
-                                              greedy=greedy_pads).node_time
+            if sector not in rate_vectors:
+                rates = cache.rates(sector)
+                rate_vectors[sector] = tuple(rates[d.id] for d in swarm.drones)
+            times = [rate * tt / pad_rate for rate in rate_vectors[sector]]
+            if n > PAD_EXHAUSTIVE_CAP:
+                node_time = pad_schedule(times, head.pads, greedy=greedy_pads).node_time
+            elif head.pads >= n:
+                node_time = max(times)
+            else:
+                key = (sector, head.pads)
+                if key not in candidates:
+                    candidates[key] = _near_optimal_queues(rate_vectors[sector], head.pads)
+                node_time = min([_makespan(q, times) for q in candidates[key]])
+            costs[(a, b)] = tt + node_time
     return costs
 
 
@@ -467,11 +499,13 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
         if w < dist[index[a], index[b]]:
             dist[index[a], index[b]] = w
             nxt[index[a], index[b]] = index[b]
+    cand = np.empty((n, n))
+    mask = np.empty((n, n), dtype=bool)
     for k in range(n):
-        cand = dist[:, k, None] + dist[None, k, :]
-        mask = cand < dist
-        dist = np.where(mask, cand, dist)
-        nxt = np.where(mask, np.broadcast_to(nxt[:, k, None], nxt.shape), nxt)
+        np.add(dist[:, k, None], dist[None, k, :], out=cand)
+        np.less(cand, dist, out=mask)
+        np.copyto(dist, cand, where=mask)
+        np.copyto(nxt, nxt[:, k, None], where=mask)
     return ids, dist, nxt
 
 

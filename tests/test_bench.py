@@ -469,6 +469,47 @@ class TestCli:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_duplicate_request_id_exits_3(self, tmp_path, capsys):
+        net, reqs = self.requests_file(tmp_path)
+        row = reqs.read_text()
+        reqs.write_text(row + row.replace("0.5;0.7", "0.3"))
+        assert self.run_requests_file(tmp_path, net, reqs) == 3
+        assert "line 2: request id 0 repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "results.csv").exists()
+
+    @pytest.mark.parametrize("packages,strategies", [(13, "baseline"), (7, "pb")])
+    def test_swarm_beyond_table_slots_exits_3(self, tmp_path, capsys,
+                                              packages, strategies):
+        # 7 packages fit the 12 slots alone, but pb may add 7 support drones
+        net, reqs = self.requests_file(tmp_path, weights=";".join(["0.1"] * packages))
+        code = main(["run", "--network", str(net), "--requests-file", str(reqs),
+                     "--strategies", strategies, "--out", str(tmp_path / "exp"),
+                     "--quiet", "--greedy-pads"])
+        assert code == 3
+        assert "has only 12 slots" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "results.csv").exists()
+
+    def test_seven_packages_without_sharing_run(self, tmp_path):
+        net, reqs = self.requests_file(tmp_path, weights=";".join(["0.1"] * 7))
+        assert self.run_requests_file(tmp_path, net, reqs) == 0
+
+    def test_swarm_beyond_pad_search_cap_needs_greedy_pads(self, tmp_path, capsys):
+        net, reqs = self.requests_file(tmp_path, weights=";".join(["0.1"] * 13))
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("".join(
+            f"{kind},{slot},{sector},1.0\n"
+            for kind in FORMATION_KINDS for slot in range(16) for sector in WIND_SECTORS
+        ))
+        code = self.run_requests_file(tmp_path, net, reqs, "--coeffs", str(coeffs))
+        assert code == 3
+        assert "pass --greedy-pads" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "results.csv").exists()
+        code = self.run_requests_file(tmp_path, net, reqs, "--coeffs", str(coeffs),
+                                      "--greedy-pads")
+        assert code == 0
+        with open(tmp_path / "exp" / "results.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 1
+
     def test_calibrate_scale_smoke(self, capsys):
         code = main(["calibrate-scale", "--synth-nodes", "30",
                      "--requests", "10", "--seed", "2",

@@ -10,14 +10,19 @@ import pytest
 from swarmway.energy import (
     DroneSpec,
     EnergyModel,
+    consumption_rate,
     make_delivery_drone,
     make_support_drone,
+    pad_schedule,
+    travel_time,
 )
 from swarmway.formations import (
     FORMATION_KINDS,
     WIND_SECTORS,
     CoefficientTable,
+    default_table,
     make_formation,
+    wind_sector,
 )
 from swarmway.network import DeliveryRequest, Node, Segment, SkywayNetwork, Wind
 from swarmway.planner import (
@@ -487,3 +492,144 @@ class TestStaticBaselines:
         costs = static_edge_costs(swarm, net, model)
         ids, dist, _ = floyd_warshall_tables(net, costs)
         assert np.array_equal(dist, dist.T)
+
+
+class TestStaticCostsMatchPadSchedule:
+    """Every edge cost equals tt plus pad_schedule's makespan, bit for bit."""
+
+    def reference(self, swarm, net, model, greedy_pads=False):
+        out = {}
+        for seg in net.segments:
+            tt = travel_time(seg.distance_m, model.spec.cruise_speed)
+            for a, b in ((seg.u, seg.v), (seg.v, seg.u)):
+                pads = net.nodes[b].pads
+                if pads < 1:
+                    out[(a, b)] = math.inf
+                    continue
+                sector = wind_sector(net.heading(a, b), seg.wind)
+                times = [
+                    consumption_rate(model, d.payload, swarm.formation, d.position,
+                                     sector) * tt / model.spec.pad_charge_rate
+                    for d in swarm.drones
+                ]
+                out[(a, b)] = tt + pad_schedule(times, pads,
+                                                greedy=greedy_pads).node_time
+        return out
+
+    def random_world(self, rng, n_nodes=8):
+        """Pads 0-4, winds from every sector, distances off the dyadic grid."""
+        nodes = [Node(i, rng.uniform(0, 30000), rng.uniform(0, 30000),
+                      rng.randint(0, 4)) for i in range(n_nodes)]
+        segs = [
+            Segment(a, b, rng.uniform(300.0, 20000.0),
+                    Wind(rng.uniform(0, 13.0), rng.uniform(0, 360.0)))
+            for a in range(n_nodes) for b in range(a + 1, n_nodes)
+            if rng.random() < 0.5
+        ]
+        return SkywayNetwork(nodes, segs)
+
+    def swarm(self, payloads, kind="vee", supports=0):
+        spec = DroneSpec()
+        drones = [make_delivery_drone(i, p, spec) for i, p in enumerate(payloads)]
+        drones += [make_support_drone(len(payloads) + k, spec) for k in range(supports)]
+        return swarm_of(drones, kind)
+
+    def assert_identical(self, swarm, net, model, greedy_pads=False):
+        got = static_edge_costs(swarm, net, model, greedy_pads)
+        want = self.reference(swarm, net, model, greedy_pads)
+        assert got == want
+        assert {k: repr(v) for k, v in got.items()} == \
+            {k: repr(v) for k, v in want.items()}
+
+    def test_swarms_of_one_to_eight_drones(self):
+        # support drones share a payload, so their slot coefficients alone
+        # set them apart, and pad loads can come within a few ulps of a tie
+        rng = random.Random(19)
+        model = EnergyModel(DroneSpec(), default_table())
+        for kind in FORMATION_KINDS:
+            for n in range(1, 9):
+                for supports in range(n):
+                    payloads = [rng.uniform(0.0, 1.4) for _ in range(n - supports)]
+                    swarm = self.swarm(payloads, kind, supports)
+                    self.assert_identical(swarm, self.random_world(rng), model)
+
+    def test_identical_drones_tie_exactly(self):
+        rng = random.Random(5)
+        model = model_for(DroneSpec())
+        for n in range(1, 9):
+            self.assert_identical(self.swarm([0.7] * n), self.random_world(rng), model)
+
+    def test_near_ties_between_different_sums(self):
+        # rates in ratio 1:2:3:4:5 load the busier of two pads with 8 units
+        # in several ways (3+5, 1+2+5, 1+3+4), and each sum rounds its own way
+        rng = random.Random(23)
+        for eps in (0.0, 1e-16, 3e-16, 1e-15, 1e-13):
+            coeffs = (1.0, 2.0, 3.0, 4.0, 5.0 + eps)
+            table = CoefficientTable({
+                (kind, slot, sector): coeffs[slot % 5]
+                for kind in FORMATION_KINDS for slot in range(12)
+                for sector in WIND_SECTORS
+            })
+            model = EnergyModel(DroneSpec(), table, payload_gain=0.0)
+            swarm = self.swarm([0.5] * 5, "column")
+            for _ in range(3):
+                self.assert_identical(swarm, self.random_world(rng, 10), model)
+
+    def test_beyond_the_exhaustive_cap(self):
+        rng = random.Random(13)
+        table = CoefficientTable({
+            (kind, slot, sector): 1.0 + 0.01 * slot
+            for kind in FORMATION_KINDS for slot in range(16) for sector in WIND_SECTORS
+        })
+        model = EnergyModel(DroneSpec(), table)
+        swarm = self.swarm([rng.uniform(0.0, 1.4) for _ in range(13)])
+        net = self.random_world(rng)
+        with pytest.raises(ValueError, match="exhaustive cap"):
+            static_edge_costs(swarm, net, model)
+        self.assert_identical(swarm, net, model, greedy_pads=True)
+
+
+def reference_floyd(net, costs):
+    """Textbook triple-loop Floyd-Warshall with a successor table."""
+    ids = sorted(net.nodes)
+    index = {nid: i for i, nid in enumerate(ids)}
+    n = len(ids)
+    dist = [[0.0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    nxt = [[i if i == j else -1 for j in range(n)] for i in range(n)]
+    for (a, b), w in costs.items():
+        i, j = index[a], index[b]
+        if w < dist[i][j]:
+            dist[i][j] = w
+            nxt[i][j] = j
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                cand = dist[i][k] + dist[k][j]
+                if cand < dist[i][j]:
+                    dist[i][j] = cand
+                    nxt[i][j] = nxt[i][k]
+    return ids, dist, nxt
+
+
+class TestFloydWarshallTables:
+    def test_matches_the_triple_loop_including_tie_breaks(self):
+        # small integer costs make equal-cost alternatives common
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            nodes = [Node(10 * i + 3, float(i), 0.0, 1) for i in range(n)]
+            segs = [Segment(a.id, b.id, 1000.0, CALM)
+                    for i, a in enumerate(nodes) for b in nodes[i + 1:]
+                    if rng.random() < 0.4]
+            net = SkywayNetwork(nodes, segs)
+            costs = {}
+            for seg in segs:
+                for a, b in ((seg.u, seg.v), (seg.v, seg.u)):
+                    costs[(a, b)] = (math.inf if rng.random() < 0.2
+                                     else float(rng.randint(1, 4)))
+            ids, dist, nxt = floyd_warshall_tables(net, costs)
+            want_ids, want_dist, want_nxt = reference_floyd(net, costs)
+            assert ids == want_ids
+            assert nxt.dtype == np.int64
+            assert np.array_equal(dist, np.array(want_dist))
+            assert np.array_equal(nxt, np.array(want_nxt))
