@@ -188,7 +188,11 @@ def default_table() -> CoefficientTable:
 
 
 def load_coefficients(path) -> CoefficientTable:
-    """Read ``formation,slot,wind_sector,coefficient`` rows."""
+    """Read ``formation,slot,wind_sector,coefficient`` rows.
+
+    Every kind in the file must cover every wind sector for each slot
+    below its ``max_slots``; the first gap is named.
+    """
     values = {}
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -201,9 +205,14 @@ def load_coefficients(path) -> CoefficientTable:
             except ValueError as exc:
                 raise NetworkFormatError(f"line {lineno}: {exc}") from None
     try:
-        return CoefficientTable(values)
+        table = CoefficientTable(values)
+        for kind in FORMATION_KINDS:
+            for slot in range(table.max_slots(kind)):
+                for sector in WIND_SECTORS:
+                    table.coefficient(kind, slot, sector)
     except ValueError as exc:
         raise NetworkFormatError(f"{path}: {exc}") from None
+    return table
 
 
 def save_coefficients(table: CoefficientTable, path) -> None:

@@ -117,6 +117,7 @@ class SkywayNetwork:
             self.segments.append(seg)
             self._adj[seg.u][seg.v] = seg
             self._adj[seg.v][seg.u] = seg
+        self._headings: dict[tuple[int, int], float] = {}
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes
@@ -136,8 +137,12 @@ class SkywayNetwork:
 
     def heading(self, u: int, v: int) -> float:
         """Travel bearing u -> v in degrees CCW from +x."""
-        a, b = self.nodes[u], self.nodes[v]
-        return math.degrees(math.atan2(b.y - a.y, b.x - a.x)) % 360.0
+        heading = self._headings.get((u, v))
+        if heading is None:
+            a, b = self.nodes[u], self.nodes[v]
+            heading = math.degrees(math.atan2(b.y - a.y, b.x - a.x)) % 360.0
+            self._headings[(u, v)] = heading
+        return heading
 
 
 def load_network(path) -> SkywayNetwork:

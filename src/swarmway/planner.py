@@ -39,6 +39,8 @@ from .sharing import (
     ShareContext,
     SharingPlan,
     SwapPlan,
+    _fb_idle,
+    _pb_idle,
     fb_compose,
     pb_compose,
     reorder_fixed,
@@ -157,14 +159,26 @@ class DeliveryPlan:
             json.dump(self.to_dict(), fh, indent=2)
 
 
+@dataclass(frozen=True)
+class _Block:
+    """A support drone and the contiguous run of delivery drones it serves."""
+
+    provider: int
+    consumers: list[int]
+    ids: list[int]  # provider first, then its consumers in slot order
+    capacities: dict[int, float]
+
+
 class _RateCache:
-    """Per-sector drain rates and swap tables at the swarm's standing slots."""
+    """Per-sector drain rates and swap tables at the swarm's standing slots,
+    and the swarm's provider blocks."""
 
     def __init__(self, swarm: Swarm, model: EnergyModel):
         self.swarm = swarm
         self.model = model
         self._by_sector: dict[str, dict[int, float]] = {}
         self._swaps_by_sector: dict[str, dict[int, SwapPlan | None]] = {}
+        self.blocks = _provider_blocks(swarm)
 
     def _rate(self, drone, slot: int, sector: str) -> float:
         return consumption_rate(self.model, drone.payload, self.swarm.formation,
@@ -185,56 +199,112 @@ class _RateCache:
         since that block composes independently.
         """
         if sector not in self._swaps_by_sector:
+            by_id = {d.id: d for d in self.swarm.drones}
             table: dict[int, SwapPlan | None] = {}
-            for provider, block in _provider_blocks(self.swarm):
-                tracked = {c.id for c in block}
-                for c in block:
-                    rec = reorder_fixed(self.swarm, c.id, provider.id)
+            for block in self.blocks:
+                for cid in block.consumers:
+                    rec = reorder_fixed(self.swarm, cid, block.provider)
                     if rec is None:
-                        table[c.id] = None
+                        table[cid] = None
                         continue
-                    rates = {c.id: self._rate(c, rec.partner_slot, sector)}
-                    if rec.partner_id in tracked:
-                        partner = self.swarm.drone(rec.partner_id)
+                    rates = {cid: self._rate(by_id[cid], rec.partner_slot, sector)}
+                    if rec.partner_id in block.consumers:
+                        partner = by_id[rec.partner_id]
                         rates[partner.id] = self._rate(partner, rec.consumer_slot, sector)
-                    table[c.id] = ((rec.consumer_slot, rec.partner_slot), rates)
+                    table[cid] = ((rec.consumer_slot, rec.partner_slot), rates)
             self._swaps_by_sector[sector] = table
         return self._swaps_by_sector[sector]
 
 
-def _provider_blocks(swarm: Swarm):
-    """Split delivery drones into contiguous slot blocks, one per provider."""
+def _provider_blocks(swarm: Swarm) -> list[_Block]:
+    """Split delivery drones into contiguous slot blocks, one per provider.
+
+    A swarm without support or without delivery drones has no blocks.
+    """
     providers = sorted(swarm.support_drones(), key=lambda d: d.position)
     consumers = sorted(swarm.delivery_drones(), key=lambda d: d.position)
+    if not providers or not consumers:
+        return []
     blocks = []
     base, extra = divmod(len(consumers), len(providers))
     at = 0
     for i, provider in enumerate(providers):
         size = base + (1 if i < extra else 0)
-        blocks.append((provider, consumers[at:at + size]))
+        members = [provider] + consumers[at:at + size]
+        ids = [d.id for d in members]
+        blocks.append(_Block(provider.id, ids[1:], ids,
+                             {d.id: d.capacity for d in members}))
         at += size
     return blocks
 
 
 def _grid_feasible(traces: dict[int, list[tuple[float, float]]], tt: float) -> bool:
-    """True when every trace stays non-negative at whole minutes and at tt."""
-    grid = [float(m) for m in range(int(math.floor(tt)) + 1)]
-    if grid[-1] != tt:
-        grid.append(tt)
+    """True when every trace stays non-negative at whole minutes and at tt.
+
+    A grid point g reads the trace piece (t1, b1)-(t2, b2) with
+    t1 < g <= t2 (the first piece also takes every g <= its t2) as
+    b1 + (b2 - b1) * (g - t1) / (t2 - t1), or b2 when t2 == t1; past the
+    last point it reads the last battery.  Each step of that expression
+    is monotone in g under IEEE rounding: subtract the constant t1,
+    multiply by the constant b2 - b1, divide by the positive constant
+    t2 - t1, add the constant b1.  So the lowest value a piece takes on
+    the grid is at its first or its last grid point, and only those two
+    are evaluated.
+    """
+    whole = math.floor(tt)  # the last whole minute on the grid
     for points in traces.values():
-        idx = 0
-        for t in grid:
-            while idx + 1 < len(points) and points[idx + 1][0] < t:
-                idx += 1
-            t1, b1 = points[idx]
-            if idx + 1 < len(points):
-                t2, b2 = points[idx + 1]
-                value = b2 if t2 == t1 else b1 + (b2 - b1) * (t - t1) / (t2 - t1)
+        lo = 0  # the first whole minute no piece has read yet
+        tt_open = whole != tt  # tt is a grid point of its own, not read yet
+        t1, b1 = points[0]
+        for t2, b2 in points[1:]:
+            # this piece reads minutes lo..hi, then tt if tt <= t2
+            hi = math.floor(t2)
+            if hi > whole:
+                hi = whole
+            if tt_open and tt <= t2:
+                last, tt_open = tt, False
+            elif lo <= hi:
+                last = hi
+            else:  # no grid point falls on this piece
+                t1, b1 = t2, b2
+                continue
+            first = lo if lo <= hi else last
+            if t2 == t1:
+                if b2 < -FLOOR_TOLERANCE:
+                    return False
             else:
-                value = b1
-            if value < -FLOOR_TOLERANCE:
-                return False
+                rise, run = b2 - b1, t2 - t1
+                if (b1 + rise * (first - t1) / run < -FLOOR_TOLERANCE
+                        or b1 + rise * (last - t1) / run < -FLOOR_TOLERANCE):
+                    return False
+            lo = hi + 1
+            t1, b1 = t2, b2
+        if (lo <= whole or tt_open) and points[-1][1] < -FLOOR_TOLERANCE:
+            return False
     return True
+
+
+def _share_block(block, before, rates, tt, share, model, swaps):
+    """Compose one provider block over a leg; None if the composer would
+    grant nothing, in which case the block just drains."""
+    p = block.provider
+    ae = max(0.0, before[p] - rates[p] * tt)
+    reserve = share.delta_frac * block.capacities[p]
+    if (_pb_idle(before, block.capacities, block.consumers, share.gamma)
+            if share.strategy == "pb" else
+            _fb_idle(before, block.capacities, block.consumers, ae, reserve)):
+        return None
+    ctx = ShareContext(
+        batteries={i: before[i] for i in block.ids},
+        capacities=block.capacities,
+        rates={i: rates[i] for i in block.ids},
+        consumer_ids=block.consumers,
+        share_rate=model.spec.inflight_share_rate,
+    )
+    offer = EnergyOffer(p, ae, 0.0, tt)
+    if share.strategy == "pb":
+        return pb_compose(ctx, offer, (0.0, tt), share.gamma, swaps=swaps)
+    return fb_compose(ctx, offer, (0.0, tt), share.quantum, reserve, swaps=swaps)
 
 
 def feasible_leg(
@@ -252,7 +322,9 @@ def feasible_leg(
 
     With sharing enabled, each support drone independently serves its
     contiguous block of delivery drones, offering whatever its battery
-    holds beyond its own projected drain for the leg.
+    holds beyond its own projected drain for the leg.  A block whose
+    composer would grant nothing (and every drone when sharing is off)
+    drains in closed form, exactly as the composer's trace would.
     """
     seg = net.segment(u, v)
     if seg.wind is None:
@@ -263,43 +335,30 @@ def feasible_leg(
     rates = cache.rates(sector)
     before = dict(batteries) if batteries is not None else {d.id: d.battery for d in swarm.drones}
 
-    providers = swarm.support_drones()
-    consumers = swarm.delivery_drones()
+    blocks = cache.blocks if share is not None else []
+    plan = SharingPlan() if blocks else None
+    swaps = cache.swaps(sector) if blocks else None
     after, consumed, traces = {}, {}, {}
-    if share is None or not providers or not consumers:
-        for d in swarm.drones:
-            spent = rates[d.id] * tt
-            consumed[d.id] = spent
-            after[d.id] = before[d.id] - spent
-            traces[d.id] = [(0.0, before[d.id]), (tt, after[d.id])]
-        plan = None
-    else:
-        plan = SharingPlan()
-        swaps = cache.swaps(sector)
-        for provider, block in _provider_blocks(swarm):
-            ids = [provider.id] + [c.id for c in block]
-            ctx = ShareContext(
-                batteries={i: before[i] for i in ids},
-                capacities={i: swarm.drone(i).capacity for i in ids},
-                rates={i: rates[i] for i in ids},
-                consumer_ids=[c.id for c in block],
-                share_rate=model.spec.inflight_share_rate,
-            )
-            ae = max(0.0, before[provider.id] - rates[provider.id] * tt)
-            offer = EnergyOffer(provider.id, ae, 0.0, tt)
-            if share.strategy == "pb":
-                result = pb_compose(ctx, offer, (0.0, tt), share.gamma, swaps=swaps)
-            else:
-                reserve = share.delta_frac * provider.capacity
-                result = fb_compose(ctx, offer, (0.0, tt), share.quantum, reserve,
-                                    swaps=swaps)
-            after.update(result.batteries_after)
-            consumed.update(result.consumed)
-            traces.update(result.traces)
-            plan.allocations.extend(result.plan.allocations)
-            plan.swaps.extend(result.plan.swaps)
-            plan.provider_given.update(result.plan.provider_given)
-            plan.consumer_gained.update(result.plan.consumer_gained)
+    for block in blocks or [None]:
+        result = None
+        if block is not None:
+            plan.provider_given[block.provider] = 0.0
+            plan.consumer_gained.update(dict.fromkeys(block.consumers, 0.0))
+            result = _share_block(block, before, rates, tt, share, model, swaps)
+        if result is None:
+            for i in block.ids if block else rates:  # rates: every drone, in order
+                spent = rates[i] * tt
+                consumed[i] = spent
+                after[i] = left = before[i] - spent
+                traces[i] = [(0.0, before[i]), (tt, left)]
+            continue
+        after.update(result.batteries_after)
+        consumed.update(result.consumed)
+        traces.update(result.traces)
+        plan.allocations.extend(result.plan.allocations)
+        plan.swaps.extend(result.plan.swaps)
+        plan.provider_given.update(result.plan.provider_given)
+        plan.consumer_gained.update(result.plan.consumer_gained)
 
     if not _grid_feasible(traces, tt):
         return None

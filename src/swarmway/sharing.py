@@ -166,6 +166,30 @@ class _LegState:
         self.t = t2
 
 
+def _wants_topup(battery: float, capacity: float, gamma: float) -> bool:
+    return battery < gamma * capacity
+
+
+def _pb_idle(batteries, capacities, consumer_ids, gamma: float) -> bool:
+    """True when pb_compose files no request at the window start.
+
+    pb_compose then grants nothing and the block simply drains.
+    """
+    return not any(_wants_topup(batteries[c], capacities[c], gamma)
+                   for c in consumer_ids)
+
+
+def _fb_idle(batteries, capacities, consumer_ids, offer_energy: float,
+             reserve: float) -> bool:
+    """True when fb_compose's first pass grants nothing.
+
+    That is when the offer holds no more than the reserve or every
+    consumer is full; the block then simply drains.
+    """
+    return (offer_energy - 0.0 <= reserve
+            or all(capacities[c] - batteries[c] <= 0 for c in consumer_ids))
+
+
 def generate_requests(
     batteries: dict[int, float],
     capacities: dict[int, float],
@@ -190,7 +214,7 @@ def generate_requests(
     for drone_id in sorted(batteries):
         if drone_id in open_ids:
             continue
-        if batteries[drone_id] < gamma * capacities[drone_id]:
+        if _wants_topup(batteries[drone_id], capacities[drone_id], gamma):
             out.append(EnergyRequest(
                 id=next_id,
                 drone_id=drone_id,
@@ -328,7 +352,9 @@ def fb_compose(
                        consumer_gained={c: 0.0 for c in ctx.consumer_ids})
     given = 0.0
     ct = w_start
-    while ct < w_end and offer.energy - given > reserve:
+    idle = _fb_idle(ctx.batteries, ctx.capacities, ctx.consumer_ids, offer.energy,
+                    reserve)
+    while not idle and ct < w_end and offer.energy - given > reserve:
         progressed = False
         for cid in sorted(ctx.consumer_ids):
             if ct >= w_end or offer.energy - given <= reserve:

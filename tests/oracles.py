@@ -172,3 +172,29 @@ def leg_grid_feasible(batteries, rates, allocations, tt, tol=1e-9) -> bool:
             if ledger.battery(drone, t) < -tol:
                 return False
     return True
+
+
+def grid_scan_feasible(traces, tt, tol=1e-9) -> bool:
+    """The per-minute floor check on piecewise-linear traces, point by point.
+
+    Every whole minute up to tt, and tt itself, reads the trace piece
+    (t1, b1)-(t2, b2) with t1 < t <= t2 (the first piece also takes every
+    t <= its t2), or the last battery past the last point.
+    """
+    grid = [float(m) for m in range(int(math.floor(tt)) + 1)]
+    if grid[-1] != tt:
+        grid.append(tt)
+    for points in traces.values():
+        idx = 0
+        for t in grid:
+            while idx + 1 < len(points) and points[idx + 1][0] < t:
+                idx += 1
+            t1, b1 = points[idx]
+            if idx + 1 < len(points):
+                t2, b2 = points[idx + 1]
+                value = b2 if t2 == t1 else b1 + (b2 - b1) * (t - t1) / (t2 - t1)
+            else:
+                value = b1
+            if value < -tol:
+                return False
+    return True

@@ -19,7 +19,13 @@ from swarmway.bench import (
 )
 from swarmway.cli import main
 from swarmway.energy import DroneSpec
-from swarmway.formations import FORMATION_KINDS, WIND_SECTORS, CoefficientTable
+from swarmway.formations import (
+    FORMATION_KINDS,
+    WIND_SECTORS,
+    CoefficientTable,
+    default_table,
+    save_coefficients,
+)
 from swarmway.network import (
     DeliveryRequest,
     Node,
@@ -468,6 +474,18 @@ class TestCli:
         code = self.run_requests_file(tmp_path, net, reqs, "--coeffs", str(coeffs))
         assert code == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_incomplete_coefficients_exit_3(self, tmp_path, capsys):
+        net, reqs = self.requests_file(tmp_path)
+        coeffs = tmp_path / "coeffs.csv"
+        save_coefficients(default_table(), coeffs)
+        lines = coeffs.read_text().splitlines(keepends=True)
+        coeffs.write_text("".join(l for l in lines if not l.startswith("vee,1,head,")))
+        code = self.run_requests_file(tmp_path, net, reqs, "--coeffs", str(coeffs))
+        assert code == 3
+        assert ("no coefficient for formation 'vee' slot 1 sector 'head'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "exp" / "results.csv").exists()
 
     def test_duplicate_request_id_exits_3(self, tmp_path, capsys):
         net, reqs = self.requests_file(tmp_path)

@@ -17,7 +17,7 @@ from swarmway.formations import (
     save_coefficients,
     wind_sector,
 )
-from swarmway.network import Wind
+from swarmway.network import NetworkFormatError, Wind
 
 
 class TestGeometry:
@@ -170,6 +170,18 @@ class TestTableType:
         save_coefficients(default_table(), path)
         loaded = load_coefficients(path)
         assert loaded.items() == default_table().items()
+
+    def test_load_names_the_first_missing_coefficient(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("".join(
+            f"{kind},{slot},{sector},1.0\n"
+            for kind in ("column", "diamond") for slot in range(3)
+            for sector in WIND_SECTORS
+            if (kind, slot, sector) not in {("diamond", 1, "left"), ("diamond", 2, "head")}
+        ))
+        with pytest.raises(NetworkFormatError,
+                           match="formation 'diamond' slot 1 sector 'left'"):
+            load_coefficients(path)
 
     def test_load_reports_line_numbers(self, tmp_path):
         path = tmp_path / "coeffs.csv"

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmway.energy import (
     DroneSpec,
@@ -26,7 +28,9 @@ from swarmway.formations import (
 )
 from swarmway.network import DeliveryRequest, Node, Segment, SkywayNetwork, Wind
 from swarmway.planner import (
+    FLOOR_TOLERANCE,
     ShareConfig,
+    _grid_feasible,
     compose,
     dijkstra_baseline,
     feasible_leg,
@@ -38,7 +42,7 @@ from swarmway.planner import (
 from swarmway.preflight import POSITIONING_SETTINGS, Swarm, assign_positions
 from swarmway.network import shortest_path_tree
 
-from oracles import leg_grid_feasible
+from oracles import grid_scan_feasible, leg_grid_feasible
 
 FLAT = CoefficientTable({
     (kind, slot, sector): 1.0
@@ -200,6 +204,43 @@ class TestFeasibleLeg:
         starts = sorted(a.start for a in leg.plan.allocations)
         assert starts == [0.0, 0.0, 7.0, 7.0, 14.0, 14.0]
 
+    def test_blocks_that_cannot_share_drain_as_without_sharing(self):
+        # provider 4 serves full drones 0 and 1; provider 5 serves drone 2,
+        # which is low, and the full drone 3
+        drones = []
+        for i, slot in enumerate((0, 2, 3, 5)):
+            d = make_delivery_drone(i, 0.0, SHARE_SPEC)
+            d.position = slot
+            drones.append(d)
+        drones[2].battery = 1000.0
+        s4 = make_support_drone(4, SHARE_SPEC)
+        s4.position = 1
+        s5 = make_support_drone(5, SHARE_SPEC)
+        s5.position = 4
+        swarm = Swarm(drones + [s4, s5], make_formation("column", 6))
+        model = model_for(SHARE_SPEC)
+        net = line_net(7.3)
+        plain = feasible_leg(swarm, net, 0, 1, model)
+        for cfg in (ShareConfig("pb"), ShareConfig("fb", delta_frac=0.0)):
+            leg = feasible_leg(swarm, net, 0, 1, model, share=cfg)
+            assert [a.consumer for a in leg.plan.allocations] == [2]
+            assert list(leg.plan.provider_given) == [4, 5]
+            assert leg.plan.provider_given[4] == 0.0
+            assert list(leg.plan.consumer_gained.items())[:2] == [(0, 0.0), (1, 0.0)]
+            assert list(leg.consumed) == [4, 0, 1, 5, 2, 3]
+            for i in (4, 0, 1):
+                assert leg.consumed[i] == plain.consumed[i]
+                assert leg.batteries_after[i] == plain.batteries_after[i]
+                assert leg.traces[i] == plain.traces[i]
+        # a shared leg where no block can share still carries an empty plan
+        drones[2].battery = SHARE_SPEC.battery_capacity
+        plain = feasible_leg(swarm, net, 0, 1, model)
+        leg = feasible_leg(swarm, net, 0, 1, model, share=ShareConfig("pb"))
+        assert leg.plan is not None and leg.plan.allocations == []
+        assert leg.plan.provider_given == {4: 0.0, 5: 0.0}
+        assert leg.consumed == plain.consumed
+        assert leg.traces == plain.traces
+
     def test_share_config_validation(self):
         with pytest.raises(ValueError):
             ShareConfig("greedy")
@@ -209,6 +250,47 @@ class TestFeasibleLeg:
             ShareConfig("pb", delta_frac=1.0)
         with pytest.raises(ValueError):
             ShareConfig("fb", quantum=0.0)
+
+
+# the floor the grid check tolerates, and a few ulps either side of it
+NEAR_FLOOR = [-FLOOR_TOLERANCE + k * math.ulp(FLOOR_TOLERANCE) for k in range(-3, 4)]
+
+
+@st.composite
+def traces_on_a_leg(draw):
+    """Piecewise-linear battery traces over a leg of tt minutes.
+
+    Breakpoints land on whole minutes, repeat, or fall anywhere; a trace
+    may stop before tt.  Batteries sit near the floor or anywhere around it.
+    """
+    tt = draw(st.one_of(st.integers(1, 9).map(float),
+                        st.floats(0.01, 9.0, allow_nan=False, allow_infinity=False)))
+    moment = st.one_of(st.integers(0, math.floor(tt)).map(float),
+                       st.floats(0.0, tt, allow_nan=False),
+                       st.just(tt))
+    battery = st.one_of(st.sampled_from(NEAR_FLOOR + [0.0, -0.0]),
+                        st.floats(-5.0, 5.0, allow_nan=False),
+                        st.floats(-1e-8, 1e-8, allow_nan=False))
+    traces = {}
+    for i in range(draw(st.integers(1, 3))):
+        end = draw(st.one_of(st.just(tt), moment))
+        times = sorted([0.0, end] + draw(st.lists(moment, max_size=6)))
+        traces[i] = [(t, draw(battery)) for t in times]
+    return traces, tt
+
+
+class TestGridCheck:
+    """The per-piece grid check against the point-by-point scan."""
+
+    @given(traces_on_a_leg())
+    @settings(max_examples=500, deadline=None)
+    @example(({0: [(0.0, 1.0), (2.0, 1.0), (2.0, -1.0), (4.0, 1.0)]}, 4.0))
+    @example(({0: [(0.0, 1.0), (0.0, -1.0), (0.5, 1.0)]}, 0.5))
+    @example(({0: [(0.0, 1.0), (1.5, -2e-9)]}, 3.25))
+    def test_matches_the_per_minute_scan(self, case):
+        traces, tt = case
+        assert _grid_feasible(traces, tt) == grid_scan_feasible(traces, tt,
+                                                                FLOOR_TOLERANCE)
 
 
 class TestCompose:

@@ -1,9 +1,12 @@
 """Energy request generation, both sharing composers, and slot swaps."""
 
 import csv
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmway.energy import DroneSpec, make_delivery_drone, make_support_drone
 from swarmway.formations import make_formation
@@ -13,6 +16,8 @@ from swarmway.sharing import (
     EnergyRequest,
     ShareContext,
     SwapEvent,
+    _fb_idle,
+    _pb_idle,
     fb_compose,
     generate_requests,
     pb_compose,
@@ -20,7 +25,7 @@ from swarmway.sharing import (
     write_plan_csv,
 )
 
-from instances import dyadic_instance
+from instances import PROVIDER_ID, dyadic_instance
 from oracles import fb_oracle, pb_oracle
 
 
@@ -330,6 +335,108 @@ class TestComposerProperties:
         for points in res.traces.values():
             assert points[0][0] == w0
             assert points[-1][0] == w1
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sharing_blocks(draw):
+    """A provider and 1-4 consumers over a leg of tt minutes, in plain floats.
+
+    Consumer batteries sit at, one ulp either side of, or anywhere below
+    the pb threshold or the capacity, so blocks that cannot share are common.
+    """
+    gamma = draw(st.sampled_from([0.0, 0.8, 0.95, 1.0]) | st.floats(0.0, 1.0))
+    tt = draw(st.floats(0.05, 40.0, **FINITE))
+    batteries, capacities, rates = {}, {}, {}
+    consumers = list(range(1, draw(st.integers(1, 4)) + 1))
+    for cid in consumers:
+        cap = draw(st.sampled_from([2240.0, 4480.0]) | st.floats(100.0, 20000.0, **FINITE))
+        mark = draw(st.sampled_from([gamma * cap, cap]))
+        batteries[cid] = draw(st.sampled_from([
+            mark, math.nextafter(mark, -math.inf), math.nextafter(mark, math.inf),
+        ]) | st.floats(0.0, cap, **FINITE))
+        capacities[cid] = cap
+        rates[cid] = draw(st.floats(0.1, 200.0, **FINITE))
+    batteries[PROVIDER_ID] = draw(st.floats(0.0, 20000.0, **FINITE))
+    capacities[PROVIDER_ID] = 20000.0
+    rates[PROVIDER_ID] = draw(st.floats(0.1, 200.0, **FINITE))
+    ae = max(0.0, batteries[PROVIDER_ID] - rates[PROVIDER_ID] * tt)
+    reserve = draw(st.just(ae) | st.floats(0.0, 20000.0, **FINITE))
+    return {
+        "batteries": batteries, "capacities": capacities, "rates": rates,
+        "consumer_ids": consumers, "provider_id": PROVIDER_ID,
+        "share_rate": draw(st.floats(1.0, 200.0, **FINITE)), "window": (0.0, tt),
+        "gamma": gamma, "ae": ae, "quantum": draw(st.floats(1.0, 3000.0, **FINITE)),
+        "reserve": reserve,
+    }
+
+
+class TestIdleBlocks:
+    """Blocks the idle tests pass over drain exactly as the composers would."""
+
+    def assert_drains_in_closed_form(self, inst, res):
+        tt = inst["window"][1]
+        assert res.plan.allocations == [] and res.plan.swaps == []
+        assert res.plan.provider_given == {PROVIDER_ID: 0.0}
+        assert res.plan.consumer_gained == dict.fromkeys(inst["consumer_ids"], 0.0)
+        for i, before in inst["batteries"].items():
+            spent = inst["rates"][i] * tt
+            assert res.consumed[i] == spent
+            assert res.batteries_after[i] == before - spent
+            assert res.traces[i] == [(0.0, before), (tt, before - spent)]
+
+    @given(sharing_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_pb(self, inst):
+        args = (inst["batteries"], inst["capacities"], inst["consumer_ids"])
+        idle = _pb_idle(*args, inst["gamma"])
+        filed = generate_requests({c: inst["batteries"][c] for c in inst["consumer_ids"]},
+                                  inst["capacities"], inst["gamma"], *inst["window"])
+        assert idle == (filed == [])
+        if idle:
+            res = pb_compose(make_ctx(inst), make_offer(inst), inst["window"],
+                             inst["gamma"])
+            self.assert_drains_in_closed_form(inst, res)
+            _, given = pb_oracle(
+                inst["batteries"], inst["capacities"], inst["rates"],
+                inst["consumer_ids"], PROVIDER_ID, inst["ae"],
+                inst["share_rate"], inst["window"], inst["gamma"])
+            assert given == 0.0
+
+    @given(sharing_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_fb(self, inst):
+        args = (inst["batteries"], inst["capacities"], inst["consumer_ids"])
+        idle = _fb_idle(*args, inst["ae"], inst["reserve"])
+        res = fb_compose(make_ctx(inst), make_offer(inst), inst["window"],
+                         inst["quantum"], inst["reserve"])
+        _, given = fb_oracle(
+            inst["batteries"], inst["capacities"], inst["rates"],
+            inst["consumer_ids"], PROVIDER_ID, inst["ae"], inst["share_rate"],
+            inst["window"], inst["quantum"], inst["reserve"])
+        # fb grants on its first turn unless the block is idle
+        assert idle == (res.plan.allocations == [])
+        if idle:
+            self.assert_drains_in_closed_form(inst, res)
+            assert given == 0.0
+
+    def test_one_ulp_below_the_threshold_is_not_idle(self):
+        caps = {1: 4480.0, 2: 4480.0}
+        at = 0.95 * 4480.0
+        assert _pb_idle({1: at, 2: 4480.0}, caps, [1, 2], 0.95)
+        below = math.nextafter(at, -math.inf)
+        assert not _pb_idle({1: below, 2: 4480.0}, caps, [1, 2], 0.95)
+
+    def test_room_above_zero_is_not_idle(self):
+        caps = {1: 4480.0, 2: 4480.0}
+        full = {1: 4480.0, 2: 4480.0}
+        assert _fb_idle(full, caps, [1, 2], 500.0, 100.0)
+        short = {1: 4480.0, 2: math.nextafter(4480.0, -math.inf)}
+        assert not _fb_idle(short, caps, [1, 2], 500.0, 100.0)
+        # an offer at the reserve grants nothing, however empty the drones
+        assert _fb_idle({1: 0.0, 2: 0.0}, caps, [1, 2], 100.0, 100.0)
 
 
 class TestReorder:
