@@ -35,6 +35,7 @@ from .network import (
     synthesize_network,
     synthesize_requests,
 )
+from .planner import check_support_spacing
 from .preflight import (
     DEFAULT_FAILURE_SCALE,
     failure_probability,
@@ -163,6 +164,11 @@ def _cmd_run(args) -> None:
     )
     net = _load_or_synthesize(args.network, args.synth_nodes, args.seed)
     table = load_coefficients(args.coeffs) if args.coeffs else default_table()
+    if args.coeffs and any(s in SHARING_STRATEGIES for s in strategies):
+        try:
+            check_support_spacing(table)
+        except ValueError as exc:
+            raise NetworkFormatError(f"{args.coeffs}: {exc}") from None
     if args.requests_file:
         requests = load_requests(args.requests_file, max_weight=DroneSpec().max_payload,
                                  nodes=net.nodes)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .formations import CoefficientTable, Formation, wind_sector
 from .network import Segment, SkywayNetwork
@@ -214,26 +213,49 @@ def _makespan(queues, times, intervals=None) -> float:
     return node_time
 
 
-def _search(times: tuple[float, ...], pads: int, leaf, band: float = 1.0) -> None:
-    """Branch and bound over canonical pad assignments.
+def pad_candidates(times: tuple[float, ...],
+                   pads: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Queues of every canonical pad assignment (labels in first-use order)
+    whose makespan on ``times`` is within a relative 1e-9 of the optimum,
+    in lexicographic order.
 
-    Canonical assignments use pad labels in first-use order and are
-    visited in lexicographic order.  A branch is cut as soon as its
-    partial makespan exceeds the limit, which starts at ``band`` times the
-    LPT makespan; ``leaf(makespan, assign)`` sees every complete
-    assignment that survives and returns a new cap on the limit.
+    Branch and bound in lexicographic order, under a limit of 1 + 1e-9
+    times the LPT makespan, then times the best makespan found.  A branch
+    is cut when its partial makespan exceeds the limit, or when, with
+    room = limit * (1 + 1e-12), the sum of room - load over the pads
+    (unused ones included) whose room fits the smallest remaining time is
+    below the remaining total.  The second cut is exact: a completion
+    within the limit puts each remaining time on a pad that grows by at
+    least the smallest of them and by at most its room.  Rounding in the
+    loads and in both sums is a few (n + pads) * 2**-53 relative, far
+    below the 1e-12 slack.
     """
     n = len(times)
+    band = 1.0 + 1e-9
     limit = _makespan(_queues(_greedy_assignment(times, pads), pads), times) * band
+    rest = [0.0] * (n + 1)  # rest[i]: total of times[i:]
+    low = [math.inf] * (n + 1)  # low[i]: smallest of times[i:]
+    for i in range(n - 1, -1, -1):
+        rest[i] = times[i] + rest[i + 1]
+        low[i] = min(times[i], low[i + 1])
     assign = [0] * n
     loads = [0.0] * pads
+    found = []
 
     def recurse(i: int, used: int, cur_max: float):
         nonlocal limit
         if cur_max > limit:
             return
         if i == n:
-            limit = min(limit, leaf(cur_max, tuple(assign)))
+            found.append((cur_max, tuple(assign)))
+            limit = min(limit, cur_max * band)
+            return
+        room = limit * (1.0 + 1e-12)
+        spare = 0.0
+        for load in loads:
+            if room - load >= low[i]:
+                spare += room - load
+        if spare < rest[i]:
             return
         for pad in range(min(used + 1, pads)):
             assign[i] = pad
@@ -245,40 +267,17 @@ def _search(times: tuple[float, ...], pads: int, leaf, band: float = 1.0) -> Non
             loads[pad] = prev
 
     recurse(0, 0, 0.0)
-
-
-@lru_cache(maxsize=200_000)
-def _best_assignment(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
-    """Exhaustive makespan-minimal pad assignment.
-
-    Only strict improvements survive the search, so the first optimum
-    found is the lexicographically smallest one over all labelings.
-    """
-    found = []
-
-    def leaf(node_time, assign):
-        found.append(assign)
-        return math.nextafter(node_time, -math.inf)  # strictly better only
-
-    _search(times, pads, leaf)
-    return found[-1]
-
-
-def _near_optimal_queues(weights: tuple[float, ...],
-                         pads: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Queues of every canonical assignment whose makespan on ``weights``
-    is within a relative 1e-9 of the optimum, in lexicographic order."""
-    band = 1.0 + 1e-9
-    found = []
-
-    def leaf(node_time, assign):
-        found.append((node_time, assign))
-        return node_time * band
-
-    _search(weights, pads, leaf, band)
     best = min(node_time for node_time, _ in found)
     return [_queues(assign, pads) for node_time, assign in found
             if node_time <= best * band]
+
+
+def _first_optimum(candidates, times):
+    """The least makespan of ``candidates`` on ``times``, and the first
+    candidate that reaches it."""
+    spans = [_makespan(queues, times) for queues in candidates]
+    best = min(spans)
+    return best, candidates[spans.index(best)]
 
 
 def pad_schedule(
@@ -299,8 +298,6 @@ def pad_schedule(
     for i, t in enumerate(charge_times):
         if t < 0:
             raise ValueError(f"charge time for drone {i} must be >= 0, got {t}")
-    if not charge_times:
-        return PadSchedule(queues=((),) * pads, node_time=0.0)
     times = tuple(charge_times)
     if len(times) > exhaustive_cap and not greedy:
         raise ValueError(
@@ -308,10 +305,9 @@ def pad_schedule(
             "pass greedy=True (CLI: --greedy-pads) to use the LPT fallback"
         )
     if len(times) > exhaustive_cap:
-        assign = _greedy_assignment(times, pads)
+        queues = _queues(_greedy_assignment(times, pads), pads)
     else:
-        assign = _best_assignment(times, pads)
-    queues = _queues(assign, pads)
+        _, queues = _first_optimum(pad_candidates(times, pads), times)
     intervals: dict[int, tuple[float, float]] = {}
     node_time = _makespan(queues, times, intervals)
     return PadSchedule(queues=queues, node_time=node_time, intervals=intervals)

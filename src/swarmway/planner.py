@@ -24,16 +24,24 @@ import numpy as np
 
 from .energy import (
     PAD_EXHAUSTIVE_CAP,
+    Drone,
+    DroneSpec,
     EnergyModel,
-    _makespan,
-    _near_optimal_queues,
+    _first_optimum,
     consumption_rate,
+    pad_candidates,
     pad_schedule,
     travel_time,
 )
-from .formations import wind_sector
+from .formations import (
+    FORMATION_KINDS,
+    WIND_SECTORS,
+    CoefficientTable,
+    make_formation,
+    wind_sector,
+)
 from .network import DeliveryRequest, PathTree, SkywayNetwork, shortest_path_tree
-from .preflight import Swarm
+from .preflight import POSITIONING_SETTINGS, Swarm, assign_positions, redundancy_count
 from .sharing import (
     EnergyOffer,
     ShareContext,
@@ -170,14 +178,16 @@ class _Block:
 
 
 class _RateCache:
-    """Per-sector drain rates and swap tables at the swarm's standing slots,
-    and the swarm's provider blocks."""
+    """Per-sector drain rates, swap tables and pad candidates at the swarm's
+    standing slots, and its provider blocks.  One lives for one compose:
+    sharing it would move work between the timed regions of pb and fb."""
 
     def __init__(self, swarm: Swarm, model: EnergyModel):
         self.swarm = swarm
         self.model = model
         self._by_sector: dict[str, dict[int, float]] = {}
         self._swaps_by_sector: dict[str, dict[int, SwapPlan | None]] = {}
+        self._candidates: dict[tuple[str, int], list] = {}
         self.blocks = _provider_blocks(swarm)
 
     def _rate(self, drone, slot: int, sector: str) -> float:
@@ -190,6 +200,14 @@ class _RateCache:
                 d.id: self._rate(d, d.position, sector) for d in self.swarm.drones
             }
         return self._by_sector[sector]
+
+    def pad_candidates(self, sector: str, pads: int) -> list:
+        """``energy.pad_candidates`` on the sector's rates, in swarm order."""
+        key = (sector, pads)
+        if key not in self._candidates:
+            self._candidates[key] = pad_candidates(tuple(self.rates(sector).values()),
+                                                   pads)
+        return self._candidates[key]
 
     def swaps(self, sector: str) -> dict[int, SwapPlan | None]:
         """Each consumer's swap toward its block's provider, None if adjacent.
@@ -236,6 +254,33 @@ def _provider_blocks(swarm: Swarm) -> list[_Block]:
                              {d.id: d.capacity for d in members}))
         at += size
     return blocks
+
+
+def check_support_spacing(table: CoefficientTable) -> None:
+    """Raise ValueError when the table can shape a swarm whose support
+    drones cluster, so that a provider finds no delivery drone beside it
+    to swap with: every kind, every swarm size up to its slots with each
+    support count ``redundancy_count`` can give, both positionings and
+    every wind sector."""
+    model = EnergyModel(DroneSpec(), table)
+    for kind in FORMATION_KINDS:
+        for size in range(2, table.max_slots(kind) + 1):
+            for n in range(1, size):
+                if size - n not in {redundancy_count(float(p), n) for p in range(101)}:
+                    continue
+                roles = ["delivery"] * n + ["support"] * (size - n)
+                swarm = Swarm([Drone(i, role, 0.0, 1.0, 1.0, i)
+                               for i, role in enumerate(roles)], make_formation(kind, size))
+                for setting in POSITIONING_SETTINGS:
+                    for sector in WIND_SECTORS:
+                        assign_positions(swarm, setting, sector, model)
+                        try:
+                            _RateCache(swarm, model).swaps(sector)
+                        except ValueError as exc:
+                            raise ValueError(
+                                f"{kind} formation of {n} delivery and {size - n} "
+                                f"support drones, {setting}, {sector} wind: {exc}"
+                            ) from None
 
 
 def _grid_feasible(traces: dict[int, list[tuple[float, float]]], tt: float) -> bool:
@@ -380,12 +425,19 @@ def _fly_through(swarm, net, path, model, batteries, share, cache):
     return legs
 
 
-def _full_recharge(swarm, batteries, node, model, greedy=False):
-    """Pad schedule for topping everyone up at this node's pads."""
-    times = [
-        (d.capacity - batteries[d.id]) / model.spec.pad_charge_rate
-        for d in swarm.drones
-    ]
+def _full_recharge(swarm, leg, node, model, cache, greedy=False):
+    """Pad schedule for topping everyone up at this node's pads.
+
+    After a leg that started full, the sector's pad candidates hold
+    pad_schedule's optimum (see static_edge_costs); other stops search.
+    """
+    drains = [d.capacity - leg.batteries_after[d.id] for d in swarm.drones]
+    times = [drain / model.spec.pad_charge_rate for drain in drains]
+    if len(times) <= PAD_EXHAUSTIVE_CAP and all(
+            leg.batteries_before[d.id] == d.capacity and drain >= d.capacity * 1e-6
+            for d, drain in zip(swarm.drones, drains)):
+        return NodeVisit(node.id, *_first_optimum(
+            cache.pad_candidates(leg.sector, node.pads), times))
     sched = pad_schedule(times, node.pads, greedy=greedy)
     return NodeVisit(node.id, sched.node_time, sched.queues)
 
@@ -445,8 +497,8 @@ def compose(
             if nb == request.destination:
                 visit, nt = None, 0.0
             else:
-                visit = _full_recharge(swarm, leg.batteries_after, net.nodes[nb],
-                                       model, greedy_pads)
+                visit = _full_recharge(swarm, leg, net.nodes[nb], model, cache,
+                                       greedy_pads)
                 nt = visit.nt
             cost = leg.tt + nt
             if best is None or cost < best[0]:
@@ -491,9 +543,12 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel,
     # minimum on an edge, and the minimum over the kept candidates is
     # node_time, bit for bit.  With a pad per drone that minimum is
     # max(times); above the exhaustive cap pad_schedule still decides.
+    # A recharge stop after a leg that started full has times
+    # (cap - (cap - s)) / pad rate with s = rate * tt.  The subtraction
+    # cap - s rounds by at most half an ulp of cap, so each time carries a
+    # relative error of at most cap/s * 2**-53 more; with s >= cap * 1e-6
+    # that is below 1.2e-10, and the 1e-9 band still holds every optimum.
     pad_rate = model.spec.pad_charge_rate
-    rate_vectors: dict[str, tuple[float, ...]] = {}  # sector -> rates by drone
-    candidates: dict[tuple[str, int], list] = {}
     costs: dict[tuple[int, int], float] = {}
     for seg in net.segments:
         if seg.wind is None:
@@ -505,19 +560,14 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel,
                 costs[(a, b)] = math.inf
                 continue
             sector = wind_sector(net.heading(a, b), seg.wind)
-            if sector not in rate_vectors:
-                rates = cache.rates(sector)
-                rate_vectors[sector] = tuple(rates[d.id] for d in swarm.drones)
-            times = [rate * tt / pad_rate for rate in rate_vectors[sector]]
+            times = [rate * tt / pad_rate for rate in cache.rates(sector).values()]
             if n > PAD_EXHAUSTIVE_CAP:
                 node_time = pad_schedule(times, head.pads, greedy=greedy_pads).node_time
             elif head.pads >= n:
                 node_time = max(times)
             else:
-                key = (sector, head.pads)
-                if key not in candidates:
-                    candidates[key] = _near_optimal_queues(rate_vectors[sector], head.pads)
-                node_time = min([_makespan(q, times) for q in candidates[key]])
+                node_time, _ = _first_optimum(cache.pad_candidates(sector, head.pads),
+                                              times)
             costs[(a, b)] = tt + node_time
     return costs
 
@@ -584,8 +634,8 @@ def _simulate_static_path(swarm, net, path, model, request_id, strategy, static_
             return plan
         plan.legs.append(leg)
         if b != path[-1]:
-            visit = _full_recharge(swarm, leg.batteries_after, net.nodes[b],
-                                   model, greedy_pads)
+            visit = _full_recharge(swarm, leg, net.nodes[b], model, cache,
+                                   greedy_pads)
             plan.visits.append(visit)
             batteries = {d.id: d.capacity for d in swarm.drones}
         else:

@@ -354,9 +354,10 @@ def fb_compose(
     ct = w_start
     idle = _fb_idle(ctx.batteries, ctx.capacities, ctx.consumer_ids, offer.energy,
                     reserve)
+    order = sorted(ctx.consumer_ids)
     while not idle and ct < w_end and offer.energy - given > reserve:
         progressed = False
-        for cid in sorted(ctx.consumer_ids):
+        for cid in order:
             if ct >= w_end or offer.energy - given <= reserve:
                 break
             state.advance(ct)

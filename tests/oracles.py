@@ -45,6 +45,80 @@ def brute_pad_makespan(times, pads: int) -> float:
     return best
 
 
+def _canonical_assignments(n: int, pads: int):
+    """Every pad assignment with labels in first-use order, lexicographically."""
+    if n == 0:
+        yield ()
+        return
+    for head in _canonical_assignments(n - 1, pads):
+        used = max(head, default=-1) + 1
+        for pad in range(min(used + 1, pads)):
+            yield head + (pad,)
+
+
+def _float_makespan(times, assign, pads: int) -> float:
+    """Largest pad load, each pad summing its times in input order."""
+    loads = [0.0] * pads
+    for i, p in enumerate(assign):
+        loads[p] += times[i]
+    return max(loads)
+
+
+def _as_queues(assign, pads: int):
+    return tuple(tuple(i for i, p in enumerate(assign) if p == q) for q in range(pads))
+
+
+def brute_pad_assignment(times, pads: int):
+    """(makespan, queues) of the lexicographically smallest canonical
+    assignment whose float makespan is the least of all (tiny inputs only)."""
+    best = None
+    for assign in _canonical_assignments(len(times), pads):
+        span = _float_makespan(times, assign, pads)
+        if best is None or span < best[0]:
+            best = (span, assign)
+    return best[0], _as_queues(best[1], pads)
+
+
+def near_optimal_queues_reference(times, pads: int):
+    """Queues of every canonical assignment within a relative 1e-9 of the
+    optimum, lexicographically, by a branch and bound with no wasted-room cut.
+
+    Its limit starts at 1 + 1e-9 times the LPT makespan and drops to
+    1 + 1e-9 times the best makespan found; only a partial makespan above
+    the limit cuts a branch.
+    """
+    n = len(times)
+    band = 1.0 + 1e-9
+    assign = [0] * n
+    loads = [0.0] * pads
+    for i in sorted(range(n), key=lambda k: (-times[k], k)):
+        pad = min(range(pads), key=lambda p: (loads[p], p))
+        assign[i] = pad
+        loads[pad] += times[i]
+    limit = _float_makespan(times, assign, pads) * band
+    loads = [0.0] * pads
+    found = []
+
+    def recurse(i, used, cur_max):
+        nonlocal limit
+        if cur_max > limit:
+            return
+        if i == n:
+            found.append((cur_max, tuple(assign)))
+            limit = min(limit, cur_max * band)
+            return
+        for pad in range(min(used + 1, pads)):
+            assign[i] = pad
+            prev = loads[pad]
+            loads[pad] = prev + times[i]
+            recurse(i + 1, max(used, pad + 1), max(cur_max, loads[pad]))
+            loads[pad] = prev
+
+    recurse(0, 0, 0.0)
+    best = min(span for span, _ in found)
+    return [_as_queues(a, pads) for span, a in found if span <= best * band]
+
+
 class BatteryLedger:
     """Closed-form battery evaluation from a transfer record.
 

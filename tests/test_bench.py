@@ -528,6 +528,27 @@ class TestCli:
         with open(tmp_path / "exp" / "results.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 1
 
+    def test_clustering_coefficients_exit_3(self, tmp_path, capsys):
+        # equal coefficients rank slots by index, so location-aware support
+        # drones fill the column's tail side by side
+        net = tmp_path / "net.csv"
+        main(["synth", "--seed", "5", "--nodes", "276", "--out", str(net)])
+        ids = sorted(load_network(net).nodes)
+        reqs = tmp_path / "requests.csv"
+        reqs.write_text(f"0,{ids[0]},{ids[-1]},1.4;1.4\n")
+        coeffs = tmp_path / "coeffs.csv"
+        coeffs.write_text("".join(
+            f"{kind},{slot},{sector},1.0\n"
+            for kind in FORMATION_KINDS for slot in range(12) for sector in WIND_SECTORS
+        ))
+        run = ["run", "--network", str(net), "--requests-file", str(reqs),
+               "--out", str(tmp_path / "exp"), "--quiet", "--coeffs", str(coeffs)]
+        assert main(run + ["--strategies", "pb"]) == 3
+        assert "never cluster support drones" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "results.csv").exists()
+        # without sharing no support drone flies, and the table is fine
+        assert main(run + ["--strategies", "baseline"]) == 0
+
     def test_calibrate_scale_smoke(self, capsys):
         code = main(["calibrate-scale", "--synth-nodes", "30",
                      "--requests", "10", "--seed", "2",

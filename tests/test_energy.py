@@ -1,10 +1,11 @@
 """Consumption math and recharge-pad scheduling."""
 
 import math
+import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmway.energy import (
@@ -17,6 +18,7 @@ from swarmway.energy import (
     consumption_rate,
     make_delivery_drone,
     make_support_drone,
+    pad_candidates,
     pad_schedule,
     segment_consumption,
     travel_time,
@@ -24,7 +26,11 @@ from swarmway.energy import (
 from swarmway.formations import default_table, make_formation
 from swarmway.network import Node, Segment, SkywayNetwork, Wind
 
-from oracles import brute_pad_makespan
+from oracles import (
+    brute_pad_assignment,
+    brute_pad_makespan,
+    near_optimal_queues_reference,
+)
 
 
 def model(payload_gain=1.0):
@@ -216,6 +222,94 @@ class TestPadSchedule:
         a = pad_schedule(times, 3)
         b = pad_schedule(times, 3)
         assert a.queues == b.queues and a.intervals == b.intervals
+
+
+BAND = 1.0 + 1e-9
+EDGE = BAND - 1.0
+# Two pads, where {0, 2}/{1, 3} lands within rounding of 1 + 1e-9 times the
+# optimum: an unslackened room cut loses it.
+BAND_EDGE_CASES = (
+    ((3.070693863144389, 3.0706938692857775, 3.070693857003001, 3.070693863144389), 2),
+    ((4.536864127939001, 4.5368641370127305, 4.53686414608646, 4.5368641370127305), 2),
+)
+
+
+@st.composite
+def pad_inputs(draw):
+    """Charge times and a pad count: free floats, identical times, zeros,
+    integer ratios of one scale, and sets at the edge of the 1e-9 band."""
+    pads = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(("free", "identical", "zeros", "ratios", "band edge")))
+    if shape == "free":
+        times = draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
+    elif shape == "identical":
+        times = [draw(st.floats(0.0, 100.0))] * n
+    elif shape == "zeros":
+        times = draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0), min_size=n, max_size=n))
+    elif shape == "ratios":  # 1:2:3:4:5 loads tie in several ways, each rounding its own
+        scale = draw(st.floats(0.01, 100.0))
+        times = [scale * k for k in draw(st.lists(st.integers(1, 5), min_size=n,
+                                                  max_size=n))]
+    else:
+        scale = draw(st.floats(0.1, 10.0))
+        times = [scale * x for x in draw(st.permutations([0.5, 0.5, 0.5 - EDGE,
+                                                          0.5 + EDGE]))]
+        pads = 2
+    return tuple(times), pads
+
+
+def search_nodes(search, times, pads) -> int:
+    """Branches a pad search enters: calls of its nested ``recurse``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "recurse":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        search(times, pads)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestPadSearch:
+    """The pruned search against brute force and against the search
+    without the wasted-room cut."""
+
+    @given(pad_inputs())
+    @example(((0.0, 0.0, 0.0), 2))
+    @example(((2.0, 2.0, 2.0), 4))
+    @example(BAND_EDGE_CASES[0])
+    @settings(max_examples=200, deadline=None)
+    def test_schedule_is_the_smallest_float_optimum(self, case):
+        times, pads = case
+        s = pad_schedule(list(times), pads)
+        node_time, queues = brute_pad_assignment(times, pads)
+        assert s.queues == queues
+        assert repr(s.node_time) == repr(node_time)
+
+    @given(pad_inputs())
+    @example(((0.0, 0.0, 0.0), 2))
+    @example(BAND_EDGE_CASES[0])
+    @example(BAND_EDGE_CASES[1])
+    @settings(max_examples=200, deadline=None)
+    def test_candidates_match_the_search_without_the_room_cut(self, case):
+        times, pads = case
+        assert pad_candidates(times, pads) == near_optimal_queues_reference(times, pads)
+
+    @pytest.mark.parametrize("times", [
+        (0.25, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 3.0, 2.0, 9.0),
+        (0.5, 20.0, 19.0, 18.0, 17.0, 16.0, 15.0, 14.0, 13.0, 12.0),
+        (0.125, 1.5, 2.75, 3.5, 4.25, 5.0, 6.5, 7.75, 8.25, 9.5),
+    ])
+    def test_room_cut_reads_the_smallest_remaining_time(self, times):
+        # a small first time fits any pad; the items after it must still cut
+        pruned = search_nodes(pad_candidates, times, 3)
+        assert 2 * pruned < search_nodes(near_optimal_queues_reference, times, 3)
 
 
 class TestDroneTypes:

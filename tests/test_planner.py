@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from swarmway.planner import (
     FLOOR_TOLERANCE,
     ShareConfig,
     _grid_feasible,
+    check_support_spacing,
     compose,
     dijkstra_baseline,
     feasible_leg,
@@ -39,8 +41,15 @@ from swarmway.planner import (
     static_dijkstra,
     static_edge_costs,
 )
+from swarmway import planner
+from swarmway.bench import ExperimentConfig, run_experiment
+from swarmway.network import (
+    largest_connected_component,
+    shortest_path_tree,
+    synthesize_network,
+    synthesize_requests,
+)
 from swarmway.preflight import POSITIONING_SETTINGS, Swarm, assign_positions
-from swarmway.network import shortest_path_tree
 
 from oracles import grid_scan_feasible, leg_grid_feasible
 
@@ -279,6 +288,17 @@ def traces_on_a_leg(draw):
     return traces, tt
 
 
+class TestSupportSpacing:
+    def test_built_in_table_never_clusters_support_drones(self):
+        check_support_spacing(default_table())
+
+    def test_equal_coefficients_cluster_them(self):
+        # slots rank by index, so support drones fill the column's tail
+        with pytest.raises(ValueError, match="column formation of 1 delivery and 2 "
+                                             "support drones, energy-aware, head wind"):
+            check_support_spacing(FLAT)
+
+
 class TestGridCheck:
     """The per-piece grid check against the point-by-point scan."""
 
@@ -367,6 +387,19 @@ class TestCompose:
         plan = compose(swarm, net, DeliveryRequest(6, 0, 3, [0.3, 0.3]), model)
         assert plan.status == "success"
         assert plan.path == [0, 1, 3]
+
+    def test_stop_after_a_partly_charged_start_searches_its_own_times(self):
+        # equal drains, but drone 0 left with 300 of 700 mAh: restore times
+        # 60, 20, 20, 20 min put it alone on a pad, which no split of the
+        # equal rate vector's optimum does
+        spec = DroneSpec(battery_capacity=700.0, cruise_speed=60.0,
+                         pad_charge_rate=10.0, base_consumption_rate=20.0)
+        drones = [make_delivery_drone(i, 0.0, spec) for i in range(4)]
+        drones[0].battery = 300.0
+        plan = compose(swarm_of(drones), line_net(10, 10, pads=2),
+                       DeliveryRequest(11, 0, 2, [0.3] * 4), model_for(spec))
+        assert plan.status == "success"
+        assert [(v.nt, v.queues) for v in plan.visits] == [(60.0, ((0,), (1, 2, 3)))]
 
     def share_world(self):
         """A bridge only crossable by topping up en route: the first leg
@@ -669,6 +702,53 @@ class TestStaticCostsMatchPadSchedule:
         with pytest.raises(ValueError, match="exhaustive cap"):
             static_edge_costs(swarm, net, model)
         self.assert_identical(swarm, net, model, greedy_pads=True)
+
+
+class TestStopsMatchPadSchedule:
+    """Every recharge stop equals pad_schedule on its own restore times:
+    node time under repr, and the queues."""
+
+    WORLDS = {
+        # the acceptance world and sweep profile, and the CLI world and defaults
+        "acceptance": (2118, (0, 3), ("baseline", "pb", "fb")),
+        "cli": (0, (1, 3), ("baseline", "pb", "fb", "dijkstra", "floyd")),
+    }
+
+    @pytest.mark.parametrize("request_seed", [0, 9])
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_every_stop_on_a_slice(self, world, request_seed, monkeypatch):
+        from test_acceptance import SWEEP_CFG, SWEEP_SPEC
+
+        net_seed, pads, strategies = self.WORLDS[world]
+        net = largest_connected_component(synthesize_network(276, net_seed, pads=pads))
+        requests = synthesize_requests(net, 12, request_seed)
+        if world == "acceptance":
+            cfg, spec = SWEEP_CFG, SWEEP_SPEC
+        else:
+            cfg, spec = ExperimentConfig(), None
+
+        stops = []
+        searches = []
+        full_recharge = planner._full_recharge
+
+        def recorded(swarm, leg, node, model, cache, greedy=False):
+            visit = full_recharge(swarm, leg, node, model, cache, greedy)
+            times = [(d.capacity - leg.batteries_after[d.id]) / model.spec.pad_charge_rate
+                     for d in swarm.drones]
+            stops.append((visit, pad_schedule(times, node.pads)))
+            return visit
+
+        monkeypatch.setattr(planner, "_full_recharge", recorded)
+        monkeypatch.setattr(planner, "pad_schedule",
+                            lambda *a, **k: searches.append(a) or pad_schedule(*a, **k))
+        run_experiment(net, requests, default_table(),
+                       replace(cfg, strategies=strategies), spec=spec)
+        assert len(stops) > 100
+        # every stop followed a leg that started full, so none searched alone
+        assert searches == []
+        for visit, want in stops:
+            assert repr(visit.nt) == repr(want.node_time)
+            assert visit.queues == want.queues
 
 
 def reference_floyd(net, costs):
