@@ -12,12 +12,10 @@ from .energy import (
     DroneSpec,
     EnergyModel,
     PadSchedule,
-    charge_time,
     consumption_rate,
     make_delivery_drone,
     make_support_drone,
     pad_schedule,
-    segment_consumption,
     travel_time,
 )
 from .formations import (
@@ -41,7 +39,6 @@ from .network import (
     load_requests,
     save_network,
     save_requests,
-    shortest_distance,
     shortest_path_tree,
     synthesize_network,
     synthesize_requests,

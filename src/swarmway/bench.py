@@ -47,7 +47,7 @@ NAN_SENTINEL = "NaN"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep knobs plus the workload/IO fields the CLI fills in."""
+    """Sweep knobs: strategies, positionings, sharing, pads and binning."""
 
     strategies: tuple[str, ...] = STRATEGIES
     positionings: tuple[str, ...] = POSITIONING_SETTINGS
@@ -59,13 +59,6 @@ class ExperimentConfig:
     failure_scale: float = DEFAULT_FAILURE_SCALE
     bin_width_km: float = 0.5
     greedy_pads: bool = False
-    # workload plumbing, unused by run_experiment itself
-    network_path: str | None = None
-    coeffs_path: str | None = None
-    out_dir: str = "."
-    request_count: int = 100
-    seed: int = 0
-    synth_nodes: int = 276
 
     def __post_init__(self):
         if not self.strategies:
@@ -88,10 +81,6 @@ class ExperimentConfig:
                      "bin_width_km"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be > 0")
-        if self.request_count < 0:
-            raise ValueError("request_count: must be >= 0")
-        if self.synth_nodes < 2:
-            raise ValueError("synth_nodes: must be >= 2")
 
 
 def sweep_configurations(cfg: ExperimentConfig) -> list[tuple[str, str]]:
@@ -112,6 +101,14 @@ class BinStats:
     dt_sum: float = 0.0
     nt_sum: float = 0.0
 
+    def add(self, row) -> None:
+        """Count one result row; times sum over successful rows only."""
+        self.rows += 1
+        if row["status"] == "success":
+            self.successes += 1
+            self.dt_sum += row["dt_min"]
+            self.nt_sum += row["nt_min"]
+
     @property
     def mean_dt(self) -> float:
         return self.dt_sum / self.successes if self.successes else math.nan
@@ -122,21 +119,9 @@ class BinStats:
 
 
 @dataclass
-class GroupMetrics:
-    rows: int = 0
-    successes: int = 0
-    dt_sum: float = 0.0
-    nt_sum: float = 0.0
+class GroupMetrics(BinStats):
     runtime_sum: float = 0.0
     bins: dict[int, BinStats] = field(default_factory=dict)
-
-    @property
-    def mean_dt(self) -> float:
-        return self.dt_sum / self.successes if self.successes else math.nan
-
-    @property
-    def mean_nt(self) -> float:
-        return self.nt_sum / self.successes if self.successes else math.nan
 
     @property
     def mean_runtime_ms(self) -> float:
@@ -164,23 +149,12 @@ def bin_metrics(rows, bin_width_km: float = 0.5) -> MetricsTable:
     for row in rows:
         key = (row["strategy"], row["positioning"])
         g = groups.setdefault(key, GroupMetrics())
-        g.rows += 1
+        g.add(row)
         g.runtime_sum += row["runtime_ms"]
-        ok = row["status"] == "success"
-        if ok:
-            g.successes += 1
-            g.dt_sum += row["dt_min"]
-            g.nt_sum += row["nt_min"]
         distance = row["distance_m"]
-        if not math.isfinite(distance):
-            continue
-        k = int(distance / 1000.0 / bin_width_km)
-        b = g.bins.setdefault(k, BinStats())
-        b.rows += 1
-        if ok:
-            b.successes += 1
-            b.dt_sum += row["dt_min"]
-            b.nt_sum += row["nt_min"]
+        if math.isfinite(distance):
+            k = int(distance / 1000.0 / bin_width_km)
+            g.bins.setdefault(k, BinStats()).add(row)
     return MetricsTable(bin_width_km, groups)
 
 

@@ -110,9 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_or_synthesize(network_path, synth_nodes, seed):
-    if network_path:
-        return load_network(network_path)
-    return largest_connected_component(synthesize_network(synth_nodes, seed))
+    if not network_path:
+        return largest_connected_component(synthesize_network(synth_nodes, seed))
+    net = load_network(network_path)
+    for seg in net.segments:
+        if seg.wind is None:
+            raise NetworkFormatError(
+                f"{network_path}: segment ({seg.u}, {seg.v}) has no wind data; "
+                "planning needs wind speed and direction on every segment"
+            )
+    return net
 
 
 def _check_swarm_sizes(requests, table, strategies, greedy_pads) -> None:
@@ -155,12 +162,6 @@ def _cmd_run(args) -> None:
         failure_scale=args.failure_scale,
         bin_width_km=args.bin_width,
         greedy_pads=args.greedy_pads,
-        network_path=args.network,
-        coeffs_path=args.coeffs,
-        out_dir=args.out,
-        request_count=args.requests,
-        seed=args.seed,
-        synth_nodes=args.synth_nodes,
     )
     net = _load_or_synthesize(args.network, args.synth_nodes, args.seed)
     table = load_coefficients(args.coeffs) if args.coeffs else default_table()

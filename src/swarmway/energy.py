@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .formations import CoefficientTable, Formation, wind_sector
-from .network import Segment, SkywayNetwork
+from .formations import CoefficientTable, Formation
 
 SUPPORT_CAPACITY_FACTOR = 4  # a support drone flies with 3 spare batteries
 SPARE_BATTERY_WEIGHT_KG = 0.365  # weight of one spare battery pack
@@ -26,14 +25,12 @@ PAD_EXHAUSTIVE_CAP = 12
 class DroneSpec:
     """Hardware profile shared by every drone in a swarm.
 
-    Defaults model a small quadcopter: 4480 mAh / 15.2 V battery,
-    1.4 kg payload ceiling, 30 km/h cruise.  The base consumption rate
-    is 3% of battery per minute; the pad rate refills a delivery
-    battery in one hour.
+    Defaults model a small quadcopter: 4480 mAh battery, 1.4 kg payload
+    ceiling, 30 km/h cruise.  The base consumption rate is 3% of battery
+    per minute; the pad rate refills a delivery battery in one hour.
     """
 
     battery_capacity: float = 4480.0
-    voltage: float = 15.2
     max_payload: float = 1.4
     cruise_speed: float = 30.0
     inflight_share_rate: float = 5.88
@@ -94,17 +91,6 @@ class EnergyModel:
             raise ValueError("payload_gain must be >= 0")
 
 
-@dataclass(frozen=True)
-class ConsumptionBreakdown:
-    """Energy one drone spends on one segment, with its multipliers."""
-
-    drone_id: int
-    energy_mah: float
-    payload_factor: float
-    slot_coefficient: float  # combined position-and-wind multiplier
-    sector: str
-
-
 def travel_time(distance_m: float, speed_kmh: float) -> float:
     """Minutes to cover a distance at constant speed."""
     if speed_kmh <= 0:
@@ -130,43 +116,6 @@ def consumption_rate(
     coeff = model.coeffs.coefficient(formation.kind, slot, sector)
     payload_factor = 1.0 + model.payload_gain * payload / spec.max_payload
     return spec.base_consumption_rate * payload_factor * coeff
-
-
-def segment_consumption(
-    swarm,
-    segment: Segment,
-    net: SkywayNetwork,
-    model: EnergyModel,
-    from_node: int,
-) -> dict[int, ConsumptionBreakdown]:
-    """Energy each swarm member spends traversing ``segment`` out of ``from_node``.
-
-    Linear in distance at fixed factors; requires the segment to carry wind.
-    """
-    if segment.wind is None:
-        raise ValueError(f"segment ({segment.u}, {segment.v}) has no wind data")
-    heading = net.heading(from_node, segment.other(from_node))
-    sector = wind_sector(heading, segment.wind)
-    minutes = travel_time(segment.distance_m, model.spec.cruise_speed)
-    out = {}
-    for drone in swarm.drones:
-        rate = consumption_rate(model, drone.payload, swarm.formation,
-                                drone.position, sector)
-        payload_factor = 1.0 + model.payload_gain * drone.payload / model.spec.max_payload
-        coeff = model.coeffs.coefficient(swarm.formation.kind, drone.position, sector)
-        out[drone.id] = ConsumptionBreakdown(
-            drone.id, rate * minutes, payload_factor, coeff, sector
-        )
-    return out
-
-
-def charge_time(needed_mah: float, rate_mah_per_min: float) -> float:
-    """Minutes a pad (or a provider) takes to move ``needed_mah``."""
-    if rate_mah_per_min <= 0:
-        raise ValueError(f"charge rate must be > 0, got {rate_mah_per_min}")
-    if needed_mah < 0:
-        raise ValueError(f"needed energy must be >= 0, got {needed_mah}")
-    return needed_mah / rate_mah_per_min
 
 
 @dataclass
@@ -284,13 +233,12 @@ def pad_schedule(
     charge_times: list[float],
     pads: int,
     *,
-    exhaustive_cap: int = PAD_EXHAUSTIVE_CAP,
     greedy: bool = False,
 ) -> PadSchedule:
     """Queue drones on identical pads so the last finish time is minimal.
 
     ``charge_times`` is indexed by drone; each pad serves its queue in
-    input order.  Above ``exhaustive_cap`` drones the exact search is
+    input order.  Above ``PAD_EXHAUSTIVE_CAP`` drones the exact search is
     refused unless ``greedy=True`` selects the LPT fallback.
     """
     if pads < 1:
@@ -299,15 +247,15 @@ def pad_schedule(
         if t < 0:
             raise ValueError(f"charge time for drone {i} must be >= 0, got {t}")
     times = tuple(charge_times)
-    if len(times) > exhaustive_cap and not greedy:
-        raise ValueError(
-            f"{len(times)} drones exceed the exhaustive cap of {exhaustive_cap}; "
-            "pass greedy=True (CLI: --greedy-pads) to use the LPT fallback"
-        )
-    if len(times) > exhaustive_cap:
+    if len(times) <= PAD_EXHAUSTIVE_CAP:
+        _, queues = _first_optimum(pad_candidates(times, pads), times)
+    elif greedy:
         queues = _queues(_greedy_assignment(times, pads), pads)
     else:
-        _, queues = _first_optimum(pad_candidates(times, pads), times)
+        raise ValueError(
+            f"{len(times)} drones exceed the exhaustive cap of {PAD_EXHAUSTIVE_CAP}; "
+            "pass greedy=True (CLI: --greedy-pads) to use the LPT fallback"
+        )
     intervals: dict[int, tuple[float, float]] = {}
     node_time = _makespan(queues, times, intervals)
     return PadSchedule(queues=queues, node_time=node_time, intervals=intervals)

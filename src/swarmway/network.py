@@ -66,14 +66,11 @@ class Segment:
     def __post_init__(self):
         if self.u == self.v:
             raise ValueError(f"segment endpoints must differ, got {self.u}")
-        if self.distance_m <= 0:
+        if not 0 < self.distance_m < math.inf:
             raise ValueError(
-                f"segment ({self.u}, {self.v}): distance must be > 0, "
+                f"segment ({self.u}, {self.v}): distance must be finite and > 0, "
                 f"got {self.distance_m}"
             )
-
-    def other(self, node_id: int) -> int:
-        return self.v if node_id == self.u else self.u
 
 
 @dataclass
@@ -393,35 +390,6 @@ def synthesize_network(
     return synthesize_wind(SkywayNetwork(nodes, segments), seed)
 
 
-UNREACHABLE = math.inf
-
-
-def shortest_distance(net: SkywayNetwork, a: int, b: int) -> tuple[float, list[int]]:
-    """Minimal total segment meters from ``a`` to ``b`` plus one realizing path.
-
-    Ties are broken toward the lexicographically smallest node-id path.
-    Returns ``(math.inf, [])`` when ``b`` is unreachable.
-    """
-    if a not in net.nodes or b not in net.nodes:
-        raise KeyError(f"unknown endpoint in ({a}, {b})")
-    if a == b:
-        return 0.0, [a]
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (a,))]
-    done: set[int] = set()
-    while heap:
-        d, path = heapq.heappop(heap)
-        cur = path[-1]
-        if cur in done:
-            continue
-        if cur == b:
-            return d, list(path)
-        done.add(cur)
-        for nb, seg in net._adj[cur].items():
-            if nb not in done:
-                heapq.heappush(heap, (d + seg.distance_m, path + (nb,)))
-    return UNREACHABLE, []
-
-
 @dataclass
 class PathTree:
     """Single-source shortest distances with parent pointers toward the root."""
@@ -431,7 +399,7 @@ class PathTree:
     parent: dict[int, int | None] = field(repr=False, default_factory=dict)
 
     def distance(self, node: int) -> float:
-        return self.dist.get(node, UNREACHABLE)
+        return self.dist.get(node, math.inf)
 
     def path_to_root(self, node: int) -> list[int]:
         """Node sequence node -> ... -> root; empty when unreachable."""
@@ -443,8 +411,14 @@ class PathTree:
         return path
 
 
-def shortest_path_tree(net: SkywayNetwork, root: int) -> PathTree:
-    """Dijkstra from ``root`` over segment distances (deterministic ties by node id)."""
+def shortest_path_tree(net: SkywayNetwork, root: int, costs=None) -> PathTree:
+    """Dijkstra from ``root``; ties keep the first-found parent.
+
+    Edges weigh their segment distance, or ``costs[(u, v)]`` for the
+    directed step u -> v when ``costs`` is given; ``inf`` edges are skipped.
+    Nodes settle in (distance, id) order, so neither the result nor its
+    ties depend on the order segments were added.
+    """
     dist: dict[int, float] = {root: 0.0}
     parent: dict[int, int | None] = {root: None}
     done: set[int] = set()
@@ -454,8 +428,11 @@ def shortest_path_tree(net: SkywayNetwork, root: int) -> PathTree:
         if cur in done:
             continue
         done.add(cur)
-        for nb in sorted(net._adj[cur]):
-            nd = d + net._adj[cur][nb].distance_m
+        for nb, seg in net._adj[cur].items():
+            w = seg.distance_m if costs is None else costs[(cur, nb)]
+            if w == math.inf:
+                continue
+            nd = d + w
             if nb not in dist or nd < dist[nb]:
                 dist[nb] = nd
                 parent[nb] = cur

@@ -15,8 +15,6 @@ end, with transfers credited over their allocation intervals.
 
 from __future__ import annotations
 
-import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -161,10 +159,6 @@ class DeliveryPlan:
             ],
             "visits": [{"node": v.node, "nt_min": v.nt} for v in self.visits],
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 @dataclass(frozen=True)
@@ -572,27 +566,9 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel,
     return costs
 
 
-def static_dijkstra(net: SkywayNetwork, costs, source: int):
+def static_dijkstra(net: SkywayNetwork, costs, source: int) -> PathTree:
     """Single-source shortest static costs; ties keep the first-found parent."""
-    dist = {source: 0.0}
-    parent: dict[int, int | None] = {source: None}
-    done = set()
-    heap = [(0.0, source)]
-    while heap:
-        d, cur = heapq.heappop(heap)
-        if cur in done:
-            continue
-        done.add(cur)
-        for nb in net.neighbors(cur):
-            w = costs[(cur, nb)]
-            if w == math.inf:
-                continue
-            nd = d + w
-            if nb not in dist or nd < dist[nb]:
-                dist[nb] = nd
-                parent[nb] = cur
-                heapq.heappush(heap, (nd, nb))
-    return dist, parent
+    return shortest_path_tree(net, source, costs)
 
 
 def floyd_warshall_tables(net: SkywayNetwork, costs):
@@ -656,16 +632,13 @@ def dijkstra_baseline(
     """Route on static costs with Dijkstra, then fly that path as-is."""
     if costs is None:
         costs = static_edge_costs(swarm, net, model, greedy_pads)
-    dist, parent = static_dijkstra(net, costs, request.source)
-    if request.destination not in dist:
+    tree = static_dijkstra(net, costs, request.source)
+    if request.destination not in tree.dist:
         return DeliveryPlan(request.id, "dijkstra", "unreachable",
                             [request.source], [], [])
-    path = [request.destination]
-    while path[-1] != request.source:
-        path.append(parent[path[-1]])
-    path.reverse()
+    path = tree.path_to_root(request.destination)[::-1]
     return _simulate_static_path(swarm, net, path, model, request.id, "dijkstra",
-                                 dist[request.destination], greedy_pads)
+                                 tree.dist[request.destination], greedy_pads)
 
 
 def floyd_warshall_baseline(

@@ -59,18 +59,6 @@ class Swarm:
     def support_drones(self) -> list:
         return [d for d in self.drones if d.role == "support"]
 
-    def drone(self, drone_id: int):
-        for d in self.drones:
-            if d.id == drone_id:
-                return d
-        raise KeyError(f"no drone {drone_id}")
-
-    def occupant(self, slot: int):
-        for d in self.drones:
-            if d.position == slot:
-                return d
-        raise KeyError(f"no drone at slot {slot}")
-
 
 def payload_ratio(weights: list[float], max_payload: float) -> float:
     """Mean package weight as a fraction of the payload ceiling."""

@@ -26,7 +26,6 @@ negative in the returned state; judging feasibility is the planner's job.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 
@@ -95,15 +94,6 @@ class SharingPlan:
     @property
     def total_shared(self) -> float:
         return sum(a.amount for a in self.allocations)
-
-
-def write_plan_csv(plan: SharingPlan, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["provider", "consumer", "start_min", "duration_min", "amount_mAh"])
-        for a in plan.allocations:
-            writer.writerow([a.provider, a.consumer, repr(a.start),
-                             repr(a.duration), repr(a.amount)])
 
 
 @dataclass
@@ -402,8 +392,9 @@ def reorder_fixed(swarm, consumer_id: int, provider_id: int) -> SwapRecord | Non
     is: the swap costs nothing and only lasts one transfer, so the
     composers apply it through their ``swaps`` table.
     """
-    consumer = swarm.drone(consumer_id)
-    provider = swarm.drone(provider_id)
+    by_id = {d.id: d for d in swarm.drones}
+    by_slot = {d.position: d for d in swarm.drones}
+    consumer, provider = by_id[consumer_id], by_id[provider_id]
     if consumer.role != "delivery":
         raise ValueError(f"consumer {consumer_id} is not a delivery drone")
     if provider.role != "support":
@@ -411,7 +402,7 @@ def reorder_fixed(swarm, consumer_id: int, provider_id: int) -> SwapRecord | Non
     if swarm.formation.adjacent(consumer.position, provider.position):
         return None
     for slot in sorted(swarm.formation.neighbors(provider.position)):
-        partner = swarm.occupant(slot)
+        partner = by_slot[slot]
         if partner.role == "delivery":
             return SwapRecord(consumer_id, partner.id, consumer.position, slot)
     raise ValueError(

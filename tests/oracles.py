@@ -8,6 +8,7 @@ agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -30,6 +31,33 @@ def brute_shortest(net, a: int, b: int) -> float:
 
     walk(a, {a}, 0.0)
     return best
+
+
+def static_dijkstra_reference(net, costs, source: int):
+    """Single-source shortest static costs; ties keep the first-found parent.
+
+    The static router's own Dijkstra before it was folded into
+    ``shortest_path_tree``, kept as written: ``(dist, parent)`` dicts.
+    """
+    dist = {source: 0.0}
+    parent: dict[int, int | None] = {source: None}
+    done = set()
+    heap = [(0.0, source)]
+    while heap:
+        d, cur = heapq.heappop(heap)
+        if cur in done:
+            continue
+        done.add(cur)
+        for nb in net.neighbors(cur):
+            w = costs[(cur, nb)]
+            if w == math.inf:
+                continue
+            nd = d + w
+            if nb not in dist or nd < dist[nb]:
+                dist[nb] = nd
+                parent[nb] = cur
+                heapq.heappush(heap, (nd, nb))
+    return dist, parent
 
 
 def brute_pad_makespan(times, pads: int) -> float:

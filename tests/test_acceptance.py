@@ -37,7 +37,6 @@ from swarmway.network import (
     SkywayNetwork,
     Wind,
     largest_connected_component,
-    shortest_distance,
     shortest_path_tree,
     synthesize_network,
     synthesize_requests,
@@ -163,8 +162,9 @@ def test_criterion_3_route_math_matches_reference():
                     segs.append(Segment(u, v, rng.uniform(1.0, 50.0)))
         net = SkywayNetwork(nodes, segs)
         for a in range(n):
+            tree = shortest_path_tree(net, a)
             for b in range(n):
-                dist, _ = shortest_distance(net, a, b)
+                dist = tree.distance(b)
                 want = brute_shortest(net, a, b)
                 if dist != want and not (math.isinf(dist) and math.isinf(want)):
                     bad_distances += 1
@@ -202,9 +202,9 @@ def test_criterion_3_route_math_matches_reference():
         ids, dist, _ = floyd_warshall_tables(net, costs)
         index = {nid: i for i, nid in enumerate(ids)}
         for source in ids:
-            sd, _ = static_dijkstra(net, costs, source)
+            sd = static_dijkstra(net, costs, source)
             for target in ids:
-                if dist[index[source], index[target]] != sd.get(target, math.inf):
+                if dist[index[source], index[target]] != sd.distance(target):
                     bad_tables += 1
     wall = time.perf_counter() - t0
     _check(3, bad_distances == 0 and bad_tables == 0 and wall < 60.0,

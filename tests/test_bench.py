@@ -106,8 +106,6 @@ class TestExperimentConfig:
         ({"pad_minutes": 0.0}, "pad_minutes"),
         ({"failure_scale": 0.0}, "failure_scale"),
         ({"bin_width_km": 0.0}, "bin_width_km"),
-        ({"request_count": -1}, "request_count"),
-        ({"synth_nodes": 1}, "synth_nodes"),
     ])
     def test_validation_names_the_field(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -557,6 +555,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "scale" in out
         assert "sup:" in out
+
+    @staticmethod
+    def main_for(command, tmp_path, *flags):
+        """Run ``command``; ``run`` writes into tmp_path/exp, quietly."""
+        extra = ["--out", str(tmp_path / "exp"), "--quiet"] if command == "run" else []
+        return main([command, *flags, *extra])
+
+    @pytest.mark.parametrize("command", ["run", "calibrate-scale"])
+    def test_windless_network_exits_3(self, tmp_path, capsys, command):
+        net = tmp_path / "windless.csv"
+        net.write_text("nodes\n0,0,0,2\n1,1000,0,2\n2,2000,0,2\n"
+                       "segments\n0,1,1000.0,3.0,10.0\n1,2,1000.0\n")
+        assert self.main_for(command, tmp_path, "--network", str(net),
+                             "--requests", "2") == 3
+        assert "segment (1, 2) has no wind data" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    # ExperimentConfig does not check these flags; the generators reject them
+    @pytest.mark.parametrize("command", ["run", "calibrate-scale"])
+    def test_negative_request_count_exits_2(self, tmp_path, capsys, command):
+        assert self.main_for(command, tmp_path, "--synth-nodes", "20",
+                             "--requests", "-1") == 2
+        assert "request count must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("command", ["run", "calibrate-scale"])
+    def test_too_few_synth_nodes_exit_2(self, tmp_path, capsys, command):
+        assert self.main_for(command, tmp_path, "--synth-nodes", "1") == 2
+        assert "need at least 2 nodes" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

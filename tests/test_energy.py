@@ -2,7 +2,6 @@
 
 import math
 import sys
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,17 +13,20 @@ from swarmway.energy import (
     Drone,
     DroneSpec,
     EnergyModel,
-    charge_time,
+    _greedy_assignment,
+    _makespan,
+    _queues,
     consumption_rate,
     make_delivery_drone,
     make_support_drone,
     pad_candidates,
     pad_schedule,
-    segment_consumption,
     travel_time,
 )
 from swarmway.formations import default_table, make_formation
 from swarmway.network import Node, Segment, SkywayNetwork, Wind
+from swarmway.planner import feasible_leg
+from swarmway.preflight import Swarm
 
 from oracles import (
     brute_pad_assignment,
@@ -91,6 +93,8 @@ class TestConsumptionRate:
 
 
 class TestSegmentConsumption:
+    """Per-drone drain over one segment, as ``feasible_leg`` charges it."""
+
     def net(self, wind):
         return SkywayNetwork(
             [Node(0, 0.0, 0.0, 2), Node(1, 1000.0, 0.0, 2)],
@@ -102,48 +106,35 @@ class TestSegmentConsumption:
         d0 = make_delivery_drone(0, 0.7, spec)
         d1 = make_delivery_drone(1, 0.0, spec)
         d1.position = 1
-        return SimpleNamespace(drones=[d0, d1], formation=make_formation("column", 2))
+        return Swarm([d0, d1], make_formation("column", 2))
 
     def test_per_drone_breakdown(self):
         net = self.net(Wind(5.0, 90.0))  # travel heading 0 -> right-side wind
         m = model()
-        out = segment_consumption(self.swarm(), net.segments[0], net, m, 0)
-        assert set(out) == {0, 1}
+        leg = feasible_leg(self.swarm(), net, 0, 1, m)
+        assert leg.sector == "right"
+        assert set(leg.consumed) == {0, 1}
         minutes = travel_time(1000.0, m.spec.cruise_speed)
+        assert leg.tt == minutes
         for drone_id, slot, payload in ((0, 0, 0.7), (1, 1, 0.0)):
-            b = out[drone_id]
-            assert b.sector == "right"
-            assert b.payload_factor == 1.0 + payload / 1.4
-            assert b.slot_coefficient == \
-                default_table().coefficient("column", slot, "right")
-            rate = m.spec.base_consumption_rate * b.payload_factor * b.slot_coefficient
-            assert b.energy_mah == rate * minutes
+            payload_factor = 1.0 + payload / 1.4
+            coeff = default_table().coefficient("column", slot, "right")
+            rate = m.spec.base_consumption_rate * payload_factor * coeff
+            assert leg.consumed[drone_id] == rate * minutes
 
     def test_direction_matters(self):
         net = self.net(Wind(5.0, 0.0))
         m = model()
-        fwd = segment_consumption(self.swarm(), net.segments[0], net, m, 0)
-        back = segment_consumption(self.swarm(), net.segments[0], net, m, 1)
-        assert fwd[0].sector == "tail"
-        assert back[0].sector == "head"
-        assert back[0].energy_mah > fwd[0].energy_mah
+        fwd = feasible_leg(self.swarm(), net, 0, 1, m)
+        back = feasible_leg(self.swarm(), net, 1, 0, m)
+        assert fwd.sector == "tail"
+        assert back.sector == "head"
+        assert back.consumed[0] > fwd.consumed[0]
 
     def test_windless_segment_rejected(self):
         net = self.net(None)
         with pytest.raises(ValueError, match="no wind data"):
-            segment_consumption(self.swarm(), net.segments[0], net, model(), 0)
-
-
-class TestChargeTime:
-    def test_basic(self):
-        assert charge_time(4480.0, 4480.0 / 64.0) == 64.0
-        assert charge_time(0.0, 10.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            charge_time(10.0, 0.0)
-        with pytest.raises(ValueError):
-            charge_time(-1.0, 10.0)
+            feasible_leg(self.swarm(), net, 0, 1, model())
 
 
 class TestPadSchedule:
@@ -214,7 +205,9 @@ class TestPadSchedule:
     @settings(max_examples=60, deadline=None)
     def test_never_worse_than_greedy(self, times, pads):
         exact = pad_schedule(times, pads).node_time
-        greedy = pad_schedule(times, pads, exhaustive_cap=0, greedy=True).node_time
+        # pad_schedule's LPT fallback, which it only takes above the cap
+        times = tuple(times)
+        greedy = _makespan(_queues(_greedy_assignment(times, pads), pads), times)
         assert exact <= greedy
 
     def test_deterministic(self):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmway.network import (
     DeliveryRequest,
@@ -16,14 +18,13 @@ from swarmway.network import (
     load_requests,
     save_network,
     save_requests,
-    shortest_distance,
     shortest_path_tree,
     synthesize_network,
     synthesize_requests,
     synthesize_wind,
 )
 
-from oracles import brute_shortest
+from oracles import brute_shortest, static_dijkstra_reference
 
 
 def line_net(*dists, pads=2, wind=Wind(0.0, 0.0)):
@@ -54,8 +55,9 @@ class TestTypes:
             Segment(1, 1, 100.0)
         with pytest.raises(ValueError):
             Segment(1, 2, 0.0)
-        assert Segment(1, 2, 5.0).other(1) == 2
-        assert Segment(1, 2, 5.0).other(2) == 1
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Segment(1, 2, bad)
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -238,6 +240,25 @@ class TestSynthesis:
         assert {req.source, req.destination} == {3, 8}
 
 
+@st.composite
+def directed_cost_worlds(draw):
+    """A small graph, segments inserted in a drawn order, and directed
+    costs that may be inf; lengths and costs are small integers (many
+    ties) or free floats."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = draw(st.permutations([p for p, k in zip(pairs, keep) if k]))
+    weight = (st.integers(1, 3).map(float) if draw(st.booleans())
+              else st.floats(0.5, 50.0, allow_nan=False))
+    segs = [Segment(u, v, draw(weight)) for u, v in chosen]
+    costs = {}
+    for u, v in chosen:
+        for a, b in ((u, v), (v, u)):
+            costs[(a, b)] = draw(st.one_of(weight, st.just(math.inf)))
+    return SkywayNetwork([Node(i, 0.0, 0.0, 1) for i in range(n)], segs), costs
+
+
 class TestShortestPaths:
     def test_matches_brute_force_on_random_graphs(self):
         # random graphs stay tiny so full path enumeration is cheap
@@ -255,41 +276,66 @@ class TestShortestPaths:
                         segs.append(Segment(u, v, rng.uniform(1.0, 50.0)))
             net = SkywayNetwork(nodes, segs)
             for a in range(n):
+                tree = shortest_path_tree(net, a)
                 for b in range(n):
-                    dist, path = shortest_distance(net, a, b)
+                    dist = tree.distance(b)
                     assert dist == brute_shortest(net, a, b) or (
                         math.isinf(dist) and math.isinf(brute_shortest(net, a, b))
                     )
                     if math.isfinite(dist) and a != b:
+                        path = tree.path_to_root(b)[::-1]
                         assert path[0] == a and path[-1] == b
+                        total = 0.0
+                        for u, v in zip(path, path[1:]):
+                            total += net.segment(u, v).distance_m
+                        assert total == dist
 
     def test_unreachable_returns_inf(self):
         net = SkywayNetwork([Node(0, 0, 0, 1), Node(1, 9, 0, 1)], [])
-        dist, path = shortest_distance(net, 0, 1)
-        assert math.isinf(dist)
-        assert path == []
+        tree = shortest_path_tree(net, 0)
+        assert math.isinf(tree.distance(1))
+        assert tree.path_to_root(1) == []
 
     def test_same_node_distance_zero(self):
-        net = line_net(1000.0)
-        assert shortest_distance(net, 0, 0) == (0.0, [0])
+        tree = shortest_path_tree(line_net(1000.0), 0)
+        assert tree.distance(0) == 0.0
+        assert tree.path_to_root(0) == [0]
 
-    def test_tie_breaks_to_lexicographic_path(self):
-        # two equal-length routes 0->3: via 1 and via 2
+    def test_ties_keep_the_first_found_parent(self):
+        # two 10 m routes 0->3: via 2 is found first (2 settles at 4 m,
+        # before 1 at 5 m), so it wins over the lexicographically smaller
+        # route via 1; with or without costs
         nodes = [Node(i, i, 0, 1) for i in range(4)]
         segs = [Segment(0, 1, 5.0), Segment(1, 3, 5.0),
-                Segment(0, 2, 5.0), Segment(2, 3, 5.0)]
+                Segment(0, 2, 4.0), Segment(2, 3, 6.0)]
         net = SkywayNetwork(nodes, segs)
-        assert shortest_distance(net, 0, 3) == (10.0, [0, 1, 3])
+        costs = {}
+        for seg in segs:
+            costs[(seg.u, seg.v)] = costs[(seg.v, seg.u)] = seg.distance_m
+        for tree in (shortest_path_tree(net, 0), shortest_path_tree(net, 0, costs)):
+            assert tree.distance(3) == 10.0
+            assert tree.path_to_root(3) == [3, 2, 0]
 
     def test_tree_agrees_with_point_queries(self):
-        net = synthesize_network(40, seed=13)
-        net = largest_connected_component(net)
+        net = largest_connected_component(synthesize_network(20, seed=13))
         ids = sorted(net.nodes)
-        root = ids[0]
-        tree = shortest_path_tree(net, root)
-        for b in ids:
-            dist, _ = shortest_distance(net, b, root)
-            assert tree.distance(b) == pytest.approx(dist)
+        for root in ids:
+            tree = shortest_path_tree(net, root)
+            for b in ids:
+                assert tree.distance(b) == brute_shortest(net, root, b)
+
+    @given(world=directed_cost_worlds())
+    @settings(max_examples=300, deadline=None)
+    def test_tree_matches_the_static_dijkstra_reference(self, world):
+        net, costs = world
+        lengths = {}
+        for seg in net.segments:
+            lengths[(seg.u, seg.v)] = lengths[(seg.v, seg.u)] = seg.distance_m
+        for source in net.nodes:
+            for tree, edge_costs in ((shortest_path_tree(net, source, costs), costs),
+                                     (shortest_path_tree(net, source), lengths)):
+                want = static_dijkstra_reference(net, edge_costs, source)
+                assert (tree.dist, tree.parent) == want
 
     def test_tree_paths_lead_to_root(self):
         net = largest_connected_component(synthesize_network(40, seed=13))

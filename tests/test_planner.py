@@ -1,6 +1,5 @@
 """Leg feasibility, route composition, and the static baselines."""
 
-import json
 import math
 import random
 from dataclasses import replace
@@ -465,7 +464,7 @@ class TestCompose:
                     tree=shortest_path_tree(net, 0))  # wrong root: rebuilt
         assert a.to_dict() == b.to_dict() == c.to_dict()
 
-    def test_plan_serialization(self, tmp_path):
+    def test_plan_serialization(self):
         swarm, model = self.stop_swarm()
         plan = compose(swarm, line_net(10, 10), DeliveryRequest(10, 0, 2, [0.3, 0.3]),
                        model)
@@ -474,10 +473,6 @@ class TestCompose:
         assert data["dt_min"] == 130.0
         assert [leg["tt_min"] for leg in data["legs"]] == [10.0, 10.0]
         assert data["visits"] == [{"node": 1, "nt_min": 110.0}]
-        out = tmp_path / "plan.json"
-        plan.to_json(out)
-        # drone-id keys become strings in JSON, as json.dumps would do
-        assert json.loads(out.read_text()) == json.loads(json.dumps(data))
 
 
 class TestStaticBaselines:
@@ -573,9 +568,9 @@ class TestStaticBaselines:
             ids, dist, nxt = floyd_warshall_tables(net, costs)
             index = {nid: i for i, nid in enumerate(ids)}
             for source in ids:
-                sd, _ = static_dijkstra(net, costs, source)
+                sd = static_dijkstra(net, costs, source)
                 for target in ids:
-                    want = sd.get(target, math.inf)
+                    want = sd.distance(target)
                     assert dist[index[source], index[target]] == want
 
     def test_successor_table_reconstructs_optimal_paths(self):

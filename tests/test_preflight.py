@@ -206,12 +206,6 @@ class TestSwarmType:
         swarm = small_swarm(2, 1)
         assert [d.id for d in swarm.delivery_drones()] == [0, 1]
         assert [d.id for d in swarm.support_drones()] == [2]
-        assert swarm.drone(1).id == 1
-        assert swarm.occupant(2).position == 2
-        with pytest.raises(KeyError):
-            swarm.drone(99)
-        with pytest.raises(KeyError):
-            swarm.occupant(99)
 
 
 class TestRouteStats:

@@ -1,6 +1,5 @@
 """Energy request generation, both sharing composers, and slot swaps."""
 
-import csv
 import math
 import random
 
@@ -22,7 +21,6 @@ from swarmway.sharing import (
     generate_requests,
     pb_compose,
     reorder_fixed,
-    write_plan_csv,
 )
 
 from instances import PROVIDER_ID, dyadic_instance
@@ -513,20 +511,3 @@ class TestSwapAccounting:
         assert res.plan.swaps == [SwapEvent(0.0, 0, 2), SwapEvent(16.0, 0, 2)]
         assert res.consumed[1] == 32.0 * 16.0 + 16.0 * 48.0
         assert res.consumed[2] == 16.0 * 64.0
-
-
-class TestPlanCsv:
-    def test_round_trip(self, tmp_path):
-        inst = dyadic_instance(random.Random(3))
-        res = pb_compose(make_ctx(inst), make_offer(inst), inst["window"],
-                         inst["gamma"])
-        path = tmp_path / "plan.csv"
-        write_plan_csv(res.plan, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["provider", "consumer", "start_min", "duration_min",
-                           "amount_mAh"]
-        assert len(rows) == 1 + len(res.plan.allocations)
-        for row, a in zip(rows[1:], res.plan.allocations):
-            assert [int(row[0]), int(row[1])] == [a.provider, a.consumer]
-            assert [float(x) for x in row[2:]] == [a.start, a.duration, a.amount]
