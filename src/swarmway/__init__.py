@@ -24,7 +24,6 @@ from .formations import (
     default_table,
     load_coefficients,
     make_formation,
-    save_coefficients,
     wind_sector,
 )
 from .network import (
@@ -38,7 +37,6 @@ from .network import (
     load_network,
     load_requests,
     save_network,
-    save_requests,
     shortest_path_tree,
     synthesize_network,
     synthesize_requests,

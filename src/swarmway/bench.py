@@ -58,7 +58,6 @@ class ExperimentConfig:
     pad_minutes: float = 60.0
     failure_scale: float = DEFAULT_FAILURE_SCALE
     bin_width_km: float = 0.5
-    greedy_pads: bool = False
 
     def __post_init__(self):
         if not self.strategies:
@@ -79,8 +78,8 @@ class ExperimentConfig:
             raise ValueError(f"delta_frac: {self.delta_frac} outside [0, 1)")
         for name in ("quantum", "share_rate", "pad_minutes", "failure_scale",
                      "bin_width_km"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be finite and > 0")
 
 
 def sweep_configurations(cfg: ExperimentConfig) -> list[tuple[str, str]]:
@@ -214,10 +213,7 @@ def run_experiment(
         )
         plain_swarm = build_swarm(req, model, positioning="location-aware",
                                   include_support=False, **swarm_kwargs)
-        static_costs = (
-            static_edge_costs(plain_swarm, net, model, cfg.greedy_pads)
-            if needs_static else None
-        )
+        static_costs = static_edge_costs(plain_swarm, net, model) if needs_static else None
 
         for strategy, pos in combos:
             if strategy in SHARING_STRATEGIES:
@@ -225,21 +221,18 @@ def run_experiment(
                                     include_support=True, **swarm_kwargs)
                 t0 = time.perf_counter()
                 plan = compose(swarm, net, req, model, share=share_by[strategy],
-                               tree=tree, greedy_pads=cfg.greedy_pads)
+                               tree=tree)
             elif strategy == "baseline":
                 t0 = time.perf_counter()
-                plan = compose(plain_swarm, net, req, model, tree=tree,
-                               greedy_pads=cfg.greedy_pads)
+                plan = compose(plain_swarm, net, req, model, tree=tree)
             elif strategy == "dijkstra":
                 t0 = time.perf_counter()
                 plan = dijkstra_baseline(plain_swarm, net, req, model,
-                                         costs=static_costs,
-                                         greedy_pads=cfg.greedy_pads)
+                                         costs=static_costs)
             else:
                 t0 = time.perf_counter()
                 plan = floyd_warshall_baseline(plain_swarm, net, req, model,
-                                               costs=static_costs,
-                                               greedy_pads=cfg.greedy_pads)
+                                               costs=static_costs)
             runtime_ms = (time.perf_counter() - t0) * 1000.0
             rows.append({
                 "request_id": req.id, "strategy": strategy, "positioning": pos,

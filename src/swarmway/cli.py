@@ -23,7 +23,7 @@ from .bench import (
     write_results,
     write_summary,
 )
-from .energy import PAD_EXHAUSTIVE_CAP, DroneSpec
+from .energy import DroneSpec
 from .formations import FORMATION_KINDS, default_table, load_coefficients
 from .network import (
     NetworkFormatError,
@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="summary distance bin width, km (default 0.5)")
     run.add_argument("--synth-nodes", type=int, default=276,
                      help="node count before trimming when synthesizing")
-    run.add_argument("--greedy-pads", action="store_true",
-                     help="allow approximate pad schedules for big swarms")
     run.add_argument("--plot-data", action="store_true",
                      help="also emit per-bin plot_data.csv")
     run.add_argument("--quiet", action="store_true")
@@ -122,8 +120,8 @@ def _load_or_synthesize(network_path, synth_nodes, seed):
     return net
 
 
-def _check_swarm_sizes(requests, table, strategies, greedy_pads) -> None:
-    """Reject requests whose largest possible swarm the sweep cannot plan.
+def _check_swarm_sizes(requests, table, strategies) -> None:
+    """Reject requests whose largest possible swarm overflows the table's slots.
 
     With pb or fb in the sweep, ``redundancy_count`` adds at most
     max(n, 4) support drones to n delivery drones.  Every formation kind
@@ -140,12 +138,6 @@ def _check_swarm_sizes(requests, table, strategies, greedy_pads) -> None:
                 f"request {req.id}: {n} packages need up to {size} drones, "
                 f"but formation {kind!r} has only {slots} slots"
             )
-        if size > PAD_EXHAUSTIVE_CAP and not greedy_pads:
-            raise NetworkFormatError(
-                f"request {req.id}: {n} packages need up to {size} drones, "
-                f"above the exact pad search cap of {PAD_EXHAUSTIVE_CAP}; "
-                "pass --greedy-pads to allow approximate pad schedules"
-            )
 
 
 def _cmd_run(args) -> None:
@@ -161,7 +153,6 @@ def _cmd_run(args) -> None:
         pad_minutes=args.pad_minutes,
         failure_scale=args.failure_scale,
         bin_width_km=args.bin_width,
-        greedy_pads=args.greedy_pads,
     )
     net = _load_or_synthesize(args.network, args.synth_nodes, args.seed)
     table = load_coefficients(args.coeffs) if args.coeffs else default_table()
@@ -175,7 +166,7 @@ def _cmd_run(args) -> None:
                                  nodes=net.nodes)
     else:
         requests = synthesize_requests(net, args.requests, args.seed)
-    _check_swarm_sizes(requests, table, strategies, args.greedy_pads)
+    _check_swarm_sizes(requests, table, strategies)
 
     progress = None
     if not args.quiet:

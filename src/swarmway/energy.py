@@ -12,7 +12,7 @@ direction quantized relative to travel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formations import CoefficientTable, Formation
 
@@ -39,8 +39,9 @@ class DroneSpec:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -124,11 +125,11 @@ class PadSchedule:
 
     queues: tuple[tuple[int, ...], ...]  # drone indices per pad, service order
     node_time: float  # makespan: time until the last drone is charged
-    intervals: dict[int, tuple[float, float]] = field(default_factory=dict)
 
 
 def _greedy_assignment(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
-    """Longest-processing-time heuristic; used as a bound and as the fallback."""
+    """Longest-processing-time heuristic: the search's first bound, and the
+    schedule above ``PAD_EXHAUSTIVE_CAP`` drones."""
     loads = [0.0] * pads
     assign = [0] * len(times)
     for i in sorted(range(len(times)), key=lambda k: (-times[k], k)):
@@ -145,19 +146,13 @@ def _queues(assign: tuple[int, ...], pads: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _makespan(queues, times, intervals=None) -> float:
-    """Finish time of the last pad when each serves its queue in order from 0.0.
-
-    Records each drone's (start, end) in ``intervals`` when one is given.
-    """
+def _makespan(queues, times) -> float:
+    """Finish time of the last pad when each serves its queue in order from 0.0."""
     node_time = 0.0
     for queue in queues:
         clock = 0.0
         for drone in queue:
-            start = clock
-            clock = start + times[drone]
-            if intervals is not None:
-                intervals[drone] = (start, clock)
+            clock += times[drone]
         node_time = max(node_time, clock)
     return node_time
 
@@ -229,17 +224,12 @@ def _first_optimum(candidates, times):
     return best, candidates[spans.index(best)]
 
 
-def pad_schedule(
-    charge_times: list[float],
-    pads: int,
-    *,
-    greedy: bool = False,
-) -> PadSchedule:
+def pad_schedule(charge_times: list[float], pads: int) -> PadSchedule:
     """Queue drones on identical pads so the last finish time is minimal.
 
     ``charge_times`` is indexed by drone; each pad serves its queue in
     input order.  Above ``PAD_EXHAUSTIVE_CAP`` drones the exact search is
-    refused unless ``greedy=True`` selects the LPT fallback.
+    out of reach, and the LPT queues stand in for it.
     """
     if pads < 1:
         raise ValueError(f"pad count must be >= 1, got {pads}")
@@ -249,13 +239,6 @@ def pad_schedule(
     times = tuple(charge_times)
     if len(times) <= PAD_EXHAUSTIVE_CAP:
         _, queues = _first_optimum(pad_candidates(times, pads), times)
-    elif greedy:
-        queues = _queues(_greedy_assignment(times, pads), pads)
     else:
-        raise ValueError(
-            f"{len(times)} drones exceed the exhaustive cap of {PAD_EXHAUSTIVE_CAP}; "
-            "pass greedy=True (CLI: --greedy-pads) to use the LPT fallback"
-        )
-    intervals: dict[int, tuple[float, float]] = {}
-    node_time = _makespan(queues, times, intervals)
-    return PadSchedule(queues=queues, node_time=node_time, intervals=intervals)
+        queues = _queues(_greedy_assignment(times, pads), pads)
+    return PadSchedule(queues, _makespan(queues, times))

@@ -147,9 +147,6 @@ class CoefficientTable:
         """Occupied slots 0..size-1 sorted cheapest first (slot index breaks ties)."""
         return sorted(range(size), key=lambda s: (self.coefficient(kind, s, sector), s))
 
-    def items(self):
-        return sorted(self._values.items())
-
 
 # Per-sector cost level of each shape; slot spread is added on top.
 _SECTOR_BASE = {
@@ -213,11 +210,3 @@ def load_coefficients(path) -> CoefficientTable:
     except ValueError as exc:
         raise NetworkFormatError(f"{path}: {exc}") from None
     return table
-
-
-def save_coefficients(table: CoefficientTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["formation", "slot", "wind_sector", "coefficient"])
-        for (kind, slot, sector), coeff in table.items():
-            writer.writerow([kind, slot, sector, repr(coeff)])

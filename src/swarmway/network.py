@@ -37,6 +37,8 @@ class Wind:
             raise ValueError(
                 f"wind speed {self.speed} outside [0, {MAX_WIND_SPEED})"
             )
+        if not math.isfinite(self.direction):
+            raise ValueError(f"wind direction must be finite, got {self.direction}")
         object.__setattr__(self, "direction", self.direction % 360.0)
 
 
@@ -50,6 +52,10 @@ class Node:
     pads: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(
+                f"node {self.id}: coordinates must be finite, got ({self.x}, {self.y})"
+            )
         if self.pads < 0:
             raise ValueError(f"node {self.id}: pads must be >= 0, got {self.pads}")
 
@@ -88,8 +94,8 @@ class DeliveryRequest:
         if not self.package_weights:
             raise ValueError(f"request {self.id}: needs at least one package")
         for w in self.package_weights:
-            if w <= 0:
-                raise ValueError(f"request {self.id}: weight {w} must be > 0")
+            if not 0 < w < math.inf:
+                raise ValueError(f"request {self.id}: weight {w} must be finite and > 0")
 
 
 class SkywayNetwork:
@@ -115,12 +121,6 @@ class SkywayNetwork:
             self._adj[seg.u][seg.v] = seg
             self._adj[seg.v][seg.u] = seg
         self._headings: dict[tuple[int, int], float] = {}
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     def neighbors(self, node_id: int) -> list[int]:
         """Adjacent node ids, ascending."""
@@ -238,16 +238,6 @@ def load_requests(path, max_weight: float | None = None,
     return requests
 
 
-def save_requests(requests: list[DeliveryRequest], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for req in requests:
-            writer.writerow(
-                [req.id, req.source, req.destination,
-                 ";".join(repr(w) for w in req.package_weights)]
-            )
-
-
 def largest_connected_component(net: SkywayNetwork) -> SkywayNetwork:
     """Induced subgraph on the largest component.
 
@@ -292,62 +282,46 @@ def synthesize_wind(net: SkywayNetwork, seed: int) -> SkywayNetwork:
     return SkywayNetwork(list(net.nodes.values()), segs)
 
 
-def synthesize_requests(
-    net: SkywayNetwork,
-    n: int,
-    seed: int,
-    max_weight: float = 1.4,
-    packages: tuple[int, int] = (2, 5),
-) -> list[DeliveryRequest]:
+def synthesize_requests(net: SkywayNetwork, n: int, seed: int) -> list[DeliveryRequest]:
     """Draw ``n`` delivery requests with distinct endpoints and per-package weights.
 
-    Weights are uniform in (0, max_weight]; package counts uniform over the
-    inclusive ``packages`` range.
+    Weights are uniform in (0, 1.4] kg; package counts uniform over 2..5.
     """
     if n < 0:
         raise ValueError(f"request count must be >= 0, got {n}")
     if len(net.nodes) < 2:
         raise ValueError("need at least 2 nodes to draw requests")
-    lo, hi = packages
-    if not 1 <= lo <= hi:
-        raise ValueError(f"bad package range {packages}")
     rng = random.Random(seed)
     ids = sorted(net.nodes)
     requests = []
     for rid in range(n):
         src, dst = rng.sample(ids, 2)
-        count = rng.randint(lo, hi)
+        count = rng.randint(2, 5)
         # 1 - random() lies in (0, 1], keeping weights strictly positive
-        weights = [max_weight * (1.0 - rng.random()) for _ in range(count)]
+        weights = [1.4 * (1.0 - rng.random()) for _ in range(count)]
         requests.append(DeliveryRequest(rid, src, dst, weights))
     return requests
 
 
-def synthesize_network(
-    n_nodes: int,
-    seed: int,
-    *,
-    cluster_count: int = 8,
-    area_km: float = 30.0,
-    neighbor_links: int = 3,
-    link_radius_km: float = 6.0,
-    pads: tuple[int, int] = (1, 3),
-) -> SkywayNetwork:
+def synthesize_network(n_nodes: int, seed: int, *,
+                       pads: tuple[int, int] = (1, 3)) -> SkywayNetwork:
     """Generate a clustered geometric skyway network.
 
-    Nodes scatter around randomly placed cluster centers and link to their
-    nearest in-range neighbors, so segment lengths stay mostly short while
-    cluster-to-cluster bridges come out long.  The result is usually
-    disconnected; pass it through ``largest_connected_component``.
+    Nodes scatter around 8 randomly placed cluster centers in a 30 km
+    square and link to their 3 nearest neighbors within 6 km, so segment
+    lengths stay mostly short while cluster-to-cluster bridges come out
+    long.  Pad counts are uniform over the inclusive ``pads`` range.  The
+    result is usually disconnected; pass it through
+    ``largest_connected_component``.
     """
     if n_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {n_nodes}")
     rng = random.Random(seed)
-    area = area_km * 1000.0
-    centers = [(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(cluster_count)]
+    area = 30000.0
+    centers = [(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(8)]
     nodes = []
     for nid in range(n_nodes):
-        cx, cy = centers[rng.randrange(cluster_count)]
+        cx, cy = centers[rng.randrange(8)]
         x = min(max(rng.gauss(cx, 2000.0), 0.0), area)
         y = min(max(rng.gauss(cy, 2000.0), 0.0), area)
         nodes.append(Node(nid, x, y, rng.randint(*pads)))
@@ -363,9 +337,7 @@ def synthesize_network(
         )
         taken = 0
         for other in ranked:
-            if taken >= neighbor_links:
-                break
-            if dist(node, other) > link_radius_km * 1000.0:
+            if taken >= 3 or dist(node, other) > 6000.0:
                 break
             pairs.add((min(node.id, other.id), max(node.id, other.id)))
             taken += 1

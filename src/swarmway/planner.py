@@ -72,8 +72,8 @@ class ShareConfig:
             raise ValueError(f"gamma {self.gamma} outside [0, 1]")
         if not 0.0 <= self.delta_frac < 1.0:
             raise ValueError(f"delta_frac {self.delta_frac} outside [0, 1)")
-        if self.quantum <= 0:
-            raise ValueError(f"quantum must be > 0, got {self.quantum}")
+        if not 0 < self.quantum < math.inf:
+            raise ValueError(f"quantum must be finite and > 0, got {self.quantum}")
 
 
 @dataclass
@@ -419,7 +419,7 @@ def _fly_through(swarm, net, path, model, batteries, share, cache):
     return legs
 
 
-def _full_recharge(swarm, leg, node, model, cache, greedy=False):
+def _full_recharge(swarm, leg, node, model, cache):
     """Pad schedule for topping everyone up at this node's pads.
 
     After a leg that started full, the sector's pad candidates hold
@@ -432,7 +432,7 @@ def _full_recharge(swarm, leg, node, model, cache, greedy=False):
             for d, drain in zip(swarm.drones, drains)):
         return NodeVisit(node.id, *_first_optimum(
             cache.pad_candidates(leg.sector, node.pads), times))
-    sched = pad_schedule(times, node.pads, greedy=greedy)
+    sched = pad_schedule(times, node.pads)
     return NodeVisit(node.id, sched.node_time, sched.queues)
 
 
@@ -444,7 +444,6 @@ def compose(
     *,
     share: ShareConfig | None = None,
     tree: PathTree | None = None,
-    greedy_pads: bool = False,
 ) -> DeliveryPlan:
     """Walk the swarm toward the destination, recharging only when forced.
 
@@ -491,8 +490,7 @@ def compose(
             if nb == request.destination:
                 visit, nt = None, 0.0
             else:
-                visit = _full_recharge(swarm, leg, net.nodes[nb], model, cache,
-                                       greedy_pads)
+                visit = _full_recharge(swarm, leg, net.nodes[nb], model, cache)
                 nt = visit.nt
             cost = leg.tt + nt
             if best is None or cost < best[0]:
@@ -516,8 +514,7 @@ def compose(
     return plan
 
 
-def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel,
-                      greedy_pads: bool = False):
+def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel):
     """Directed cost tt + restore-time makespan at the head node.
 
     The restore time assumes the leg started on full batteries, which is
@@ -556,7 +553,7 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel,
             sector = wind_sector(net.heading(a, b), seg.wind)
             times = [rate * tt / pad_rate for rate in cache.rates(sector).values()]
             if n > PAD_EXHAUSTIVE_CAP:
-                node_time = pad_schedule(times, head.pads, greedy=greedy_pads).node_time
+                node_time = pad_schedule(times, head.pads).node_time
             elif head.pads >= n:
                 node_time = max(times)
             else:
@@ -594,8 +591,7 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
     return ids, dist, nxt
 
 
-def _simulate_static_path(swarm, net, path, model, request_id, strategy, static_cost,
-                          greedy_pads=False):
+def _simulate_static_path(swarm, net, path, model, request_id, strategy, static_cost):
     """Fly a fixed path with full recharges at the intermediate stops."""
     plan = DeliveryPlan(request_id, strategy, "stuck", list(path), [], [],
                         static_cost=static_cost)
@@ -610,8 +606,7 @@ def _simulate_static_path(swarm, net, path, model, request_id, strategy, static_
             return plan
         plan.legs.append(leg)
         if b != path[-1]:
-            visit = _full_recharge(swarm, leg, net.nodes[b], model, cache,
-                                   greedy_pads)
+            visit = _full_recharge(swarm, leg, net.nodes[b], model, cache)
             plan.visits.append(visit)
             batteries = {d.id: d.capacity for d in swarm.drones}
         else:
@@ -627,18 +622,17 @@ def dijkstra_baseline(
     model: EnergyModel,
     *,
     costs=None,
-    greedy_pads: bool = False,
 ) -> DeliveryPlan:
     """Route on static costs with Dijkstra, then fly that path as-is."""
     if costs is None:
-        costs = static_edge_costs(swarm, net, model, greedy_pads)
+        costs = static_edge_costs(swarm, net, model)
     tree = static_dijkstra(net, costs, request.source)
     if request.destination not in tree.dist:
         return DeliveryPlan(request.id, "dijkstra", "unreachable",
                             [request.source], [], [])
     path = tree.path_to_root(request.destination)[::-1]
     return _simulate_static_path(swarm, net, path, model, request.id, "dijkstra",
-                                 tree.dist[request.destination], greedy_pads)
+                                 tree.dist[request.destination])
 
 
 def floyd_warshall_baseline(
@@ -648,13 +642,11 @@ def floyd_warshall_baseline(
     model: EnergyModel,
     *,
     costs=None,
-    tables=None,
-    greedy_pads: bool = False,
 ) -> DeliveryPlan:
     """Route on static costs with Floyd-Warshall, then fly that path as-is."""
     if costs is None:
-        costs = static_edge_costs(swarm, net, model, greedy_pads)
-    ids, dist, nxt = tables if tables is not None else floyd_warshall_tables(net, costs)
+        costs = static_edge_costs(swarm, net, model)
+    ids, dist, nxt = floyd_warshall_tables(net, costs)
     index = {nid: i for i, nid in enumerate(ids)}
     si, di = index[request.source], index[request.destination]
     if not np.isfinite(dist[si, di]):
@@ -666,4 +658,4 @@ def floyd_warshall_baseline(
         at = int(nxt[at, di])
         path.append(ids[at])
     return _simulate_static_path(swarm, net, path, model, request.id, "floyd",
-                                 float(dist[si, di]), greedy_pads)
+                                 float(dist[si, di]))

@@ -30,7 +30,6 @@ from .network import (
 
 POSITIONING_SETTINGS = ("location-aware", "energy-aware")
 DEFAULT_FAILURE_SCALE = 12.0
-DEFAULT_FACTOR_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
 
 
 @dataclass
@@ -74,48 +73,38 @@ def payload_ratio(weights: list[float], max_payload: float) -> float:
 
 @dataclass(frozen=True)
 class FailureInputs:
-    """Normalized route factors and their weights for the failure estimate."""
+    """Normalized route factors for the failure estimate."""
 
     payload: float  # mean payload fraction
     distance: float  # route length over network diameter
     capacity: float  # provider capacity multiplier over its maximum
     wind: float  # mean wind speed over the flight-safe bound
-    weights: tuple[float, float, float, float] = DEFAULT_FACTOR_WEIGHTS
 
     def __post_init__(self):
         for name in ("payload", "distance", "capacity", "wind"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} factor {value} outside [0, 1]")
-        for w in self.weights:
-            if w <= 0:
-                raise ValueError(f"factor weight {w} must be > 0")
 
 
-def route_failure_inputs(
-    weights: list[float], max_payload: float, distance_m: float, diameter_m: float,
-    wind: Wind, factor_weights: tuple[float, ...] = DEFAULT_FACTOR_WEIGHTS,
-) -> FailureInputs:
+def route_failure_inputs(weights: list[float], max_payload: float, distance_m: float,
+                         diameter_m: float, wind: Wind) -> FailureInputs:
     """Failure factors for one route, with support drones at full capacity."""
     return FailureInputs(
         payload=payload_ratio(weights, max_payload),
         distance=min(1.0, distance_m / diameter_m),
         capacity=1.0,
         wind=wind.speed / MAX_WIND_SPEED,
-        weights=factor_weights,
     )
 
 
 def failure_probability(inputs: FailureInputs, scale: float = DEFAULT_FAILURE_SCALE) -> float:
     """Percent chance the swarm needs rescuing, from the factor product."""
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     product = 1.0
-    for factor, weight in zip(
-        (inputs.payload, inputs.distance, inputs.capacity, inputs.wind),
-        inputs.weights,
-    ):
-        product *= weight * factor
+    for factor in (inputs.payload, inputs.distance, inputs.capacity, inputs.wind):
+        product *= factor
     return 100.0 * min(1.0, scale * product)
 
 
@@ -235,7 +224,6 @@ def build_swarm(
     route_distance_m: float,
     diameter_m: float,
     failure_scale: float = DEFAULT_FAILURE_SCALE,
-    factor_weights: tuple[float, float, float, float] = DEFAULT_FACTOR_WEIGHTS,
 ) -> Swarm:
     """Size, shape, and position a fresh fully-charged swarm for one request."""
     n = len(request.package_weights)
@@ -245,8 +233,7 @@ def build_swarm(
     ]
     if include_support:
         inputs = route_failure_inputs(request.package_weights, model.spec.max_payload,
-                                      route_distance_m, diameter_m, route_wind,
-                                      factor_weights)
+                                      route_distance_m, diameter_m, route_wind)
         probability = failure_probability(inputs, failure_scale)
         for k in range(redundancy_count(probability, n)):
             drones.append(make_support_drone(n + k, model.spec))

@@ -1,6 +1,7 @@
 """Sweep plumbing, metric rollups, the CSV writers, and the CLI."""
 
 import csv
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from swarmway.bench import (
     write_results,
     write_summary,
 )
+from swarmway import cli
 from swarmway.cli import main
 from swarmway.energy import DroneSpec
 from swarmway.formations import (
@@ -24,7 +26,6 @@ from swarmway.formations import (
     WIND_SECTORS,
     CoefficientTable,
     default_table,
-    save_coefficients,
 )
 from swarmway.network import (
     DeliveryRequest,
@@ -106,6 +107,14 @@ class TestExperimentConfig:
         ({"pad_minutes": 0.0}, "pad_minutes"),
         ({"failure_scale": 0.0}, "failure_scale"),
         ({"bin_width_km": 0.0}, "bin_width_km"),
+        ({"quantum": math.inf}, "quantum"),
+        ({"quantum": math.nan}, "quantum"),
+        ({"share_rate": math.inf}, "share_rate"),
+        ({"share_rate": math.nan}, "share_rate"),
+        ({"pad_minutes": math.nan}, "pad_minutes"),
+        ({"failure_scale": math.inf}, "failure_scale"),
+        ({"failure_scale": math.nan}, "failure_scale"),
+        ({"bin_width_km": math.nan}, "bin_width_km"),
     ])
     def test_validation_names_the_field(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -419,6 +428,42 @@ class TestCli:
                      "--synth-nodes", "20", "--out", str(tmp_path),
                      "--quiet"]) == 2
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--pad-minutes", "nan", "pad_minutes"),
+        ("--failure-scale", "nan", "failure_scale"),
+        ("--failure-scale", "inf", "failure_scale"),
+        ("--lambda", "inf", "quantum"),
+        ("--lambda", "nan", "quantum"),
+        ("--share-rate", "inf", "share_rate"),
+        ("--share-rate", "nan", "share_rate"),
+        ("--bin-width", "nan", "bin_width_km"),
+    ])
+    def test_nonfinite_flag_exits_2_before_planning(self, tmp_path, capsys,
+                                                     flag, value, field):
+        assert main(["run", flag, value, "--requests", "1", "--synth-nodes", "20",
+                     "--out", str(tmp_path / "exp"), "--quiet"]) == 2
+        assert f"error: {field}: must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    def test_every_config_field_is_set_by_its_flag(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(net, requests, table, cfg, **kwargs):
+            seen.append(cfg)
+            return [], bin_metrics([], cfg.bin_width_km)
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        assert main(["run", "--synth-nodes", "20", "--requests", "1",
+                     "--strategies", "fb,baseline", "--positioning", "energy-aware",
+                     "--gamma", "0.5", "--delta-frac", "0.3", "--lambda", "100",
+                     "--share-rate", "7.5", "--pad-minutes", "30",
+                     "--failure-scale", "6", "--bin-width", "0.25",
+                     "--out", str(tmp_path / "exp"), "--quiet"]) == 0
+        (cfg,) = seen
+        default = ExperimentConfig()
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+
     def test_missing_network_exits_3(self, tmp_path):
         assert main(["run", "--network", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path), "--quiet"]) == 3
@@ -429,6 +474,20 @@ class TestCli:
         assert main(["run", "--network", str(bad),
                      "--out", str(tmp_path), "--quiet"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes, segment, message", [
+        ("0,nan,0,2", "0,1,1000.0,3.0,10.0", "node 0: coordinates must be finite"),
+        ("0,0,inf,2", "0,1,1000.0,3.0,10.0", "node 0: coordinates must be finite"),
+        ("0,0,0,2", "0,1,1000.0,3.0,nan", "wind direction must be finite"),
+    ])
+    def test_nonfinite_network_value_exits_3(self, tmp_path, capsys,
+                                             nodes, segment, message):
+        net = tmp_path / "net.csv"
+        net.write_text(f"nodes\n{nodes}\n1,1000,0,2\nsegments\n{segment}\n")
+        assert main(["run", "--network", str(net), "--requests", "2",
+                     "--out", str(tmp_path / "exp"), "--quiet"]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
     def requests_file(self, tmp_path, source=None, destination=None,
                       weights="0.5;0.7"):
@@ -465,6 +524,12 @@ class TestCli:
         assert self.run_requests_file(tmp_path, net, reqs) == 3
         assert "weight 2.5 exceeds" in capsys.readouterr().err
 
+    def test_nan_package_weight_exits_3(self, tmp_path, capsys):
+        net, reqs = self.requests_file(tmp_path, weights="0.5;nan")
+        assert self.run_requests_file(tmp_path, net, reqs) == 3
+        assert "line 1: request 0: weight nan must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
     def test_malformed_coefficients_exit_3(self, tmp_path, capsys):
         net, reqs = self.requests_file(tmp_path)
         coeffs = tmp_path / "coeffs.csv"
@@ -476,9 +541,12 @@ class TestCli:
     def test_incomplete_coefficients_exit_3(self, tmp_path, capsys):
         net, reqs = self.requests_file(tmp_path)
         coeffs = tmp_path / "coeffs.csv"
-        save_coefficients(default_table(), coeffs)
-        lines = coeffs.read_text().splitlines(keepends=True)
-        coeffs.write_text("".join(l for l in lines if not l.startswith("vee,1,head,")))
+        table = default_table()
+        coeffs.write_text("".join(
+            f"{kind},{slot},{sector},{table.coefficient(kind, slot, sector)!r}\n"
+            for kind in FORMATION_KINDS for slot in range(12) for sector in WIND_SECTORS
+            if (kind, slot, sector) != ("vee", 1, "head")
+        ))
         code = self.run_requests_file(tmp_path, net, reqs, "--coeffs", str(coeffs))
         assert code == 3
         assert ("no coefficient for formation 'vee' slot 1 sector 'head'"
@@ -500,7 +568,7 @@ class TestCli:
         net, reqs = self.requests_file(tmp_path, weights=";".join(["0.1"] * packages))
         code = main(["run", "--network", str(net), "--requests-file", str(reqs),
                      "--strategies", strategies, "--out", str(tmp_path / "exp"),
-                     "--quiet", "--greedy-pads"])
+                     "--quiet"])
         assert code == 3
         assert "has only 12 slots" in capsys.readouterr().err
         assert not (tmp_path / "exp" / "results.csv").exists()
@@ -509,7 +577,8 @@ class TestCli:
         net, reqs = self.requests_file(tmp_path, weights=";".join(["0.1"] * 7))
         assert self.run_requests_file(tmp_path, net, reqs) == 0
 
-    def test_swarm_beyond_pad_search_cap_needs_greedy_pads(self, tmp_path, capsys):
+    def test_swarm_beyond_pad_search_cap_plans_with_lpt(self, tmp_path):
+        # 13 drones exceed the exact pad search; the LPT schedule stands in
         net, reqs = self.requests_file(tmp_path, weights=";".join(["0.1"] * 13))
         coeffs = tmp_path / "coeffs.csv"
         coeffs.write_text("".join(
@@ -517,11 +586,6 @@ class TestCli:
             for kind in FORMATION_KINDS for slot in range(16) for sector in WIND_SECTORS
         ))
         code = self.run_requests_file(tmp_path, net, reqs, "--coeffs", str(coeffs))
-        assert code == 3
-        assert "pass --greedy-pads" in capsys.readouterr().err
-        assert not (tmp_path / "exp" / "results.csv").exists()
-        code = self.run_requests_file(tmp_path, net, reqs, "--coeffs", str(coeffs),
-                                      "--greedy-pads")
         assert code == 0
         with open(tmp_path / "exp" / "results.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 1

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmway.energy import (
+    PAD_EXHAUSTIVE_CAP,
     SPARE_BATTERY_WEIGHT_KG,
     SUPPORT_CAPACITY_FACTOR,
     Drone,
@@ -147,7 +148,7 @@ class TestPadSchedule:
     def test_queues_serve_in_input_order(self):
         s = pad_schedule([5.0, 1.0, 5.0], 1)
         assert s.queues == ((0, 1, 2),)
-        assert s.intervals == {0: (0.0, 5.0), 1: (5.0, 6.0), 2: (6.0, 11.0)}
+        assert s.node_time == 11.0
 
     def test_ties_take_the_lexicographically_smallest_assignment(self):
         s = pad_schedule([10.0, 10.0], 2)
@@ -157,7 +158,6 @@ class TestPadSchedule:
         s = pad_schedule([], 3)
         assert s.queues == ((), (), ())
         assert s.node_time == 0.0
-        assert s.intervals == {}
 
     def test_zero_duration_entries(self):
         s = pad_schedule([0.0, 0.0, 6.0], 2)
@@ -169,22 +169,13 @@ class TestPadSchedule:
         with pytest.raises(ValueError):
             pad_schedule([-1.0], 1)
 
-    def test_exhaustive_cap_refuses_large_inputs(self):
-        times = [float(i + 1) for i in range(13)]
-        with pytest.raises(ValueError, match="greedy=True"):
-            pad_schedule(times, 2)
-        s = pad_schedule(times, 2, greedy=True)
-        assert s.node_time >= sum(times) / 2
-
-    def test_intervals_partition_each_pad(self):
-        s = pad_schedule([7.0, 3.0, 9.0, 2.0, 4.0], 2)
-        for queue in s.queues:
-            clock = 0.0
-            for drone in queue:
-                start, end = s.intervals[drone]
-                assert start == clock
-                clock = end
-        assert s.node_time == max(e for _, e in s.intervals.values())
+    def test_beyond_the_cap_takes_the_lpt_queues(self):
+        # LPT loads 3+2+2 | 3+2; the optimum is 3+3 | 2+2+2 = 6
+        times = (3.0, 3.0, 2.0, 2.0, 2.0) + (0.0,) * 8
+        assert len(times) == PAD_EXHAUSTIVE_CAP + 1
+        s = pad_schedule(list(times), 2)
+        assert s.queues == _queues(_greedy_assignment(times, 2), 2)
+        assert s.node_time == 7.0
 
     def test_matches_brute_force(self):
         import random
@@ -205,7 +196,7 @@ class TestPadSchedule:
     @settings(max_examples=60, deadline=None)
     def test_never_worse_than_greedy(self, times, pads):
         exact = pad_schedule(times, pads).node_time
-        # pad_schedule's LPT fallback, which it only takes above the cap
+        # the LPT queues, which pad_schedule takes above the cap
         times = tuple(times)
         greedy = _makespan(_queues(_greedy_assignment(times, pads), pads), times)
         assert exact <= greedy
@@ -214,7 +205,7 @@ class TestPadSchedule:
         times = [13.25, 4.5, 22.0, 9.75, 13.25]
         a = pad_schedule(times, 3)
         b = pad_schedule(times, 3)
-        assert a.queues == b.queues and a.intervals == b.intervals
+        assert a.queues == b.queues and a.node_time == b.node_time
 
 
 BAND = 1.0 + 1e-9
@@ -309,6 +300,11 @@ class TestDroneTypes:
     def test_spec_rejects_nonpositive_fields(self):
         with pytest.raises(ValueError, match="cruise_speed"):
             DroneSpec(cruise_speed=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_spec_rejects_nonfinite_fields(self, value):
+        with pytest.raises(ValueError, match="inflight_share_rate"):
+            DroneSpec(inflight_share_rate=value)
 
     def test_delivery_drone(self):
         spec = DroneSpec()

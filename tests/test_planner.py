@@ -256,8 +256,9 @@ class TestFeasibleLeg:
             ShareConfig("pb", gamma=1.5)
         with pytest.raises(ValueError):
             ShareConfig("pb", delta_frac=1.0)
-        with pytest.raises(ValueError):
-            ShareConfig("fb", quantum=0.0)
+        for quantum in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="quantum"):
+                ShareConfig("fb", quantum=quantum)
 
 
 # the floor the grid check tolerates, and a few ulps either side of it
@@ -607,7 +608,7 @@ class TestStaticBaselines:
 class TestStaticCostsMatchPadSchedule:
     """Every edge cost equals tt plus pad_schedule's makespan, bit for bit."""
 
-    def reference(self, swarm, net, model, greedy_pads=False):
+    def reference(self, swarm, net, model):
         out = {}
         for seg in net.segments:
             tt = travel_time(seg.distance_m, model.spec.cruise_speed)
@@ -622,8 +623,7 @@ class TestStaticCostsMatchPadSchedule:
                                      sector) * tt / model.spec.pad_charge_rate
                     for d in swarm.drones
                 ]
-                out[(a, b)] = tt + pad_schedule(times, pads,
-                                                greedy=greedy_pads).node_time
+                out[(a, b)] = tt + pad_schedule(times, pads).node_time
         return out
 
     def random_world(self, rng, n_nodes=8):
@@ -644,9 +644,9 @@ class TestStaticCostsMatchPadSchedule:
         drones += [make_support_drone(len(payloads) + k, spec) for k in range(supports)]
         return swarm_of(drones, kind)
 
-    def assert_identical(self, swarm, net, model, greedy_pads=False):
-        got = static_edge_costs(swarm, net, model, greedy_pads)
-        want = self.reference(swarm, net, model, greedy_pads)
+    def assert_identical(self, swarm, net, model):
+        got = static_edge_costs(swarm, net, model)
+        want = self.reference(swarm, net, model)
         assert got == want
         assert {k: repr(v) for k, v in got.items()} == \
             {k: repr(v) for k, v in want.items()}
@@ -693,10 +693,7 @@ class TestStaticCostsMatchPadSchedule:
         })
         model = EnergyModel(DroneSpec(), table)
         swarm = self.swarm([rng.uniform(0.0, 1.4) for _ in range(13)])
-        net = self.random_world(rng)
-        with pytest.raises(ValueError, match="exhaustive cap"):
-            static_edge_costs(swarm, net, model)
-        self.assert_identical(swarm, net, model, greedy_pads=True)
+        self.assert_identical(swarm, self.random_world(rng), model)
 
 
 class TestStopsMatchPadSchedule:
@@ -726,8 +723,8 @@ class TestStopsMatchPadSchedule:
         searches = []
         full_recharge = planner._full_recharge
 
-        def recorded(swarm, leg, node, model, cache, greedy=False):
-            visit = full_recharge(swarm, leg, node, model, cache, greedy)
+        def recorded(swarm, leg, node, model, cache):
+            visit = full_recharge(swarm, leg, node, model, cache)
             times = [(d.capacity - leg.batteries_after[d.id]) / model.spec.pad_charge_rate
                      for d in swarm.drones]
             stops.append((visit, pad_schedule(times, node.pads)))

@@ -1,6 +1,7 @@
 """Swarm sizing, formation selection, and slot assignment."""
 
 import itertools
+import math
 
 import pytest
 
@@ -58,21 +59,14 @@ class TestFailureEstimate:
         inputs = FailureInputs(1.0, 1.0, 1.0, 1.0)
         assert failure_probability(inputs, 50.0) == 100.0
 
-    def test_weights_multiply_in(self):
-        inputs = FailureInputs(0.5, 0.5, 1.0, 0.5, weights=(2.0, 1.0, 1.0, 1.0))
-        assert failure_probability(inputs, 1.0) == 2.0 * failure_probability(
-            FailureInputs(0.5, 0.5, 1.0, 0.5), 1.0
-        )
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             FailureInputs(1.1, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             FailureInputs(0.5, -0.1, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            FailureInputs(0.5, 0.5, 0.5, 0.5, weights=(0.0, 1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            failure_probability(FailureInputs(0.5, 0.5, 0.5, 0.5), 0.0)
+        for scale in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scale"):
+                failure_probability(FailureInputs(0.5, 0.5, 0.5, 0.5), scale)
 
     def test_redundancy_bands(self):
         assert redundancy_count(0.0, 5) == 1
