@@ -132,9 +132,6 @@ class MetricsTable:
     bin_width_km: float
     groups: dict[tuple[str, str], GroupMetrics]
 
-    def group(self, strategy: str, positioning: str = "none") -> GroupMetrics:
-        return self.groups[(strategy, positioning)]
-
 
 def bin_metrics(rows, bin_width_km: float = 0.5) -> MetricsTable:
     """Aggregate result rows into per-group, per-distance-bin statistics.

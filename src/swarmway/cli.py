@@ -111,6 +111,10 @@ def _load_or_synthesize(network_path, synth_nodes, seed):
     if not network_path:
         return largest_connected_component(synthesize_network(synth_nodes, seed))
     net = load_network(network_path)
+    if len(net.nodes) < 2:
+        raise NetworkFormatError(
+            f"{network_path}: {len(net.nodes)} node(s); requests need at least 2"
+        )
     for seg in net.segments:
         if seg.wind is None:
             raise NetworkFormatError(

@@ -569,7 +569,11 @@ def static_dijkstra(net: SkywayNetwork, costs, source: int) -> PathTree:
 
 
 def floyd_warshall_tables(net: SkywayNetwork, costs):
-    """All-pairs static costs and successor table, vectorized over nodes."""
+    """All-pairs static costs and successor table, vectorized over nodes.
+
+    Pivot ``k`` relaxes only the rows that reach ``k`` and the columns
+    that ``k`` reaches; the tables equal the textbook triple loop's.
+    """
     ids = sorted(net.nodes)
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
@@ -584,10 +588,25 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
     cand = np.empty((n, n))
     mask = np.empty((n, n), dtype=bool)
     for k in range(n):
-        np.add(dist[:, k, None], dist[None, k, :], out=cand)
-        np.less(cand, dist, out=mask)
-        np.copyto(dist, cand, where=mask)
-        np.copyto(nxt, nxt[:, k, None], where=mask)
+        # A cell whose row cannot reach k, or whose column k cannot reach,
+        # has candidate inf (or nan), which never passes the strict <, so
+        # skipping it changes nothing.  Column k does not change during
+        # pivot k, so nxt[:, k] can be read while the pivot writes.
+        # Below half the rows, gather that block and scatter what improves;
+        # above it, the dense in-place pass is cheaper.
+        rows = np.flatnonzero(dist[:, k] < np.inf)
+        if 2 * len(rows) < n:
+            cols = np.flatnonzero(dist[k] < np.inf)
+            sub = dist[rows, k, None] + dist[k, cols]
+            r, c = np.nonzero(sub < dist[np.ix_(rows, cols)])
+            i, j = rows[r], cols[c]
+            dist[i, j] = sub[r, c]
+            nxt[i, j] = nxt[i, k]
+        else:
+            np.add(dist[:, k, None], dist[None, k, :], out=cand)
+            np.less(cand, dist, out=mask)
+            np.copyto(dist, cand, where=mask)
+            np.copyto(nxt, nxt[:, k, None], where=mask)
     return ids, dist, nxt
 
 

@@ -158,7 +158,7 @@ class TestBinMetrics:
             result_row(distance_m=500.0, dt_min=8.0, nt_min=0.0),
             result_row(distance_m=600.0, dt_min=10.0, nt_min=0.0),
         ]
-        g = bin_metrics(rows, 0.5).group("baseline")
+        g = bin_metrics(rows, 0.5).groups[("baseline", "none")]
         assert sorted(g.bins) == [0, 1]
         assert g.bins[0].rows == 2 and g.bins[0].successes == 2
         assert g.bins[1].rows == 2
@@ -167,7 +167,7 @@ class TestBinMetrics:
 
     def test_all_failed_bin_reports_nan_not_zero(self):
         rows = [result_row(status="stuck", dt_min=0.0, nt_min=0.0)]
-        g = bin_metrics(rows, 0.5).group("baseline")
+        g = bin_metrics(rows, 0.5).groups[("baseline", "none")]
         assert g.successes == 0
         assert math.isnan(g.mean_dt) and math.isnan(g.mean_nt)
         only_bin = g.bins[2]
@@ -176,7 +176,7 @@ class TestBinMetrics:
 
     def test_single_success_mean_is_exact(self):
         rows = [result_row(dt_min=7.25, nt_min=1.75)]
-        g = bin_metrics(rows, 0.5).group("baseline")
+        g = bin_metrics(rows, 0.5).groups[("baseline", "none")]
         assert g.mean_dt == 7.25
         assert g.mean_nt == 1.75
         assert g.mean_runtime_ms == 1.0
@@ -186,7 +186,7 @@ class TestBinMetrics:
             result_row(dt_min=10.0, runtime_ms=2.0),
             result_row(status="stuck", dt_min=0.0, runtime_ms=4.0),
         ]
-        g = bin_metrics(rows, 0.5).group("baseline")
+        g = bin_metrics(rows, 0.5).groups[("baseline", "none")]
         assert g.rows == 2 and g.successes == 1
         assert g.mean_dt == 10.0
         assert g.mean_runtime_ms == 3.0
@@ -194,7 +194,7 @@ class TestBinMetrics:
     def test_infinite_distance_skips_binning(self):
         rows = [result_row(status="unreachable", distance_m=math.inf,
                            dt_min=0.0)]
-        g = bin_metrics(rows, 0.5).group("baseline")
+        g = bin_metrics(rows, 0.5).groups[("baseline", "none")]
         assert g.rows == 1
         assert g.bins == {}
 
@@ -207,7 +207,7 @@ class TestBinMetrics:
         assert set(table.groups) == {
             ("pb", "location-aware"), ("pb", "energy-aware"),
         }
-        assert table.group("pb", "location-aware").rows == 1
+        assert table.groups[("pb", "location-aware")].rows == 1
 
     def test_empty_rows_empty_table(self):
         table = bin_metrics([], 0.5)
@@ -277,7 +277,7 @@ class TestRunExperiment:
         _, metrics = sweep
         assert set(metrics.groups) == set(
             sweep_configurations(ExperimentConfig()))
-        g = metrics.group("baseline")
+        g = metrics.groups[("baseline", "none")]
         assert g.rows == 2 and g.successes == 1
         assert g.mean_dt == 4.0
         # the reachable request lands in the [4.0, 4.5) km bin
@@ -474,6 +474,19 @@ class TestCli:
         assert main(["run", "--network", str(bad),
                      "--out", str(tmp_path), "--quiet"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "calibrate-scale"])
+    @pytest.mark.parametrize("nodes", ["", "0,0,0,2\n"])
+    def test_network_with_fewer_than_two_nodes_exits_3(self, tmp_path, capsys,
+                                                        command, nodes):
+        net = tmp_path / "net.csv"
+        net.write_text(f"nodes\n{nodes}segments\n")
+        extra = ["--out", str(tmp_path / "exp"), "--quiet"] if command == "run" else []
+        assert main([command, "--network", str(net), "--requests", "2", *extra]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {net}: " in err
+        assert "at least 2" in err
+        assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("nodes, segment, message", [
         ("0,nan,0,2", "0,1,1000.0,3.0,10.0", "node 0: coordinates must be finite"),

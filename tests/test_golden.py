@@ -14,11 +14,21 @@ from dataclasses import replace
 
 import pytest
 
-from swarmway.bench import run_experiment, write_results
-from swarmway.energy import EnergyModel
+from swarmway.bench import ExperimentConfig, run_experiment, write_results
+from swarmway.energy import DroneSpec, EnergyModel
 from swarmway.formations import default_table
-from swarmway.network import shortest_path_tree
-from swarmway.planner import ShareConfig, compose
+from swarmway.network import (
+    largest_connected_component,
+    shortest_path_tree,
+    synthesize_network,
+    synthesize_requests,
+)
+from swarmway.planner import (
+    ShareConfig,
+    compose,
+    floyd_warshall_tables,
+    static_edge_costs,
+)
 from swarmway.preflight import (
     POSITIONING_SETTINGS,
     build_swarm,
@@ -81,3 +91,61 @@ def test_slice_exercises_in_flight_swaps(golden_world, strategy):
             plan = compose(swarm, net, req, model, share=share, tree=tree)
             swapped += sum(1 for leg in plan.legs if leg.plan and leg.plan.swaps)
     assert swapped > 0
+
+
+# sha256 of dist.tobytes() + nxt.tobytes() for the Floyd tables of the
+# first requests of the CLI world (request seed 0, ExperimentConfig()
+# defaults).  The untrimmed network has several components, so some rows
+# stay inf through the last pivot.
+FLOYD_REQUESTS = 5
+FLOYD_DIGESTS = {
+    "trimmed": [
+        "74b758d9c90c7292d0f1b2906690e7b89de65f224ad939808dbcc344bbf6f7e3",
+        "0f66c8e776bdeb3fbfa76fb539a6be03cc9125569594fe4521f81f35c03fd46b",
+        "36564f13c9dd8e3f0d9fa2ed52d1a2ee5c054e53e435f15266f4a20789a7f643",
+        "d55a11d79104eaac5aa28fd1331eecbcd50687aa3e2fc2111d130f53533120ea",
+        "6a97f7a34be6986435a44e7bc7b92f220c9f049c8b08f7a7c260186c6404c4b5",
+    ],
+    "untrimmed": [
+        "6464465b738984fae4d2665eef0e8604a3e19195bf70363256fd6f99449a5507",
+        "26912c91deadf0ff92446dcc0e924dc0962a604b48c35c654283292e43b74477",
+        "4d762a34c10dfa47501218f175d9c2d96bc67d35cc3c3961bfa5bd04907b1637",
+        "963f733a12a4e27b5238e0c64655f11cc1dccf4d3faeb36d729f32209ad842d0",
+        "0ca8a97e1548cdb4fc3b81712de5bf2c6a232569b9d531cc09af7ce6defd812b",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def floyd_inputs():
+    full = synthesize_network(276, 0)
+    net = largest_connected_component(full)
+    requests = synthesize_requests(net, FLOYD_REQUESTS, 0)
+    cfg = ExperimentConfig()
+    base = DroneSpec()
+    spec = replace(base, inflight_share_rate=cfg.share_rate,
+                   pad_charge_rate=base.battery_capacity / cfg.pad_minutes)
+    model = EnergyModel(spec, default_table())
+    diameter = network_diameter(net)
+    swarms = []
+    for req in requests:
+        tree = shortest_path_tree(net, req.destination)
+        path = tree.path_to_root(req.source)
+        swarms.append(build_swarm(
+            req, model, positioning="location-aware", include_support=False,
+            route_wind=route_average_wind(net, path),
+            route_heading=net.heading(req.source, req.destination),
+            route_distance_m=tree.distance(req.source), diameter_m=diameter,
+            failure_scale=cfg.failure_scale))
+    return {"trimmed": net, "untrimmed": full}, swarms, model
+
+
+@pytest.mark.parametrize("network", sorted(FLOYD_DIGESTS))
+def test_floyd_tables_match_golden_digests(floyd_inputs, network):
+    nets, swarms, model = floyd_inputs
+    net = nets[network]
+    got = []
+    for swarm in swarms:
+        _, dist, nxt = floyd_warshall_tables(net, static_edge_costs(swarm, net, model))
+        got.append(hashlib.sha256(dist.tobytes() + nxt.tobytes()).hexdigest())
+    assert got == FLOYD_DIGESTS[network]

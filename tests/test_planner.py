@@ -744,7 +744,10 @@ class TestStopsMatchPadSchedule:
 
 
 def reference_floyd(net, costs):
-    """Textbook triple-loop Floyd-Warshall with a successor table."""
+    """Textbook triple-loop Floyd-Warshall with a successor table.
+
+    Also returns how many pivots fewer than half the rows could reach.
+    """
     ids = sorted(net.nodes)
     index = {nid: i for i, nid in enumerate(ids)}
     n = len(ids)
@@ -755,35 +758,68 @@ def reference_floyd(net, costs):
         if w < dist[i][j]:
             dist[i][j] = w
             nxt[i][j] = j
+    sparse_pivots = 0
     for k in range(n):
+        if 2 * sum(dist[i][k] < math.inf for i in range(n)) < n:
+            sparse_pivots += 1
         for i in range(n):
             for j in range(n):
                 cand = dist[i][k] + dist[k][j]
                 if cand < dist[i][j]:
                     dist[i][j] = cand
                     nxt[i][j] = nxt[i][k]
-    return ids, dist, nxt
+    return ids, dist, nxt, sparse_pivots
+
+
+def dense_world(rng):
+    """Up to 12 nodes, each pair linked with probability 0.4."""
+    n = rng.randint(2, 12)
+    nodes = [Node(10 * i + 3, float(i), 0.0, 1) for i in range(n)]
+    pairs = [(a.id, b.id) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+             if rng.random() < 0.4]
+    return nodes, pairs
+
+
+def sparse_world(rng):
+    """Up to 40 nodes with scattered ids: a chain, or a forest of trees
+    with a few chords each."""
+    n = rng.randint(2, 40)
+    ids = rng.sample(range(1000), n)
+    nodes = [Node(nid, float(i), 0.0, 1) for i, nid in enumerate(ids)]
+    if rng.random() < 0.3:
+        return nodes, list(zip(ids, ids[1:]))
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 3))))
+    pairs = set()
+    for comp in (ids[a:b] for a, b in zip([0, *cuts], [*cuts, n])):
+        for i in range(1, len(comp)):
+            pairs.add(frozenset((comp[i], rng.choice(comp[:i]))))
+        for _ in range(rng.randint(0, 2) if len(comp) > 2 else 0):
+            pairs.add(frozenset(rng.sample(comp, 2)))
+    return nodes, [tuple(sorted(p)) for p in pairs]
 
 
 class TestFloydWarshallTables:
     def test_matches_the_triple_loop_including_tie_breaks(self):
-        # small integer costs make equal-cost alternatives common
+        # small integer costs make equal-cost alternatives common, and one
+        # inf direction leaves a pair reachable one way only
         rng = random.Random(17)
-        for _ in range(60):
-            n = rng.randint(2, 12)
-            nodes = [Node(10 * i + 3, float(i), 0.0, 1) for i in range(n)]
-            segs = [Segment(a.id, b.id, 1000.0, CALM)
-                    for i, a in enumerate(nodes) for b in nodes[i + 1:]
-                    if rng.random() < 0.4]
-            net = SkywayNetwork(nodes, segs)
+        sparse_pivots = pivots = 0
+        for world in [dense_world] * 60 + [sparse_world] * 80:
+            nodes, pairs = world(rng)
+            net = SkywayNetwork(nodes, [Segment(a, b, 1000.0, CALM) for a, b in pairs])
             costs = {}
-            for seg in segs:
-                for a, b in ((seg.u, seg.v), (seg.v, seg.u)):
-                    costs[(a, b)] = (math.inf if rng.random() < 0.2
-                                     else float(rng.randint(1, 4)))
+            for a, b in pairs:
+                for edge in ((a, b), (b, a)):
+                    costs[edge] = (math.inf if rng.random() < 0.2
+                                   else float(rng.randint(1, 4)))
             ids, dist, nxt = floyd_warshall_tables(net, costs)
-            want_ids, want_dist, want_nxt = reference_floyd(net, costs)
+            want_ids, want_dist, want_nxt, sparse = reference_floyd(net, costs)
             assert ids == want_ids
             assert nxt.dtype == np.int64
             assert np.array_equal(dist, np.array(want_dist))
             assert np.array_equal(nxt, np.array(want_nxt))
+            if world is sparse_world:
+                sparse_pivots += sparse
+                pivots += len(ids)
+        # most pivots of the sparse worlds take the gathered path
+        assert sparse_pivots > pivots / 2
