@@ -62,10 +62,8 @@ from .preflight import (
 )
 from .sharing import (
     EnergyOffer,
-    EnergyRequest,
     SharingPlan,
     fb_compose,
-    generate_requests,
     pb_compose,
 )
 

@@ -236,10 +236,7 @@ def main(argv=None) -> int:
             _cmd_synth(args)
         else:
             _cmd_calibrate(args)
-    except NetworkFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (NetworkFormatError, OSError) as exc:  # before ValueError, its base
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

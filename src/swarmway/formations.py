@@ -127,8 +127,9 @@ class CoefficientTable:
                 raise ValueError(f"unknown wind sector {sector!r}")
             if slot < 0:
                 raise ValueError(f"negative slot {slot}")
-            if coeff <= 0:
-                raise ValueError(f"coefficient for {(kind, slot, sector)} must be > 0")
+            if not 0 < coeff < math.inf:
+                raise ValueError(f"coefficient for {(kind, slot, sector)} must be "
+                                 f"finite and > 0, got {coeff}")
         self._values = dict(values)
 
     def coefficient(self, kind: str, slot: int, sector: str) -> float:

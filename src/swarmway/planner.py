@@ -340,7 +340,7 @@ def _share_block(block, before, rates, tt, share, model, swaps):
         consumer_ids=block.consumers,
         share_rate=model.spec.inflight_share_rate,
     )
-    offer = EnergyOffer(p, ae, 0.0, tt)
+    offer = EnergyOffer(p, ae)
     if share.strategy == "pb":
         return pb_compose(ctx, offer, (0.0, tt), share.gamma, swaps=swaps)
     return fb_compose(ctx, offer, (0.0, tt), share.quantum, reserve, swaps=swaps)

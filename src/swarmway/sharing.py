@@ -12,13 +12,16 @@ touch the swarm.
 
 Two composition policies are provided:
 
-* ``pb_compose`` serves whole requests, neediest first: requests sort by
-  start time then descending amount, and each one is delivered in full
-  (truncated only by the segment end).
-* ``fb_compose`` ignores requests and cycles over all delivery drones in
-  id order, granting a fixed quantum per turn while the provider keeps a
-  reserve; a turn may start any time before the window closes and its
-  transfer then completes even if the recorded interval is clipped.
+* ``pb_compose`` serves whole requests, neediest first.  It files them
+  itself: whenever the provider is free, each delivery drone below the
+  gamma threshold without an open request asks for a full refill.
+  Requests sort by filing time, then descending amount, then drone id,
+  and each one is delivered in full (truncated only by the segment end).
+* ``fb_compose`` has no requests: it cycles in id order over every
+  delivery drone that has room, granting a fixed quantum per turn while
+  the provider keeps a reserve; a turn may start any time before the
+  window closes and its transfer then completes even if the recorded
+  interval is clipped.
 
 All times are minutes relative to the segment window.  Batteries may go
 negative in the returned state; judging feasibility is the planner's job.
@@ -30,36 +33,15 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class EnergyRequest:
-    """A delivery drone asking for ``amount`` mAh inside [start, end]."""
-
-    id: int
-    drone_id: int
-    amount: float
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if self.amount <= 0:
-            raise ValueError(f"request {self.id}: amount must be > 0")
-        if not self.start < self.end:
-            raise ValueError(f"request {self.id}: empty window [{self.start}, {self.end}]")
-
-
-@dataclass
 class EnergyOffer:
     """Energy a support drone can spare over a segment window."""
 
     provider_id: int
     energy: float
-    start: float
-    end: float
 
     def __post_init__(self):
         if self.energy < 0:
             raise ValueError(f"offer energy must be >= 0, got {self.energy}")
-        if not self.start < self.end:
-            raise ValueError(f"offer window [{self.start}, {self.end}] is empty")
 
 
 @dataclass(frozen=True)
@@ -180,42 +162,6 @@ def _fb_idle(batteries, capacities, consumer_ids, offer_energy: float,
             or all(capacities[c] - batteries[c] <= 0 for c in consumer_ids))
 
 
-def generate_requests(
-    batteries: dict[int, float],
-    capacities: dict[int, float],
-    gamma: float,
-    now: float,
-    segment_end: float,
-    *,
-    open_ids: frozenset[int] = frozenset(),
-    start_id: int = 0,
-) -> list[EnergyRequest]:
-    """File a top-up request for every drone strictly below gamma * capacity.
-
-    Drones listed in ``open_ids`` already have a live request and are
-    passed over.  Requests ask for a full refill as of ``now``.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma {gamma} outside [0, 1]")
-    if now >= segment_end:
-        return []
-    out = []
-    next_id = start_id
-    for drone_id in sorted(batteries):
-        if drone_id in open_ids:
-            continue
-        if _wants_topup(batteries[drone_id], capacities[drone_id], gamma):
-            out.append(EnergyRequest(
-                id=next_id,
-                drone_id=drone_id,
-                amount=capacities[drone_id] - batteries[drone_id],
-                start=now,
-                end=segment_end,
-            ))
-            next_id += 1
-    return out
-
-
 def _transfer(state, plan, swaps, provider_id, consumer_id, amount, start, end):
     """Step from ``start`` to ``end`` while ``amount`` flows to the consumer.
 
@@ -240,72 +186,67 @@ def pb_compose(
     window: tuple[float, float],
     gamma: float,
     *,
-    requests: list[EnergyRequest] | None = None,
     swaps: dict[int, SwapPlan | None] | None = None,
 ) -> ShareResult:
-    """Serve requests fully, ordered by start time then largest amount.
+    """Serve requests fully, earliest filed first, then largest amount.
 
-    The provider handles one request at a time; a request is eligible
-    once service can start inside both its own window and the segment
-    window, and only if its full amount still fits the offer.  A service
-    running into the segment end is cut there with a proportional
-    amount.  New requests are generated after each completed allocation.
-    ``swaps`` maps a consumer to the slot swap its transfers need.
+    Whenever the provider is free, every delivery drone strictly below
+    ``gamma`` of its capacity without an open request files one for a
+    full refill as of that moment, scanning drones in id order.  The
+    provider serves one request at a time, the first in order whose
+    full amount still fits the offer; a request keeps the amount it was
+    filed with while it waits.  A service running into the window end
+    is cut there with a proportional amount.  ``swaps`` maps a consumer
+    to the slot swap its transfers need.
+
+    Requests are plain ``(filed at, amount, drone id)`` tuples:
+
+    * every filing happens at ``free``, the end of the last transfer, so
+      service always starts at ``free`` and the window end is the only
+      time gate;
+    * the battery state already stands at ``free`` when a transfer
+      starts, so no drain step comes before it;
+    * filings are appended in filing order and each scans drones in id
+      order, so a stable sort on (filed at, -amount) breaks ties in
+      filing order, lowest drone id first within one filing.
     """
     w_start, w_end = window
     if not w_start < w_end:
         raise ValueError(f"empty window [{w_start}, {w_end}]")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma {gamma} outside [0, 1]")
     state = _LegState(ctx, w_start)
     plan = SharingPlan(provider_given={offer.provider_id: 0.0},
                        consumer_gained={c: 0.0 for c in ctx.consumer_ids})
-    consumer_caps = {c: ctx.capacities[c] for c in ctx.consumer_ids}
-    if requests is not None:
-        pending = list(requests)
-    else:
-        pending = generate_requests(
-            {c: state.b[c] for c in ctx.consumer_ids}, consumer_caps,
-            gamma, w_start, w_end,
-        )
-    next_id = max((er.id for er in pending), default=-1) + 1
+    caps = ctx.capacities
+    order = sorted(set(ctx.consumer_ids))
+    pending = []  # (filed at, amount, drone id)
     given = 0.0
     free = w_start
-    while True:
-        pending.sort(key=lambda er: (er.start, -er.amount, er.id))
-        chosen = None
-        for er in pending:
-            start = max(er.start, free)
-            if start >= er.end or start >= w_end:
-                continue
-            if er.amount > offer.energy - given:
-                continue
-            chosen = er
+    while free < w_end:
+        filed = {drone for _, _, drone in pending}
+        for c in order:
+            if c not in filed and _wants_topup(state.b[c], caps[c], gamma):
+                pending.append((free, caps[c] - state.b[c], c))
+        pending.sort(key=lambda r: (r[0], -r[1]))
+        pick = next((i for i, r in enumerate(pending)
+                     if not r[1] > offer.energy - given), None)
+        if pick is None:
             break
-        if chosen is None:
-            break
-        pending.remove(chosen)
-        start = max(chosen.start, free)
-        end = start + chosen.amount / ctx.share_rate
-        amount = chosen.amount
+        _, amount, drone = pending.pop(pick)
+        start = free
+        end = start + amount / ctx.share_rate
         if end > w_end:
             end = w_end
             amount = ctx.share_rate * (end - start)
-        state.advance(start)
-        _transfer(state, plan, swaps, offer.provider_id, chosen.drone_id, amount,
-                  start, end)
+        _transfer(state, plan, swaps, offer.provider_id, drone, amount, start, end)
         plan.allocations.append(
-            Allocation(offer.provider_id, chosen.drone_id, start, end - start, amount)
+            Allocation(offer.provider_id, drone, start, end - start, amount)
         )
         given += amount
         plan.provider_given[offer.provider_id] = given
-        plan.consumer_gained[chosen.drone_id] += amount
+        plan.consumer_gained[drone] += amount
         free = end
-        pending.extend(generate_requests(
-            {c: state.b[c] for c in ctx.consumer_ids}, consumer_caps,
-            gamma, state.t, w_end,
-            open_ids=frozenset(er.drone_id for er in pending),
-            start_id=next_id,
-        ))
-        next_id = max((er.id for er in pending), default=next_id - 1) + 1
     state.advance(w_end)
     return ShareResult(plan, state.b, state.consumed, state.traces)
 

@@ -125,7 +125,7 @@ def test_criterion_2_composers_match_reference_simulator():
             consumer_ids=inst["consumer_ids"],
             share_rate=inst["share_rate"],
         )
-        offer = EnergyOffer(PROVIDER_ID, inst["ae"], *inst["window"])
+        offer = EnergyOffer(PROVIDER_ID, inst["ae"])
         oracle_args = (inst["batteries"], inst["capacities"], inst["rates"],
                        inst["consumer_ids"], PROVIDER_ID, inst["ae"],
                        inst["share_rate"], inst["window"])

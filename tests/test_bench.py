@@ -543,6 +543,23 @@ class TestCli:
         assert "line 1: request 0: weight nan must be finite" in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_coefficient_exits_3(self, tmp_path, capsys, value):
+        net, reqs = self.requests_file(tmp_path)
+        coeffs = tmp_path / "coeffs.csv"
+        table = default_table()
+        cells = {(kind, slot, sector): repr(table.coefficient(kind, slot, sector))
+                 for kind in FORMATION_KINDS for slot in range(12) for sector in WIND_SECTORS}
+        cells[("vee", 1, "head")] = value
+        coeffs.write_text("".join(f"{k},{s},{w},{c}\n" for (k, s, w), c in cells.items()))
+        code = main(["run", "--network", str(net), "--requests-file", str(reqs),
+                     "--strategies", "baseline,dijkstra", "--out", str(tmp_path / "exp"),
+                     "--quiet", "--coeffs", str(coeffs)])
+        assert code == 3
+        assert (f"coefficient for ('vee', 1, 'head') must be finite and > 0, got {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "exp").exists()
+
     def test_malformed_coefficients_exit_3(self, tmp_path, capsys):
         net, reqs = self.requests_file(tmp_path)
         coeffs = tmp_path / "coeffs.csv"

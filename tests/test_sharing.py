@@ -1,4 +1,4 @@
-"""Energy request generation, both sharing composers, and slot swaps."""
+"""How pb_compose files its own requests, both sharing composers, and slot swaps."""
 
 import math
 import random
@@ -12,13 +12,11 @@ from swarmway.formations import make_formation
 from swarmway.preflight import Swarm
 from swarmway.sharing import (
     EnergyOffer,
-    EnergyRequest,
     ShareContext,
     SwapEvent,
     _fb_idle,
     _pb_idle,
     fb_compose,
-    generate_requests,
     pb_compose,
     reorder_fixed,
 )
@@ -38,47 +36,58 @@ def make_ctx(inst):
 
 
 def make_offer(inst):
-    w0, w1 = inst["window"]
-    return EnergyOffer(inst["provider_id"], inst["ae"], w0, w1)
+    return EnergyOffer(inst["provider_id"], inst["ae"])
 
 
 class TestGenerateRequests:
-    CAPS = {1: 4096.0, 2: 4096.0}
+    """pb_compose files its own requests; these pin when and for how much."""
+
+    def serve(self, batteries, gamma, *, rates=None, window=(0.0, 10.0),
+              share_rate=1024.0):
+        ctx = ShareContext(
+            batteries={**batteries, 9: 65536.0},
+            capacities={1: 4096.0, 2: 4096.0, 9: 65536.0},
+            rates={1: 0.0, 2: 0.0, 9: 0.0, **(rates or {})},
+            consumer_ids=[1, 2],
+            share_rate=share_rate,
+        )
+        return pb_compose(ctx, EnergyOffer(9, 65536.0), window, gamma)
 
     def test_threshold_is_strict(self):
         # 0.75 * 4096 = 3072 exactly in binary
-        below = generate_requests({1: 3071.5, 2: 3072.0}, self.CAPS, 0.75, 0.0, 10.0)
-        assert [er.drone_id for er in below] == [1]
-        assert below[0].amount == 4096.0 - 3071.5
-        assert below[0].start == 0.0 and below[0].end == 10.0
+        res = self.serve({1: 3071.5, 2: 3072.0}, 0.75)
+        assert [(a.consumer, a.start, a.amount) for a in res.plan.allocations] == \
+            [(1, 0.0, 4096.0 - 3071.5)]
 
     def test_full_battery_files_nothing(self):
-        assert generate_requests({1: 4096.0}, self.CAPS, 0.8, 0.0, 10.0) == []
+        res = self.serve({1: 4096.0, 2: 4096.0}, 1.0)
+        assert res.plan.allocations == []
 
     def test_open_requests_not_duplicated(self):
-        out = generate_requests({1: 100.0, 2: 100.0}, self.CAPS, 0.75, 0.0, 10.0,
-                                open_ids=frozenset({1}))
-        assert [er.drone_id for er in out] == [2]
+        # drone 1 waits through drone 2's larger refill; filing it again at
+        # minute 3 would serve it a second time and overfill it
+        res = self.serve({1: 2048.0, 2: 1024.0}, 0.75)
+        got = [(a.consumer, a.start, a.amount) for a in res.plan.allocations]
+        assert got == [(2, 0.0, 3072.0), (1, 3.0, 2048.0)]
+        assert res.batteries_after[1] == 4096.0
 
     def test_closed_window_files_nothing(self):
-        assert generate_requests({1: 100.0}, self.CAPS, 0.75, 10.0, 10.0) == []
-
-    def test_ids_sequential_over_sorted_drones(self):
-        out = generate_requests({2: 100.0, 1: 100.0}, self.CAPS, 0.75, 0.0, 10.0,
-                                start_id=7)
-        assert [(er.id, er.drone_id) for er in out] == [(7, 1), (8, 2)]
+        # drone 2 drains below 3072 by minute 8, when drone 1's refill ends
+        # the window; nothing is filed or served after that
+        res = self.serve({1: 2048.0, 2: 3584.0}, 0.75, rates={2: 128.0},
+                         window=(0.0, 8.0), share_rate=256.0)
+        assert [(a.consumer, a.start, a.duration, a.amount)
+                for a in res.plan.allocations] == [(1, 0.0, 8.0, 2048.0)]
+        assert res.batteries_after[2] == 3584.0 - 128.0 * 8.0
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            generate_requests({1: 100.0}, self.CAPS, 1.5, 0.0, 10.0)
+        for gamma in (1.5, -0.25):
+            with pytest.raises(ValueError, match="gamma"):
+                self.serve({1: 100.0, 2: 100.0}, gamma)
 
-    def test_request_type_validation(self):
+    def test_offer_validation(self):
         with pytest.raises(ValueError):
-            EnergyRequest(0, 1, 0.0, 0.0, 10.0)
-        with pytest.raises(ValueError):
-            EnergyRequest(0, 1, 50.0, 10.0, 10.0)
-        with pytest.raises(ValueError):
-            EnergyOffer(0, -1.0, 0.0, 10.0)
+            EnergyOffer(0, -1.0)
 
     def test_context_validation(self):
         with pytest.raises(ValueError):
@@ -88,60 +97,48 @@ class TestGenerateRequests:
 
 
 class TestPriorityComposer:
-    def worked_ctx(self):
+    def ctx(self, batteries, rates=None, consumer_ids=(1, 2, 3)):
         return ShareContext(
-            batteries={1: 4180.0, 2: 4280.0, 3: 3880.0, 9: 4000.0},
+            batteries={1: 4480.0, 2: 4480.0, 3: 4480.0, **batteries, 9: 4000.0},
             capacities={1: 4480.0, 2: 4480.0, 3: 4480.0, 9: 4480.0},
-            rates={1: 0.0, 2: 0.0, 3: 0.0, 9: 0.0},
-            consumer_ids=[1, 2, 3],
+            rates={1: 0.0, 2: 0.0, 3: 0.0, 9: 0.0, **(rates or {})},
+            consumer_ids=list(consumer_ids),
             share_rate=10.0,
         )
 
     def test_worked_example(self):
-        requests = [
-            EnergyRequest(0, 1, 300.0, 5.0, 100.0),
-            EnergyRequest(1, 2, 200.0, 5.0, 100.0),
-            EnergyRequest(2, 3, 600.0, 40.0, 100.0),
-        ]
-        res = pb_compose(self.worked_ctx(), EnergyOffer(9, 1000.0, 0.0, 100.0),
-                         (0.0, 100.0), 0.8, requests=requests)
+        # gamma 0.96 puts the threshold at 4300.8: drones 1 and 2 file at
+        # minute 0, drone 3 drains past it and files 600 at minute 30, but
+        # only 500 of the offer is left once drone 2 is served
+        ctx = self.ctx({1: 4180.0, 2: 4280.0}, rates={3: 20.0})
+        res = pb_compose(ctx, EnergyOffer(9, 1000.0), (0.0, 100.0), 0.96)
         got = [(a.consumer, a.start, a.duration, a.amount)
                for a in res.plan.allocations]
-        assert got == [(1, 5.0, 30.0, 300.0), (2, 35.0, 20.0, 200.0)]
+        assert got == [(1, 0.0, 30.0, 300.0), (2, 30.0, 20.0, 200.0)]
         assert res.plan.total_shared == 500.0
         assert res.plan.provider_given == {9: 500.0}
         assert res.plan.consumer_gained == {1: 300.0, 2: 200.0, 3: 0.0}
-        assert res.batteries_after == {1: 4480.0, 2: 4480.0, 3: 3880.0, 9: 3500.0}
+        assert res.batteries_after == {1: 4480.0, 2: 4480.0, 3: 2480.0, 9: 3500.0}
 
     def test_no_requests_means_untouched_batteries(self):
-        ctx = self.worked_ctx()
-        res = pb_compose(ctx, EnergyOffer(9, 1000.0, 0.0, 100.0),
-                         (0.0, 100.0), 0.8, requests=[])
+        # every drone sits above 0.8 * 4480 = 3584
+        ctx = self.ctx({1: 4180.0, 2: 4280.0, 3: 3880.0})
+        res = pb_compose(ctx, EnergyOffer(9, 1000.0), (0.0, 100.0), 0.8)
         assert res.plan.allocations == []
         assert res.batteries_after == ctx.batteries
 
     def test_equal_start_serves_largest_first(self):
-        requests = [
-            EnergyRequest(0, 1, 200.0, 0.0, 100.0),
-            EnergyRequest(1, 2, 300.0, 0.0, 100.0),
-        ]
-        res = pb_compose(self.worked_ctx(), EnergyOffer(9, 1000.0, 0.0, 100.0),
-                         (0.0, 100.0), 0.8, requests=requests)
+        ctx = self.ctx({1: 4280.0, 2: 4180.0})
+        res = pb_compose(ctx, EnergyOffer(9, 1000.0), (0.0, 100.0), 0.99)
         assert [a.consumer for a in res.plan.allocations] == [2, 1]
 
-    def test_full_tie_breaks_by_request_id(self):
-        requests = [
-            EnergyRequest(1, 3, 200.0, 0.0, 100.0),
-            EnergyRequest(0, 2, 200.0, 0.0, 100.0),
-        ]
-        res = pb_compose(self.worked_ctx(), EnergyOffer(9, 1000.0, 0.0, 100.0),
-                         (0.0, 100.0), 0.8, requests=requests)
+    def test_equal_deficits_serve_lowest_drone_id_first(self):
+        ctx = self.ctx({3: 4280.0, 2: 4280.0}, consumer_ids=(3, 2, 1))
+        res = pb_compose(ctx, EnergyOffer(9, 1000.0), (0.0, 100.0), 0.99)
         assert [a.consumer for a in res.plan.allocations] == [2, 3]
 
     def test_truncation_at_window_end(self):
-        requests = [EnergyRequest(0, 1, 300.0, 0.0, 10.0)]
-        res = pb_compose(self.worked_ctx(), EnergyOffer(9, 1000.0, 0.0, 10.0),
-                         (0.0, 10.0), 0.8, requests=requests)
+        res = pb_compose(self.ctx({1: 4180.0}), EnergyOffer(9, 1000.0), (0.0, 10.0), 0.99)
         a = res.plan.allocations[0]
         assert (a.start, a.duration, a.amount) == (0.0, 10.0, 100.0)
         assert res.batteries_after[1] == 4180.0 + 100.0
@@ -156,20 +153,32 @@ class TestPriorityComposer:
             consumer_ids=[1, 2],
             share_rate=128.0,
         )
-        res = pb_compose(ctx, EnergyOffer(7, 4000.0, 0.0, 40.0), (0.0, 40.0), 0.75)
+        res = pb_compose(ctx, EnergyOffer(7, 4000.0), (0.0, 40.0), 0.75)
         got = [(a.consumer, a.start, a.duration, a.amount)
                for a in res.plan.allocations]
         assert got == [(1, 0.0, 16.0, 2048.0), (2, 16.0, 12.0, 1536.0)]
         assert res.batteries_after == {1: 4096.0, 2: 2560.0, 7: 16416.0}
         assert res.consumed == {1: 0.0, 2: 64.0 * 40.0, 7: 0.0}
 
+    def test_unserved_request_keeps_its_filed_amount(self):
+        # c2 files 1024 at minute 0 and drains 256 more while c1 is served;
+        # it is still granted the 1024 it asked for, not its 1280 deficit
+        ctx = ShareContext(
+            batteries={1: 2048.0, 2: 3072.0, 7: 20000.0},
+            capacities={1: 4096.0, 2: 4096.0, 7: 65536.0},
+            rates={1: 0.0, 2: 16.0, 7: 0.0},
+            consumer_ids=[1, 2],
+            share_rate=128.0,
+        )
+        res = pb_compose(ctx, EnergyOffer(7, 4000.0), (0.0, 32.0), 0.9)
+        got = [(a.consumer, a.start, a.duration, a.amount)
+               for a in res.plan.allocations]
+        assert got == [(1, 0.0, 16.0, 2048.0), (2, 16.0, 8.0, 1024.0)]
+        assert res.batteries_after[2] == 3072.0 - 16.0 * 32.0 + 1024.0
+
     def test_unservable_request_skipped_not_fatal(self):
-        requests = [
-            EnergyRequest(0, 1, 900.0, 0.0, 100.0),  # exceeds the offer
-            EnergyRequest(1, 2, 200.0, 0.0, 100.0),
-        ]
-        res = pb_compose(self.worked_ctx(), EnergyOffer(9, 500.0, 0.0, 100.0),
-                         (0.0, 100.0), 0.8, requests=requests)
+        ctx = self.ctx({1: 3580.0, 2: 4280.0})  # drone 1's 900 exceeds the offer
+        res = pb_compose(ctx, EnergyOffer(9, 500.0), (0.0, 100.0), 0.99)
         assert [a.consumer for a in res.plan.allocations] == [2]
 
 
@@ -184,7 +193,7 @@ class TestFairnessComposer:
         )
 
     def test_worked_example_with_clipped_final_round(self):
-        res = fb_compose(self.ctx_two(), EnergyOffer(9, 1000.0, 0.0, 25.0),
+        res = fb_compose(self.ctx_two(), EnergyOffer(9, 1000.0),
                          (0.0, 25.0), 100.0, 0.0)
         got = [(a.consumer, a.start, a.duration, a.amount)
                for a in res.plan.allocations]
@@ -198,24 +207,24 @@ class TestFairnessComposer:
         assert res.batteries_after[9] == 18000.0 - 300.0
 
     def test_provider_at_reserve_grants_nothing(self):
-        res = fb_compose(self.ctx_two(), EnergyOffer(9, 3584.0, 0.0, 25.0),
+        res = fb_compose(self.ctx_two(), EnergyOffer(9, 3584.0),
                          (0.0, 25.0), 100.0, 3584.0)
         assert res.plan.allocations == []
         assert res.plan.provider_given == {9: 0.0}
 
     def test_full_drone_skipped_without_spending_time(self):
-        res = fb_compose(self.ctx_two(b1=4480.0), EnergyOffer(9, 1000.0, 0.0, 25.0),
+        res = fb_compose(self.ctx_two(b1=4480.0), EnergyOffer(9, 1000.0),
                          (0.0, 25.0), 100.0, 0.0)
         assert res.plan.allocations[0].consumer == 2
         assert res.plan.allocations[0].start == 0.0
 
     def test_everyone_full_terminates_with_empty_plan(self):
         res = fb_compose(self.ctx_two(b1=4480.0, b2=4480.0),
-                         EnergyOffer(9, 1000.0, 0.0, 25.0), (0.0, 25.0), 100.0, 0.0)
+                         EnergyOffer(9, 1000.0), (0.0, 25.0), 100.0, 0.0)
         assert res.plan.allocations == []
 
     def test_grant_clamps_to_room_but_turn_costs_full_time(self):
-        res = fb_compose(self.ctx_two(b1=4450.0), EnergyOffer(9, 1000.0, 0.0, 25.0),
+        res = fb_compose(self.ctx_two(b1=4450.0), EnergyOffer(9, 1000.0),
                          (0.0, 25.0), 100.0, 0.0)
         first = res.plan.allocations[0]
         assert (first.consumer, first.amount) == (1, 30.0)
@@ -223,7 +232,7 @@ class TestFairnessComposer:
         assert (second.consumer, second.start) == (2, 10.0)
 
     def test_grant_clamps_to_energy_left_in_offer(self):
-        res = fb_compose(self.ctx_two(), EnergyOffer(9, 150.0, 0.0, 25.0),
+        res = fb_compose(self.ctx_two(), EnergyOffer(9, 150.0),
                          (0.0, 25.0), 100.0, 0.0)
         got = [(a.consumer, a.amount) for a in res.plan.allocations]
         assert got == [(1, 100.0), (2, 50.0)]
@@ -237,7 +246,7 @@ class TestFairnessComposer:
             consumer_ids=[1, 2],
             share_rate=64.0,
         )
-        offer = EnergyOffer(9, 8192.0, 0.0, 100.0)
+        offer = EnergyOffer(9, 8192.0)
         pb = pb_compose(ctx, offer, (0.0, 100.0), 0.75)
         fb = fb_compose(ctx, offer, (0.0, 100.0), 512.0, 6144.0)
         assert pb.plan.total_shared == 4096.0
@@ -246,7 +255,7 @@ class TestFairnessComposer:
 
     def test_parameter_validation(self):
         ctx = self.ctx_two()
-        offer = EnergyOffer(9, 100.0, 0.0, 25.0)
+        offer = EnergyOffer(9, 100.0)
         with pytest.raises(ValueError):
             fb_compose(ctx, offer, (0.0, 25.0), 0.0, 0.0)
         with pytest.raises(ValueError):
@@ -390,17 +399,22 @@ class TestIdleBlocks:
     def test_pb(self, inst):
         args = (inst["batteries"], inst["capacities"], inst["consumer_ids"])
         idle = _pb_idle(*args, inst["gamma"])
-        filed = generate_requests({c: inst["batteries"][c] for c in inst["consumer_ids"]},
-                                  inst["capacities"], inst["gamma"], *inst["window"])
-        assert idle == (filed == [])
+        oracle_args = (inst["batteries"], inst["capacities"], inst["rates"],
+                       inst["consumer_ids"], PROVIDER_ID)
+        # an offer covering the largest deficit serves the first request
+        # filed at the window start, so the oracle grants nothing only if
+        # no request was filed there
+        cover = max(0.0, *(inst["capacities"][c] - inst["batteries"][c]
+                           for c in inst["consumer_ids"]))
+        _, given = pb_oracle(*oracle_args, cover, inst["share_rate"], inst["window"],
+                             inst["gamma"])
+        assert idle == (given == 0.0)
         if idle:
             res = pb_compose(make_ctx(inst), make_offer(inst), inst["window"],
                              inst["gamma"])
             self.assert_drains_in_closed_form(inst, res)
-            _, given = pb_oracle(
-                inst["batteries"], inst["capacities"], inst["rates"],
-                inst["consumer_ids"], PROVIDER_ID, inst["ae"],
-                inst["share_rate"], inst["window"], inst["gamma"])
+            _, given = pb_oracle(*oracle_args, inst["ae"], inst["share_rate"],
+                                 inst["window"], inst["gamma"])
             assert given == 0.0
 
     @given(sharing_blocks())
@@ -486,7 +500,7 @@ class TestSwapAccounting:
             consumer_ids=[1],
             share_rate=64.0,
         )
-        res = pb_compose(ctx, EnergyOffer(9, 4096.0, 0.0, 64.0), (0.0, 64.0),
+        res = pb_compose(ctx, EnergyOffer(9, 4096.0), (0.0, 64.0),
                          0.75, swaps={1: ((0, 2), {1: 32.0})})
         assert [(a.start, a.duration, a.amount) for a in res.plan.allocations] == \
             [(0.0, 48.0, 3072.0)]
@@ -504,7 +518,7 @@ class TestSwapAccounting:
             consumer_ids=[1, 2],
             share_rate=64.0,
         )
-        res = fb_compose(ctx, EnergyOffer(9, 4096.0, 0.0, 64.0), (0.0, 64.0),
+        res = fb_compose(ctx, EnergyOffer(9, 4096.0), (0.0, 64.0),
                          1024.0, 2048.0, swaps={1: ((0, 2), {1: 32.0}), 2: None})
         assert [(a.consumer, a.start, a.amount) for a in res.plan.allocations] == \
             [(1, 0.0, 1024.0), (2, 16.0, 1024.0)]
