@@ -43,6 +43,7 @@ RESULT_COLUMNS = (
     "dt_min", "tt_min", "nt_min", "energy_shared_mAh", "runtime_ms",
 )
 NAN_SENTINEL = "NaN"
+MIN_FB_TURN = 1e-3  # minutes: the shortest fairness turn a sweep accepts
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,11 @@ class ExperimentConfig:
                      "bin_width_km"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name}: must be finite and > 0")
+        # a leg of tt minutes takes tt / turn fb turns, each a few dict passes
+        turn = self.quantum / self.share_rate
+        if turn < MIN_FB_TURN:
+            raise ValueError(f"quantum: a fairness turn of quantum / share_rate = "
+                             f"{turn:g} min is shorter than {MIN_FB_TURN:g} min")
 
 
 def sweep_configurations(cfg: ExperimentConfig) -> list[tuple[str, str]]:

@@ -41,6 +41,7 @@ from .formations import (
 from .network import DeliveryRequest, PathTree, SkywayNetwork, shortest_path_tree
 from .preflight import POSITIONING_SETTINGS, Swarm, assign_positions, redundancy_count
 from .sharing import (
+    LEAST_FILING,
     EnergyOffer,
     ShareContext,
     SharingPlan,
@@ -181,6 +182,7 @@ class _RateCache:
         self.model = model
         self._by_sector: dict[str, dict[int, float]] = {}
         self._swaps_by_sector: dict[str, dict[int, SwapPlan | None]] = {}
+        self._least_by_sector: dict[str, dict[int, float]] = {}
         self._candidates: dict[tuple[str, int], list] = {}
         self.blocks = _provider_blocks(swarm)
 
@@ -226,6 +228,20 @@ class _RateCache:
                     table[cid] = ((rec.consumer_slot, rec.partner_slot), rates)
             self._swaps_by_sector[sector] = table
         return self._swaps_by_sector[sector]
+
+    def least_rates(self, sector: str) -> dict[int, float]:
+        """Each consumer's lowest drain rate on a shared leg in the sector:
+        its standing rate, or a rate ``swaps`` gives it while swapped, as
+        the consumer or as a same-block partner."""
+        if sector not in self._least_by_sector:
+            rates = self.rates(sector)
+            least = {c: rates[c] for block in self.blocks for c in block.consumers}
+            for swap in self.swaps(sector).values():
+                if swap is not None:
+                    for i, rate in swap[1].items():
+                        least[i] = min(least[i], rate)
+            self._least_by_sector[sector] = least
+        return self._least_by_sector[sector]
 
 
 def _provider_blocks(swarm: Swarm) -> list[_Block]:
@@ -405,8 +421,115 @@ def feasible_leg(
                       plan, traces)
 
 
+def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
+    """True when an energy balance proves that flying ``path`` from
+    ``batteries`` with sharing fails, so it need not be composed.
+
+    Sharing moves energy and creates none.  Take one provider block, p
+    and its consumers C, over the first k legs.  Consumer c drains at
+    least its ``least_rates`` rate times tt on each leg.  A leg end is a
+    grid point, so if every leg up to k passed, c ended leg k at or above
+    -FLOOR_TOLERANCE and so received at least
+    max(0, sum over legs j <= k of least_c * tt_j - b_c) - FLOOR_TOLERANCE.
+    ``deficit`` sums that over C.  What C receives, p gives:
+
+    * pb serves one transfer at a time at share_rate and cuts it at the
+      window end, so a leg gives at most share_rate * tt.  An fb turn takes
+      quantum / share_rate minutes and grants at most a quantum, and only
+      a leg's last turn runs past its end, so a leg gives at most
+      share_rate * tt + quantum.
+    * Neither composer gives more than its offer, p's battery less p's
+      drain over the leg, and p never swaps, so what later legs give
+      comes out of leg 1's offer ``ae``.  fb stops once the offer left is
+      at or below the reserve, so all legs give at most
+      ae - reserve + quantum.
+
+    ``supply`` is the lesser bound.  So if every leg up to k passed,
+    ``deficit`` is at most ``supply`` plus |C| * FLOOR_TOLERANCE.
+
+    Rounding: suppose every leg up to k passed.  A consumer then holds at
+    most its start plus what it received, and drained at most that plus
+    the floor; p holds at most its start.  So every battery, drain and
+    transfer of the block lies within ``scale``: the block's starting
+    batteries plus ``pool``, ``deficit`` and ``supply``.  A trace step
+    rounds a battery at most four times (the step's length, the drain,
+    the subtraction, the credit), each by at most 2**-53 of a value within
+    scale, and the transfer sizes and fb's turn clock err no more.  Up to
+    leg k a drone takes at most ``steps`` trace steps: fb grants at most
+    elapsed / turn + k turns of two steps each; pb files no refill under
+    LEAST_FILING of a capacity, so each transfer but a leg's last moves at
+    least ``least_transfer``, which allows supply / least_transfer + k
+    transfers of one step each; both take one more step per leg.  So the
+    balance of the |C| + 1 drones errs by less than
+    (|C| + 1) * (steps + 1) * 2**-50 * scale, and the margin adds
+    1e-9 * scale + 1e-6 mAh of slack to that.
+
+    The legs are read up to the first one whose rates cannot be built
+    (no wind, or a ValueError from the coefficients or the swap table);
+    ``feasible_leg`` raises there if the composition gets that far.
+    Leg 1's swap table is built first, as the composition builds it.
+    """
+    legs = []
+    for a, b in zip(path, path[1:]):
+        seg = net.segment(a, b)
+        if seg.wind is None:
+            break
+        sector = wind_sector(net.heading(a, b), seg.wind)
+        try:
+            least = cache.least_rates(sector)
+        except ValueError:
+            break
+        legs.append((sector, travel_time(seg.distance_m, model.spec.cruise_speed),
+                     least))
+    if not legs:
+        return False
+    share_rate = model.spec.inflight_share_rate
+    fb = share.strategy == "fb"
+    turn = share.quantum / share_rate
+    sector1, tt1, _ = legs[0]
+    for block in cache.blocks:
+        if not block.consumers:
+            continue
+        least_transfer = LEAST_FILING * min(block.capacities[c] for c in block.consumers)
+        if not fb and least_transfer == 0:
+            continue  # zero capacities bound no transfer count
+        p, n = block.provider, len(block.consumers)
+        ae = max(0.0, batteries[p] - cache.rates(sector1)[p] * tt1)
+        pool = max(0.0, min(ae, ae - share.delta_frac * block.capacities[p]
+                            + share.quantum)) if fb else ae
+        held = sum(abs(batteries[i]) for i in block.ids)
+        need = dict.fromkeys(block.consumers, 0.0)
+        elapsed = 0.0
+        for k, (_, tt, least) in enumerate(legs, 1):
+            elapsed += tt
+            deficit = 0.0
+            for c in block.consumers:
+                need[c] += least[c] * tt
+                if need[c] > batteries[c]:
+                    deficit += need[c] - batteries[c]
+            if fb:
+                supply = min(share_rate * elapsed + share.quantum * k, pool)
+                steps = 2 * (elapsed / turn + k) + k
+            else:
+                supply = min(share_rate * elapsed, pool)
+                steps = supply / least_transfer + 2 * k
+            scale = held + pool + deficit + supply
+            margin = (n * FLOOR_TOLERANCE + 1e-6
+                      + ((n + 1) * (steps + 1) * 2.0 ** -50 + 1e-9) * scale)
+            if deficit > supply + margin:
+                return True
+    return False
+
+
 def _fly_through(swarm, net, path, model, batteries, share, cache):
-    """Fly consecutive segments without stopping; None if any leg fails."""
+    """Fly consecutive segments without stopping; None if any leg fails.
+
+    A shared fly-through that ``_sharing_cannot_save`` rules out returns
+    None without composing a leg.
+    """
+    if share is not None and _sharing_cannot_save(net, path, model, batteries,
+                                                  share, cache):
+        return None
     legs = []
     state = dict(batteries)
     for a, b in zip(path, path[1:]):

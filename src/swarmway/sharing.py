@@ -14,7 +14,8 @@ Two composition policies are provided:
 
 * ``pb_compose`` serves whole requests, neediest first.  It files them
   itself: whenever the provider is free, each delivery drone below the
-  gamma threshold without an open request asks for a full refill.
+  gamma threshold without an open request asks for a full refill, if
+  that refill is at least a millionth of its capacity.
   Requests sort by filing time, then descending amount, then drone id,
   and each one is delivered in full (truncated only by the segment end).
 * ``fb_compose`` has no requests: it cycles in id order over every
@@ -138,8 +139,15 @@ class _LegState:
         self.t = t2
 
 
+# A pb refill smaller than this fraction of the drone's capacity is not
+# filed.  At gamma 1 a drone refilled in full drains during its own
+# transfer and would file again at once, for ever smaller refills; below
+# gamma 1 every filing is at least (1 - gamma) of capacity anyway.
+LEAST_FILING = 1e-6
+
+
 def _wants_topup(battery: float, capacity: float, gamma: float) -> bool:
-    return battery < gamma * capacity
+    return battery < gamma * capacity and capacity - battery >= capacity * LEAST_FILING
 
 
 def _pb_idle(batteries, capacities, consumer_ids, gamma: float) -> bool:
@@ -192,7 +200,8 @@ def pb_compose(
 
     Whenever the provider is free, every delivery drone strictly below
     ``gamma`` of its capacity without an open request files one for a
-    full refill as of that moment, scanning drones in id order.  The
+    full refill as of that moment, scanning drones in id order, unless
+    that refill is under ``LEAST_FILING`` of its capacity.  The
     provider serves one request at a time, the first in order whose
     full amount still fits the offer; a request keeps the amount it was
     filed with while it waits.  A service running into the window end

@@ -192,7 +192,8 @@ def pb_oracle(batteries, capacities, rates, consumer_ids, provider_id,
             if c in open_ids:
                 continue
             b = ledger.battery(c, now)
-            if b < gamma * capacities[c]:
+            # a refill under a millionth of capacity is not filed
+            if b < gamma * capacities[c] and capacities[c] - b >= capacities[c] * 1e-6:
                 pending.append([now, capacities[c] - b, c, seq])
                 seq += 1
 

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from swarmway.bench import (
+    MIN_FB_TURN,
     NAN_SENTINEL,
     RESULT_COLUMNS,
     STRATEGIES,
@@ -35,6 +36,7 @@ from swarmway.network import (
     Wind,
     load_network,
 )
+from swarmway.sharing import EnergyOffer, ShareContext, fb_compose
 
 FLAT = CoefficientTable({
     (kind, slot, sector): 1.0
@@ -119,6 +121,27 @@ class TestExperimentConfig:
     def test_validation_names_the_field(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             ExperimentConfig(**kwargs)
+
+    def test_fairness_turn_floor(self):
+        # the CLI defaults (2240 / 5.88 = 381 min) and the acceptance
+        # profile (28 / 134 = 0.21 min) are far above the floor
+        ExperimentConfig()
+        ExperimentConfig(quantum=28.0, share_rate=134.0)
+        ExperimentConfig(quantum=MIN_FB_TURN * 4.0, share_rate=4.0)
+        with pytest.raises(ValueError, match="quantum: a fairness turn"):
+            ExperimentConfig(quantum=math.nextafter(MIN_FB_TURN * 4.0, 0.0),
+                             share_rate=4.0)
+
+    def test_shortest_turn_bounds_the_turns_per_leg(self):
+        # a turn at the floor takes a thousandth of a minute, so a
+        # one-minute leg holds at most 1,001 turns however empty the drones
+        ctx = ShareContext(batteries={1: 0.0, 2: 0.0, 9: 1e6},
+                           capacities={1: 4480.0, 2: 4480.0, 9: 1e6},
+                           rates={1: 1.0, 2: 1.0, 9: 1.0}, consumer_ids=[1, 2],
+                           share_rate=5.88)
+        res = fb_compose(ctx, EnergyOffer(9, 1e6), (0.0, 1.0),
+                         MIN_FB_TURN * 5.88, 0.0)
+        assert 1000 <= len(res.plan.allocations) <= 1001
 
 
 class TestSweepConfigurations:
@@ -443,6 +466,14 @@ class TestCli:
         assert main(["run", flag, value, "--requests", "1", "--synth-nodes", "20",
                      "--out", str(tmp_path / "exp"), "--quiet"]) == 2
         assert f"error: {field}: must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    def test_tiny_lambda_exits_2_before_planning(self, tmp_path, capsys):
+        # 1e-6 mAh at 5.88 mAh/min is a turn of 1.7e-7 min: ~6e7 turns a leg
+        assert main(["run", "--lambda", "1e-6", "--requests", "1",
+                     "--synth-nodes", "20", "--out", str(tmp_path / "exp"),
+                     "--quiet"]) == 2
+        assert "error: quantum: a fairness turn" in capsys.readouterr().err
         assert not (tmp_path / "exp").exists()
 
     def test_every_config_field_is_set_by_its_flag(self, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from swarmway.energy import (
@@ -474,6 +474,194 @@ class TestCompose:
         assert data["dt_min"] == 130.0
         assert [leg["tt_min"] for leg in data["legs"]] == [10.0, 10.0]
         assert data["visits"] == [{"node": 1, "nt_min": 110.0}]
+
+
+def fly_leg_by_leg(swarm, net, path, model, batteries, share):
+    """The shared fly-through composed leg by leg, with no energy bound."""
+    cache = planner._RateCache(swarm, model)
+    legs, state = [], dict(batteries)
+    for a, b in zip(path, path[1:]):
+        leg = feasible_leg(swarm, net, a, b, model, batteries=state, share=share,
+                           rate_cache=cache)
+        if leg is None:
+            return None
+        legs.append(leg)
+        state = leg.batteries_after
+    return legs
+
+
+def rules_out(swarm, net, path, model, batteries, share):
+    return planner._sharing_cannot_save(net, path, model, batteries, share,
+                                        planner._RateCache(swarm, model))
+
+
+def edge_of_ruled_out(case, top):
+    """The largest x in [0, top], to 60 halvings, at which ``case(x)`` is
+    ruled out; it must be ruled out at 0 and not at top."""
+    assert rules_out(*case(0.0)) and not rules_out(*case(top))
+    lo, hi = 0.0, top
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if rules_out(*case(mid)) else (lo, mid)
+    return lo
+
+
+@st.composite
+def shared_fly_throughs(draw):
+    """One or two provider blocks on a path of one to six legs in random
+    directions and winds, from random batteries, under pb or fb."""
+    spec = DroneSpec(battery_capacity=draw(st.floats(1000.0, 8000.0)),
+                     cruise_speed=60.0,
+                     inflight_share_rate=draw(st.floats(1.0, 300.0)),
+                     base_consumption_rate=draw(st.floats(10.0, 300.0)))
+    model = EnergyModel(spec, default_table())
+    n_delivery = draw(st.integers(1, 5))
+    drones = [make_delivery_drone(i, draw(st.floats(0.0, 1.4)), spec)
+              for i in range(n_delivery)]
+    drones += [make_support_drone(n_delivery + j, spec)
+               for j in range(draw(st.integers(1, 2)))]
+    swarm = swarm_of(drones, draw(st.sampled_from(FORMATION_KINDS)))
+    assign_positions(swarm, draw(st.sampled_from(POSITIONING_SETTINGS)),
+                     draw(st.sampled_from(WIND_SECTORS)), model)
+    degrees = st.floats(0.0, 360.0)
+    legs = draw(st.lists(st.tuples(degrees, st.floats(0.2, 8.0),
+                                   st.floats(0.0, 13.0), degrees),
+                         min_size=1, max_size=6))
+    nodes, segs = [Node(0, 0.0, 0.0, 1)], []
+    for i, (heading, km, wind_speed, wind_dir) in enumerate(legs):
+        x = nodes[-1].x + km * 1000.0 * math.cos(math.radians(heading))
+        y = nodes[-1].y + km * 1000.0 * math.sin(math.radians(heading))
+        nodes.append(Node(i + 1, x, y, 1))
+        segs.append(Segment(i, i + 1, km * 1000.0, Wind(wind_speed, wind_dir)))
+    batteries = {d.id: draw(st.one_of(st.just(d.capacity), st.floats(0.0, d.capacity)))
+                 for d in drones}
+    share = ShareConfig(draw(st.sampled_from(("pb", "fb"))),
+                        gamma=draw(st.one_of(st.sampled_from((0.8, 0.95, 1.0)),
+                                             st.floats(0.0, 1.0))),
+                        delta_frac=draw(st.floats(0.0, 0.99)),
+                        quantum=draw(st.one_of(st.sampled_from((28.0, 2240.0)),
+                                               st.floats(1.0, 4000.0))))
+    return (swarm, SkywayNetwork(nodes, segs), list(range(len(nodes))), model,
+            batteries, share)
+
+
+class TestSharedFlyThroughBound:
+    """The energy balance that rules a shared fly-through out before it is
+    composed: it fires only where the leg-by-leg composition fails."""
+
+    @given(shared_fly_throughs())
+    @settings(max_examples=300, deadline=None)
+    def test_a_ruled_out_fly_through_fails_leg_by_leg(self, case):
+        # and so does one at the edge of what the bound rules out, as every
+        # consumer fills the same share of its room
+        swarm, net, path, model, batteries, share = case
+
+        def filled(t):
+            more = {d.id: batteries[d.id] + t * (d.capacity - batteries[d.id])
+                    for d in swarm.delivery_drones()}
+            return swarm, net, path, model, {**batteries, **more}, share
+
+        ruled_out = rules_out(*case)
+        event(f"{share.strategy} ruled out: {ruled_out}")
+        if not ruled_out:
+            return
+        assert fly_leg_by_leg(*case) is None
+        if not rules_out(*filled(1.0)):
+            assert fly_leg_by_leg(*filled(edge_of_ruled_out(filled, 1.0))) is None
+
+    @given(spec_rates=st.tuples(st.floats(1.0, 100.0), st.floats(100.0, 300.0)),
+           capacity=st.floats(1000.0, 8000.0),
+           km=st.lists(st.sampled_from((0.3, 1.0, 2.5, 3.7)), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pb_consumer_is_ruled_out_within_a_thousandth_of_a_mah(
+            self, spec_rates, capacity, km):
+        # a consumer beside its provider drains faster than it is refilled
+        # and files at once, so its battery falls all the way to the leg
+        # end: the balance is all that decides, and the bound meets it
+        share_rate, drain = spec_rates
+        spec = DroneSpec(battery_capacity=capacity, cruise_speed=60.0,
+                         inflight_share_rate=share_rate, base_consumption_rate=drain)
+        model = model_for(spec)
+        consumer, provider = make_delivery_drone(0, 0.0, spec), make_support_drone(1, spec)
+        swarm, net = swarm_of([consumer, provider]), line_net(*km)
+        path, share = list(range(len(km) + 1)), ShareConfig("pb", gamma=1.0)
+
+        def case(battery):
+            return (swarm, net, path, model, {0: battery, 1: provider.capacity}, share)
+
+        assume(rules_out(*case(0.0)) and not rules_out(*case(capacity)))
+        edge = edge_of_ruled_out(case, capacity)
+        assert fly_leg_by_leg(*case(edge)) is None
+        assert fly_leg_by_leg(*case(edge + 1e-3)) is not None
+
+    @given(share_rate=st.floats(8.0, 100.0), tt=st.integers(4, 10),
+           quanta=st.integers(1, 4), quantum_share=st.floats(0.1, 1.0),
+           spare=st.floats(1.0, 1000.0))
+    @settings(max_examples=60, deadline=None)
+    def test_one_fb_consumer_whose_provider_runs_into_its_reserve(
+            self, share_rate, tt, quanta, quantum_share, spare):
+        # the offer holds `quanta` quanta and a hair above the reserve, so
+        # fb grants one quantum more and stops; the turns fit the leg and
+        # the consumer's battery falls to the leg end, so the provider's
+        # pool is all that decides
+        quantum = quantum_share * share_rate * tt / (quanta + 2)
+        granted = (quanta + 1) * quantum
+        drain = (granted + spare) / tt
+        spec = DroneSpec(battery_capacity=4096.0, cruise_speed=60.0,
+                         inflight_share_rate=share_rate, base_consumption_rate=drain)
+        consumer, provider = make_delivery_drone(0, 0.0, spec), make_support_drone(1, spec)
+        swarm, net = swarm_of([consumer, provider]), line_net(tt)
+        share = ShareConfig("fb", delta_frac=0.2, quantum=quantum)
+        reserve = share.delta_frac * provider.capacity
+        provider_battery = reserve + quanta * quantum + 1e-4 + drain * tt
+
+        def case(battery):
+            return (swarm, net, [0, 1], model_for(spec),
+                    {0: battery, 1: provider_battery}, share)
+
+        edge = edge_of_ruled_out(case, consumer.capacity)
+        assert fly_leg_by_leg(*case(edge)) is None
+        [leg] = fly_leg_by_leg(*case(edge + 1e-3))
+        assert leg.shared == pytest.approx(granted, rel=1e-12)
+
+
+class TestSharedFlyThroughBoundOnWorlds:
+    """On slices of both walker worlds every shared fly-through equals its
+    leg-by-leg composition, and the bound does rule some out."""
+
+    WORLDS = {
+        # the acceptance world and sweep profile, and the CLI world and defaults
+        "acceptance": (2118, (0, 3), "fb"),
+        "cli": (0, (1, 3), "pb"),
+    }
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_every_shared_fly_through_on_a_slice(self, world, monkeypatch):
+        from test_acceptance import SWEEP_CFG, SWEEP_SPEC
+
+        net_seed, pads, must_fire = self.WORLDS[world]
+        net = largest_connected_component(synthesize_network(276, net_seed, pads=pads))
+        requests = synthesize_requests(net, 15, 0)
+        if world == "acceptance":
+            cfg, spec = SWEEP_CFG, SWEEP_SPEC
+        else:
+            cfg, spec = ExperimentConfig(), None
+
+        fired = {"pb": 0, "fb": 0}
+        fly_through = planner._fly_through
+
+        def checked(swarm, net, path, model, batteries, share, cache):
+            got = fly_through(swarm, net, path, model, batteries, share, cache)
+            if share is not None:
+                case = (swarm, net, path, model, batteries, share)
+                fired[share.strategy] += rules_out(*case)
+                assert repr(got) == repr(fly_leg_by_leg(*case))
+            return got
+
+        monkeypatch.setattr(planner, "_fly_through", checked)
+        run_experiment(net, requests, default_table(),
+                       replace(cfg, strategies=("pb", "fb")), spec=spec)
+        assert fired[must_fire] > 0
 
 
 class TestStaticBaselines:

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from swarmway.energy import DroneSpec, make_delivery_drone, make_support_drone
 from swarmway.formations import make_formation
 from swarmway.preflight import Swarm
+from swarmway import sharing
 from swarmway.sharing import (
+    LEAST_FILING,
+    Allocation,
     EnergyOffer,
     ShareContext,
     SwapEvent,
@@ -79,6 +82,33 @@ class TestGenerateRequests:
         assert [(a.consumer, a.start, a.duration, a.amount)
                 for a in res.plan.allocations] == [(1, 0.0, 8.0, 2048.0)]
         assert res.batteries_after[2] == 3584.0 - 128.0 * 8.0
+
+    def test_gamma_one_stops_at_the_least_filing(self, monkeypatch):
+        # at gamma 1 a refilled drone drains during its own transfer and
+        # files again at once, each refill 100/160 of the one before; with
+        # no least filing the refills shrink to an ulp and never end, so
+        # the count is capped here rather than left to run out of memory
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            assert len(made) <= 1000, "pb_compose keeps refilling"
+            return Allocation(*args)
+
+        monkeypatch.setattr(sharing, "Allocation", counted)
+        batteries = {0: 4000.0, 1: 10000.0}
+        capacities = {0: 4480.0, 1: 10000.0}
+        rates = {0: 100.0, 1: 0.0}
+        ctx = ShareContext(batteries=batteries, capacities=capacities, rates=rates,
+                           consumer_ids=[0], share_rate=160.0)
+        res = pb_compose(ctx, EnergyOffer(1, 10000.0), (0.0, 10.0), 1.0)
+        amounts = [a.amount for a in res.plan.allocations]
+        assert 20 <= len(amounts) <= 30
+        assert min(amounts) >= 4480.0 * LEAST_FILING
+        final, given = pb_oracle(batteries, capacities, rates, [0], 1, 10000.0,
+                                 160.0, (0.0, 10.0), 1.0)
+        assert given == pytest.approx(sum(amounts), rel=1e-9)
+        assert final[0] == pytest.approx(res.batteries_after[0], rel=1e-9)
 
     def test_gamma_validation(self):
         for gamma in (1.5, -0.25):
@@ -440,6 +470,12 @@ class TestIdleBlocks:
         assert _pb_idle({1: at, 2: 4480.0}, caps, [1, 2], 0.95)
         below = math.nextafter(at, -math.inf)
         assert not _pb_idle({1: below, 2: 4480.0}, caps, [1, 2], 0.95)
+
+    def test_refill_under_the_least_filing_is_idle(self):
+        caps = {1: 4480.0}
+        least = 4480.0 * LEAST_FILING
+        assert _pb_idle({1: 4480.0 - least / 2}, caps, [1], 1.0)
+        assert not _pb_idle({1: 4480.0 - least * 2}, caps, [1], 1.0)
 
     def test_room_above_zero_is_not_idle(self):
         caps = {1: 4480.0, 2: 4480.0}
