@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 bad configuration, 3 file/format trouble.
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import sys
@@ -44,6 +45,8 @@ from .preflight import (
     route_average_wind,
     route_failure_inputs,
 )
+
+log = logging.getLogger("swarmway")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,11 +175,9 @@ def _cmd_run(args) -> None:
         requests = synthesize_requests(net, args.requests, args.seed)
     _check_swarm_sizes(requests, table, strategies)
 
-    progress = None
-    if not args.quiet:
-        def progress(done, total):
-            if done % 200 == 0 or done == total:
-                print(f"  {done}/{total} requests", file=sys.stderr)
+    def progress(done, total):
+        if done % 200 == 0 or done == total:
+            log.info("  %d/%d requests", done, total)
 
     rows, metrics = run_experiment(net, requests, table, cfg, on_progress=progress)
     os.makedirs(args.out, exist_ok=True)
@@ -184,11 +185,10 @@ def _cmd_run(args) -> None:
     write_summary(metrics, os.path.join(args.out, "summary.csv"))
     if args.plot_data:
         write_plot_data(metrics, os.path.join(args.out, "plot_data.csv"))
-    if not args.quiet:
-        for (strategy, pos) in sorted(metrics.groups):
-            g = metrics.groups[(strategy, pos)]
-            print(f"{strategy:9s} {pos:15s} {g.successes}/{g.rows} ok, "
-                  f"mean dt {g.mean_dt:.1f} min")
+    for (strategy, pos) in sorted(metrics.groups):
+        g = metrics.groups[(strategy, pos)]
+        log.info("%-9s %-15s %d/%d ok, mean dt %.1f min",
+                 strategy, pos, g.successes, g.rows, g.mean_dt)
 
 
 def _cmd_synth(args) -> None:
@@ -200,9 +200,11 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_calibrate(args) -> None:
+    scales = [float(s) for s in args.scales.split(",") if s.strip()]
+    if not scales or not all(0 < s < math.inf for s in scales):
+        raise ValueError(f"scales: need finite values > 0, got {args.scales!r}")
     net = _load_or_synthesize(args.network, args.synth_nodes, args.seed)
     requests = synthesize_requests(net, args.requests, args.seed)
-    scales = [float(s) for s in args.scales.split(",") if s.strip()]
     spec = DroneSpec()
     diameter = network_diameter(net)
     inputs = []
@@ -229,6 +231,10 @@ def _cmd_calibrate(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # run's progress and summary; --quiet silences them
+    log.setLevel(logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
+    handler = logging.StreamHandler()  # the current sys.stderr
+    log.addHandler(handler)
     try:
         if args.command == "run":
             _cmd_run(args)
@@ -242,6 +248,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
     return 0
 
 

@@ -443,26 +443,37 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
       comes out of leg 1's offer ``ae``.  fb stops once the offer left is
       at or below the reserve, so all legs give at most
       ae - reserve + quantum.
+    * p drains at its standing ``rates`` rate on every leg: a swap's
+      rates cover only the consumer and a delivery drone beside p, and
+      an idle block drains at the standing rates.  p ended leg k at or
+      above -FLOOR_TOLERANCE too, after its own drain and all it gave, so
+      legs 1..k give at most b_p - ``drained`` + FLOOR_TOLERANCE, where
+      ``drained`` sums p's rate times tt over them.  That bound may be
+      negative: with no deficit it then rules out a path p cannot fly
+      even alone.
 
-    ``supply`` is the lesser bound.  So if every leg up to k passed,
-    ``deficit`` is at most ``supply`` plus |C| * FLOOR_TOLERANCE.
+    ``supply`` is the least of these bounds.  So if every leg up to k
+    passed, ``deficit`` is at most ``supply`` plus |C| * FLOOR_TOLERANCE.
 
     Rounding: suppose every leg up to k passed.  A consumer then holds at
     most its start plus what it received, and drained at most that plus
-    the floor; p holds at most its start.  So every battery, drain and
-    transfer of the block lies within ``scale``: the block's starting
-    batteries plus ``pool``, ``deficit`` and ``supply``.  A trace step
-    rounds a battery at most four times (the step's length, the drain,
-    the subtraction, the credit), each by at most 2**-53 of a value within
+    the floor; p holds at most its start and drained at most that plus
+    the floor.  So every battery, drain and transfer of the block lies
+    within ``scale``: the block's starting batteries plus ``pool``,
+    ``deficit``, |``supply``| and ``drained``.  A trace step rounds a
+    battery at most four times (the step's length, the drain, the
+    subtraction, the credit), each by at most 2**-53 of a value within
     scale, and the transfer sizes and fb's turn clock err no more.  Up to
     leg k a drone takes at most ``steps`` trace steps: fb grants at most
     elapsed / turn + k turns of two steps each; pb files no refill under
     LEAST_FILING of a capacity, so each transfer but a leg's last moves at
-    least ``least_transfer``, which allows supply / least_transfer + k
-    transfers of one step each; both take one more step per leg.  So the
+    least ``least_transfer``, which allows max(0, supply) / least_transfer
+    + k transfers of one step each; both take one more step per leg.  So the
     balance of the |C| + 1 drones errs by less than
-    (|C| + 1) * (steps + 1) * 2**-50 * scale, and the margin adds
-    1e-9 * scale + 1e-6 mAh of slack to that.
+    (|C| + 1) * (steps + 1) * 2**-50 * scale.  ``drained`` takes k
+    products and k sums, each within 2**-53 * scale, which one more
+    (steps + 1) * 2**-50 * scale covers; the margin adds 1e-9 * scale +
+    1e-6 mAh of slack to that.
 
     The legs are read up to the first one whose rates cannot be built
     (no wind, or a ValueError from the coefficients or the swap table);
@@ -479,14 +490,14 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
             least = cache.least_rates(sector)
         except ValueError:
             break
-        legs.append((sector, travel_time(seg.distance_m, model.spec.cruise_speed),
-                     least))
+        legs.append((travel_time(seg.distance_m, model.spec.cruise_speed), least,
+                     cache.rates(sector)))
     if not legs:
         return False
     share_rate = model.spec.inflight_share_rate
     fb = share.strategy == "fb"
     turn = share.quantum / share_rate
-    sector1, tt1, _ = legs[0]
+    tt1, _, rates1 = legs[0]
     for block in cache.blocks:
         if not block.consumers:
             continue
@@ -494,28 +505,30 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
         if not fb and least_transfer == 0:
             continue  # zero capacities bound no transfer count
         p, n = block.provider, len(block.consumers)
-        ae = max(0.0, batteries[p] - cache.rates(sector1)[p] * tt1)
+        ae = max(0.0, batteries[p] - rates1[p] * tt1)
         pool = max(0.0, min(ae, ae - share.delta_frac * block.capacities[p]
                             + share.quantum)) if fb else ae
         held = sum(abs(batteries[i]) for i in block.ids)
         need = dict.fromkeys(block.consumers, 0.0)
-        elapsed = 0.0
-        for k, (_, tt, least) in enumerate(legs, 1):
+        elapsed = drained = 0.0
+        for k, (tt, least, rates) in enumerate(legs, 1):
             elapsed += tt
+            drained += rates[p] * tt
             deficit = 0.0
             for c in block.consumers:
                 need[c] += least[c] * tt
                 if need[c] > batteries[c]:
                     deficit += need[c] - batteries[c]
+            spare = batteries[p] - drained + FLOOR_TOLERANCE
             if fb:
-                supply = min(share_rate * elapsed + share.quantum * k, pool)
+                supply = min(share_rate * elapsed + share.quantum * k, pool, spare)
                 steps = 2 * (elapsed / turn + k) + k
             else:
-                supply = min(share_rate * elapsed, pool)
-                steps = supply / least_transfer + 2 * k
-            scale = held + pool + deficit + supply
+                supply = min(share_rate * elapsed, pool, spare)
+                steps = max(supply, 0.0) / least_transfer + 2 * k
+            scale = held + pool + deficit + abs(supply) + drained
             margin = (n * FLOOR_TOLERANCE + 1e-6
-                      + ((n + 1) * (steps + 1) * 2.0 ** -50 + 1e-9) * scale)
+                      + ((n + 2) * (steps + 1) * 2.0 ** -50 + 1e-9) * scale)
             if deficit > supply + margin:
                 return True
     return False

@@ -431,6 +431,22 @@ class TestCli:
         assert (out / "summary.csv").exists()
         assert (out / "plot_data.csv").exists()
 
+    def test_run_logs_progress_and_summary_to_stderr(self, tmp_path, capsys, caplog):
+        assert main(["run", "--synth-nodes", "30", "--requests", "3", "--seed", "1",
+                     "--strategies", "baseline", "--out", str(tmp_path / "exp")]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["  3/3 requests",
+                                    "baseline  none            2/3 ok, mean dt 3.7 min"]
+        assert {r.name for r in caplog.records} == {"swarmway"}
+
+    def test_quiet_run_logs_nothing(self, tmp_path, capsys, caplog):
+        assert main(["run", "--synth-nodes", "30", "--requests", "3", "--seed", "1",
+                     "--strategies", "baseline", "--out", str(tmp_path / "exp"),
+                     "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert caplog.records == []
+
     def test_run_synthesizes_when_no_network_given(self, tmp_path):
         out = tmp_path / "exp"
         code = main(["run", "--synth-nodes", "30", "--requests", "2",
@@ -680,6 +696,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "scale" in out
         assert "sup:" in out
+
+    @pytest.mark.parametrize("scales", [",", "-1", "nan", "4,inf"])
+    def test_bad_scales_exit_2_before_any_work(self, capsys, monkeypatch, scales):
+        def no_network(*args):
+            raise AssertionError("loaded a network")
+
+        monkeypatch.setattr(cli, "_load_or_synthesize", no_network)
+        assert main(["calibrate-scale", "--synth-nodes", "30", "--requests", "5",
+                     "--scales", scales]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: scales: need finite values > 0, got {scales!r}" in err
 
     @staticmethod
     def main_for(command, tmp_path, *flags):
