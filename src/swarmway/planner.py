@@ -116,7 +116,6 @@ class DeliveryPlan:
     visits: list[NodeVisit]
     stuck_node: int | None = None
     static_cost: float | None = None  # static routers: their path's planned cost
-    positioning: str = ""
 
     @property
     def tt_total(self) -> float:
@@ -138,7 +137,6 @@ class DeliveryPlan:
         return {
             "request_id": self.request_id,
             "strategy": self.strategy,
-            "positioning": self.positioning,
             "status": self.status,
             "stuck_node": self.stuck_node,
             "path": self.path,
@@ -421,6 +419,16 @@ def feasible_leg(
                       plan, traces)
 
 
+def _pool(battery, drained, reserve, share) -> float:
+    """The most a support drone holding ``battery`` gives in all, if it
+    gives nothing after the leg by which it has drained ``drained``: its
+    offer on that leg, under fb less its reserve plus one quantum."""
+    ae = max(0.0, battery - drained)
+    if share.strategy == "pb":
+        return ae
+    return max(0.0, min(ae, ae - reserve + share.quantum))
+
+
 def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
     """True when an energy balance proves that flying ``path`` from
     ``batteries`` with sharing fails, so it need not be composed.
@@ -455,25 +463,51 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
     ``supply`` is the least of these bounds.  So if every leg up to k
     passed, ``deficit`` is at most ``supply`` plus |C| * FLOOR_TOLERANCE.
 
-    Rounding: suppose every leg up to k passed.  A consumer then holds at
-    most its start plus what it received, and drained at most that plus
-    the floor; p holds at most its start and drained at most that plus
-    the floor.  So every battery, drain and transfer of the block lies
-    within ``scale``: the block's starting batteries plus ``pool``,
-    ``deficit``, |``supply``| and ``drained``.  A trace step rounds a
-    battery at most four times (the step's length, the drain, the
-    subtraction, the credit), each by at most 2**-53 of a value within
-    scale, and the transfer sizes and fb's turn clock err no more.  Up to
-    leg k a drone takes at most ``steps`` trace steps: fb grants at most
-    elapsed / turn + k turns of two steps each; pb files no refill under
-    LEAST_FILING of a capacity, so each transfer but a leg's last moves at
-    least ``least_transfer``, which allows max(0, supply) / least_transfer
-    + k transfers of one step each; both take one more step per leg.  So the
-    balance of the |C| + 1 drones errs by less than
-    (|C| + 1) * (steps + 1) * 2**-50 * scale.  ``drained`` takes k
-    products and k sums, each within 2**-53 * scale, which one more
-    (steps + 1) * 2**-50 * scale covers; the margin adds 1e-9 * scale +
-    1e-6 mAh of slack to that.
+    The pool can be taken at a later leg.  Let i be the last leg on
+    which p gives anything; if ``deficit`` is positive there is one.  No
+    consumer ends a leg above top_c = max(cap_c, b_c): fb grants at most
+    the room at the start of a turn, pb fills at most the amount it
+    filed, and every drain is positive.  After leg i no consumer
+    receives anything, so if every leg up to k passed, each c drained at
+    most top_c + FLOOR_TOLERANCE over legs i+1..k.  So i is at least
+    ``lo``, the least leg after which no c's least drain over the legs
+    left exceeds top_c plus ``margin``.  fb grants only while its offer
+    less what it gave exceeds the reserve, and at most a quantum a turn,
+    so on leg i its offer less what it gave stays above
+    reserve - quantum; pb gives at most its offer.  p only loses energy,
+    so legs 1..k gave at most ``_pool`` at leg i, on max(0, b_p - p's
+    drain over legs 1..i) in place of ``ae``.  That does not rise with
+    i, so its value at ``lo`` bounds the supply too; at leg 1 it is
+    ``pool``.  The bound takes it at the last leg read, where
+    ``deficit`` is largest and ``lo`` latest, and skips it when there is
+    no deficit.
+
+    Rounding: suppose every leg up to k passed.  A consumer then holds
+    at most its start plus what it received, and drained at most that
+    plus the floor; p holds at most its start and drained at most that
+    plus the floor.  So every battery, drain and transfer of the block
+    lies within ``scale``: the block's starting batteries plus ``pool``,
+    ``deficit``, |``supply``|, ``drained`` and the tops.  A trace step
+    rounds a battery at most four times (the step's length, the drain,
+    the subtraction, the credit), each by at most 2**-53 of a value
+    within scale, and the transfer sizes and fb's turn clock err no
+    more.  Up to leg k a drone takes at most ``steps`` trace steps: fb
+    grants at most elapsed / turn + k turns of two steps each; pb files
+    no refill under LEAST_FILING of a capacity, so each transfer but a
+    leg's last moves at least ``least_transfer``, which allows
+    max(0, supply) / least_transfer + k transfers of one step each; both
+    take one more step per leg.  So the balance of the |C| + 1 drones
+    errs by less than (|C| + 1) * (steps + 1) * 2**-50 * scale.
+    ``drained`` takes k products and k sums, each within 2**-53 * scale,
+    which one more (steps + 1) * 2**-50 * scale covers, and so it does
+    the k products and k differences that take p's drain back to leg
+    ``lo``; the margin adds 1e-9 * scale + 1e-6 mAh of slack to that.
+    The test for ``lo`` takes the same margin.  A consumer that receives
+    nothing after leg i ends it at most a few roundings above its top,
+    and from there its battery only falls, so each of its trace steps up
+    to leg k, and each of the k products and sums of its least drain,
+    errs by at most 2**-53 * scale; margin covers those and
+    FLOOR_TOLERANCE.
 
     The legs are read up to the first one whose rates cannot be built
     (no wind, or a ValueError from the coefficients or the swap table);
@@ -505,10 +539,10 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
         if not fb and least_transfer == 0:
             continue  # zero capacities bound no transfer count
         p, n = block.provider, len(block.consumers)
-        ae = max(0.0, batteries[p] - rates1[p] * tt1)
-        pool = max(0.0, min(ae, ae - share.delta_frac * block.capacities[p]
-                            + share.quantum)) if fb else ae
-        held = sum(abs(batteries[i]) for i in block.ids)
+        reserve = share.delta_frac * block.capacities[p]
+        pool = _pool(batteries[p], rates1[p] * tt1, reserve, share)
+        top = {c: max(block.capacities[c], batteries[c]) for c in block.consumers}
+        held = sum(abs(batteries[i]) for i in block.ids) + sum(top.values())
         need = dict.fromkeys(block.consumers, 0.0)
         elapsed = drained = 0.0
         for k, (tt, least, rates) in enumerate(legs, 1):
@@ -531,6 +565,19 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
                       + ((n + 2) * (steps + 1) * 2.0 ** -50 + 1e-9) * scale)
             if deficit > supply + margin:
                 return True
+        # lo: the least leg after which every consumer could fly the rest
+        # unaided; ``drained`` becomes p's drain over legs 1..lo
+        lo, tail = len(legs), dict.fromkeys(block.consumers, 0.0)
+        while lo > 1 and deficit > margin:
+            tt, least, rates = legs[lo - 1]
+            if any(tail[c] + least[c] * tt > top[c] + margin for c in tail):
+                break
+            for c in tail:
+                tail[c] += least[c] * tt
+            drained -= rates[p] * tt
+            lo -= 1
+        if deficit > _pool(batteries[p], drained, reserve, share) + margin:
+            return True
     return False
 
 

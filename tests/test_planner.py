@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -508,6 +509,15 @@ def rules_out(swarm, net, path, model, batteries, share):
                                         planner._RateCache(swarm, model))
 
 
+def pool_at_lo_decides(case):
+    """True when the bound rules ``case`` out on the support drone's pool at
+    ``lo``, taken after a block's legs, rather than inside them: each block
+    takes ``_pool`` once before its legs and once after them."""
+    with mock.patch.object(planner, "_pool", wraps=planner._pool) as pool:
+        ruled_out = rules_out(*case)
+    return ruled_out and pool.call_count % 2 == 0
+
+
 def edge_of_ruled_out(case, top):
     """The largest x in [0, top], to 60 halvings, at which ``case(x)`` is
     ruled out; it must be ruled out at 0 and not at top."""
@@ -540,6 +550,14 @@ def shared_fly_throughs(draw):
     legs = draw(st.lists(st.tuples(degrees, st.floats(0.2, 8.0),
                                    st.floats(0.0, 13.0), degrees),
                          min_size=1, max_size=6))
+    # or those legs and a long last one, which a consumer may not fly on
+    # what it held before it: drained at the base rate it takes 30-100% of
+    # a capacity.  Consumers then start full, and support drones near their
+    # reserve and their own drain
+    long_last = draw(st.booleans())
+    if long_last:
+        km = draw(st.floats(0.3, 1.0)) * spec.battery_capacity / spec.base_consumption_rate
+        legs.append((draw(degrees), km, draw(st.floats(0.0, 13.0)), draw(degrees)))
     nodes, segs = [Node(0, 0.0, 0.0, 1)], []
     for i, (heading, km, wind_speed, wind_dir) in enumerate(legs):
         x = nodes[-1].x + km * 1000.0 * math.cos(math.radians(heading))
@@ -550,21 +568,32 @@ def shared_fly_throughs(draw):
     path = list(range(len(nodes)))
     sectors = [wind_sector(net.heading(a, b), seg.wind)
                for a, b, seg in zip(path, path[1:], segs)]
-    batteries = {}
-    for d in drones:
-        choices = [st.just(d.capacity), st.floats(0.0, d.capacity)]
-        if d.role == "support":  # near what it needs to fly the path alone
-            need = sum(consumption_rate(model, d.payload, swarm.formation, d.position,
-                                        sector) * seg.distance_m / 1000.0
-                       for sector, seg in zip(sectors, segs))
-            choices.append(st.floats(0.9, 1.1).map(lambda f: min(d.capacity, f * need)))
-        batteries[d.id] = draw(st.one_of(*choices))
     share = ShareConfig(draw(st.sampled_from(("pb", "fb"))),
                         gamma=draw(st.one_of(st.sampled_from((0.8, 0.95, 1.0)),
                                              st.floats(0.0, 1.0))),
-                        delta_frac=draw(st.floats(0.0, 0.99)),
+                        delta_frac=draw(st.floats(0.2, 0.7) if long_last
+                                        else st.floats(0.0, 0.99)),
                         quantum=draw(st.one_of(st.sampled_from((28.0, 2240.0)),
                                                st.floats(1.0, 4000.0))))
+    batteries = {}
+    for d in drones:
+        if d.role == "support":
+            # near its reserve plus what it needs to fly the path alone
+            need = sum(consumption_rate(model, d.payload, swarm.formation, d.position,
+                                        sector) * seg.distance_m / 1000.0
+                       for sector, seg in zip(sectors, segs))
+            nears = [need + share.delta_frac * d.capacity]
+            if not long_last:  # or near that need alone, or anywhere
+                nears.append(need)
+            choices = [st.floats(0.9, 1.1).map(
+                lambda f, near=near: min(d.capacity, f * near)) for near in nears]
+        else:  # full, or a little above its capacity, or anywhere
+            choices = [st.floats(1.0, 1.05).map(lambda f: f * d.capacity)]
+        if d.role == "delivery" or not long_last:
+            choices.append(st.just(d.capacity))
+        if not long_last:
+            choices.append(st.floats(0.0, d.capacity))
+        batteries[d.id] = draw(st.one_of(*choices))
     return swarm, net, path, model, batteries, share
 
 
@@ -586,6 +615,7 @@ class TestSharedFlyThroughBound:
 
         ruled_out = rules_out(*case)
         event(f"{share.strategy} ruled out: {ruled_out}")
+        event(f"{share.strategy} ruled out on the pool at lo: {pool_at_lo_decides(case)}")
         if not ruled_out:
             return
         assert fly_leg_by_leg(*case) is None
@@ -718,22 +748,126 @@ class TestSharedFlyThroughBound:
             km, sectors, capacity, share_rate, lacks,
             ShareConfig("fb", delta_frac=0.0, quantum=quantum))
 
+    @given(capacity=st.floats(1000.0, 8000.0), drain=st.floats(10.0, 300.0),
+           last=st.floats(0.5, 0.95), middle=st.floats(0.3, 0.6),
+           room=st.floats(0.05, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_one_fb_provider_whose_room_drains_away_before_a_long_last_leg(
+            self, capacity, drain, last, middle, room):
+        # the consumer starts full, so leg 1 grants nothing.  Leg 2 grants it
+        # two quanta, the second as the support drone's offer reaches its
+        # reserve, and the consumer flies the long leg 3 on them and nothing
+        # more.  The support drone drains on leg 2 too, so it is the pool at
+        # leg 2, not leg 1's, that meets the balance
+        x2, x3 = middle * capacity, last * capacity  # the consumer's drains
+        assume(x2 + x3 > 1.01 * capacity)  # it cannot fly legs 2 and 3 alone
+        quantum = x2 + x3 - capacity + room * (capacity - x3)
+        x1 = 2 * quantum - x2 - x3 + capacity  # so it lacks two quanta in all
+        spec = DroneSpec(battery_capacity=capacity, cruise_speed=60.0,
+                         inflight_share_rate=drain, base_consumption_rate=drain)
+        consumer, provider = make_delivery_drone(0, 0.0, spec), make_support_drone(1, spec)
+        swarm, net = swarm_of([consumer, provider]), line_net(x1 / drain, x2 / drain,
+                                                             x3 / drain)
+        share = ShareConfig("fb", quantum=quantum,
+                            delta_frac=(quantum + x3 + 0.05 * capacity) / provider.capacity)
+
+        def case(battery):
+            return (swarm, net, [0, 1, 2, 3], model_for(spec),
+                    {0: capacity, 1: battery}, share)
+
+        edge = edge_of_ruled_out(case, provider.capacity)
+        assert pool_at_lo_decides(case(edge))
+        assert fly_leg_by_leg(*case(edge)) is None
+        legs = fly_leg_by_leg(*case(edge + 1e-3))
+        assert legs is not None
+        assert [leg.shared for leg in legs] == [0.0, pytest.approx(2 * quantum), 0.0]
+
+    @given(capacity=st.floats(1000.0, 8000.0), drain=st.floats(10.0, 300.0),
+           first=st.floats(0.25, 0.7), second=st.floats(0.25, 0.7))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pb_provider_that_refills_a_full_consumer_before_a_long_last_leg(
+            self, capacity, drain, first, second):
+        # the consumer starts full and files at the starts of legs 2 and 3
+        # for what it drained on legs 1 and 2; refills run at eight times
+        # its drain, so it stays above gamma after each.  It flies the long
+        # leg 3 on its whole capacity.  pb has no reserve: the pool at leg 2
+        # is no less than what the support drone holds beyond its drain over
+        # all three legs, and that decides
+        x1, x2 = first * capacity, second * capacity
+        spec = DroneSpec(battery_capacity=capacity, cruise_speed=60.0,
+                         inflight_share_rate=8 * drain, base_consumption_rate=drain)
+        consumer, provider = make_delivery_drone(0, 0.0, spec), make_support_drone(1, spec)
+        swarm = swarm_of([consumer, provider])
+        net = line_net(x1 / drain, x2 / drain, capacity / drain)
+        share = ShareConfig("pb", gamma=0.8)
+
+        def case(battery):
+            return (swarm, net, [0, 1, 2, 3], model_for(spec),
+                    {0: capacity, 1: battery}, share)
+
+        edge = edge_of_ruled_out(case, provider.capacity)
+        assert fly_leg_by_leg(*case(edge)) is None
+        legs = fly_leg_by_leg(*case(edge + 1e-3))
+        assert legs is not None
+        assert [leg.shared for leg in legs] == [0.0, pytest.approx(x1), pytest.approx(x2)]
+
+    def one_grant_then_the_reserve(self, km, above):
+        """Delivery drone 0 starts empty beside support drone 1, and delivery
+        drone 2, which drains twice as fast, sits on its other side ``above``
+        its capacity.  On leg 1 fb grants drone 0 one quantum, what it
+        needs and 1 mAh more; the support drone's offer is then at its
+        reserve, so nothing more is given.  Its drain on the later legs
+        would leave its pool short of that quantum."""
+        spec = DroneSpec(battery_capacity=4096.0, cruise_speed=60.0,
+                         inflight_share_rate=1024.0, base_consumption_rate=64.0)
+        model = model_for(spec, payload_gain=1.0)
+        drones = [make_delivery_drone(0, 0.0, spec), make_support_drone(1, spec),
+                  make_delivery_drone(2, 1.4, spec)]
+        swarm, net = swarm_of(drones), line_net(*km)
+        rates = planner._RateCache(swarm, model).rates("tail")  # FLAT: any sector
+        tts = [travel_time(x * 1000.0, 60.0) for x in km]
+        share = ShareConfig("fb", delta_frac=0.65, quantum=rates[0] * sum(tts) + 1.0)
+        reserve = share.delta_frac * drones[1].capacity
+        batteries = {0: 0.0, 1: reserve + 1.0 + rates[1] * tts[0], 2: 4096.0 + above}
+        case = swarm, net, list(range(len(km) + 1)), model, batteries, share
+        assert not rules_out(*case)
+        legs = fly_leg_by_leg(*case)
+        assert legs is not None
+        assert [leg.shared for leg in legs] == [share.quantum] + [0.0] * (len(km) - 1)
+        return rates, tts
+
+    def test_a_consumer_above_its_capacity_is_held_to_its_start(self):
+        # drone 2 cannot fly leg 2 on its capacity, but it can on its start
+        rates, tts = self.one_grant_then_the_reserve((4.0, 33.0), 700.0)
+        assert 4096.0 < rates[2] * tts[1] and rates[2] * sum(tts) < 4096.0 + 700.0
+
+    def test_a_consumer_that_lands_within_the_floor_flies_unaided(self):
+        # after a leg of a picosecond, drone 2 flies a leg that drains its
+        # capacity and a few ulps more; it lands within FLOOR_TOLERANCE of 0
+        km = 32.0
+        while 128.0 * travel_time(km * 1000.0, 60.0) <= 4096.0:
+            km = math.nextafter(km, math.inf)
+        rates, tts = self.one_grant_then_the_reserve((1e-12, km), 0.0)
+        assert 4096.0 < rates[2] * tts[1] < 4096.0 + FLOOR_TOLERANCE / 4
+        assert rates[2] * tts[0] < FLOOR_TOLERANCE / 4
+
 
 class TestSharedFlyThroughBoundOnWorlds:
     """On slices of both walker worlds every shared fly-through equals its
-    leg-by-leg composition, and the bound does rule some out."""
+    leg-by-leg composition, and the bound rules out at least so many."""
 
     WORLDS = {
-        # the acceptance world and sweep profile, and the CLI world and defaults
-        "acceptance": (2118, (0, 3), ("fb",)),
-        "cli": (0, (1, 3), ("pb", "fb")),
+        # the acceptance world and sweep profile, and the CLI world and
+        # defaults, with the least count ruled out per strategy
+        "acceptance": (2118, (0, 3), {"fb": 111}),
+        "cli": (0, (1, 3), {"pb": 1, "fb": 1}),
     }
 
     @pytest.mark.parametrize("world", sorted(WORLDS))
     def test_every_shared_fly_through_on_a_slice(self, world, monkeypatch):
         from test_acceptance import SWEEP_CFG, SWEEP_SPEC
 
-        net_seed, pads, must_fire = self.WORLDS[world]
+        net_seed, pads, least = self.WORLDS[world]
         net = largest_connected_component(synthesize_network(276, net_seed, pads=pads))
         requests = synthesize_requests(net, 15, 0)
         if world == "acceptance":
@@ -755,7 +889,7 @@ class TestSharedFlyThroughBoundOnWorlds:
         monkeypatch.setattr(planner, "_fly_through", checked)
         run_experiment(net, requests, default_table(),
                        replace(cfg, strategies=("pb", "fb")), spec=spec)
-        assert all(fired[strategy] > 0 for strategy in must_fire), fired
+        assert all(fired[strategy] >= n for strategy, n in least.items()), fired
 
 
 class TestStaticBaselines:

@@ -487,6 +487,77 @@ class TestIdleBlocks:
         assert _fb_idle({1: 0.0, 2: 0.0}, caps, [1, 2], 100.0, 100.0)
 
 
+@st.composite
+def swapped_blocks(draw):
+    """``sharing_blocks`` with or without a swap table, whose swaps give a
+    consumer, and maybe a partner consumer, drawn rates; some consumers
+    start above their capacity."""
+    inst = draw(sharing_blocks())
+    consumers = inst["consumer_ids"]
+    for cid in consumers:
+        if draw(st.booleans()):
+            inst["batteries"][cid] += draw(st.floats(0.0, 500.0, **FINITE))
+    swaps = None
+    if draw(st.booleans()):
+        swaps = {}
+        for cid in consumers:
+            if draw(st.booleans()):
+                rates = {cid: draw(st.floats(0.1, 200.0, **FINITE))}
+                partner = draw(st.sampled_from(consumers))
+                if partner != cid:
+                    rates[partner] = draw(st.floats(0.1, 200.0, **FINITE))
+                swaps[cid] = ((cid, 0), rates)
+            else:
+                swaps[cid] = None
+    inst["swaps"] = swaps
+    return inst
+
+
+class TestComposerBounds:
+    """The facts the planner's shared fly-through bound takes from the
+    composers (see ``planner._sharing_cannot_save``)."""
+
+    @staticmethod
+    def allowance(*values):
+        # a few roundings, each within 2**-53 of the largest value in play
+        return 2.0 ** -50 * max(abs(v) for v in values)
+
+    def composed(self, inst):
+        ctx, offer = make_ctx(inst), make_offer(inst)
+        yield pb_compose(ctx, offer, inst["window"], inst["gamma"], swaps=inst["swaps"])
+        yield fb_compose(ctx, offer, inst["window"], inst["quantum"], inst["reserve"],
+                         swaps=inst["swaps"])
+
+    @given(swapped_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_no_consumer_rises_above_its_capacity_or_start(self, inst):
+        # fb grants at most the room at a turn's start, pb fills at most the
+        # amount it filed, and every drain is positive
+        for res in self.composed(inst):
+            for cid in inst["consumer_ids"]:
+                top = max(inst["capacities"][cid], inst["batteries"][cid])
+                points = [b for _, b in res.traces[cid]]
+                assert max(points) <= top + self.allowance(top, *points)
+
+    @given(swapped_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_fb_provider_that_gave_ends_above_its_reserve_less_a_quantum(self, inst):
+        offer, reserve, quantum = inst["ae"], inst["reserve"], inst["quantum"]
+        res = fb_compose(make_ctx(inst), make_offer(inst), inst["window"], quantum,
+                         reserve, swaps=inst["swaps"])
+        given = res.plan.provider_given[PROVIDER_ID]
+        assert given <= offer
+        if given > 0:
+            assert offer - given > reserve - quantum
+
+    @given(swapped_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_pb_gives_at_most_its_offer(self, inst):
+        res = pb_compose(make_ctx(inst), make_offer(inst), inst["window"],
+                         inst["gamma"], swaps=inst["swaps"])
+        assert res.plan.provider_given[PROVIDER_ID] <= inst["ae"]
+
+
 class TestReorder:
     def column_swarm(self):
         spec = DroneSpec()
