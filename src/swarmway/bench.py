@@ -73,6 +73,8 @@ class ExperimentConfig:
         for p in self.positionings:
             if p not in POSITIONING_SETTINGS:
                 raise ValueError(f"positionings: unknown setting {p!r}")
+        if len(set(self.positionings)) != len(self.positionings):
+            raise ValueError("positionings: duplicates not allowed")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma: {self.gamma} outside [0, 1]")
         if not 0.0 <= self.delta_frac < 1.0:

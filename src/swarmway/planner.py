@@ -172,12 +172,14 @@ class _Block:
 
 class _RateCache:
     """Per-sector drain rates, swap tables and pad candidates at the swarm's
-    standing slots, and its provider blocks.  One lives for one compose:
-    sharing it would move work between the timed regions of pb and fb."""
+    standing slots, each directed leg's segment, sector and travel time, and
+    the swarm's provider blocks.  One lives for one compose: sharing it
+    would move work between the timed regions of pb and fb."""
 
     def __init__(self, swarm: Swarm, model: EnergyModel):
         self.swarm = swarm
         self.model = model
+        self._legs: dict[tuple[int, int], tuple] = {}
         self._by_sector: dict[str, dict[int, float]] = {}
         self._swaps_by_sector: dict[str, dict[int, SwapPlan | None]] = {}
         self._least_by_sector: dict[str, dict[int, float]] = {}
@@ -187,6 +189,19 @@ class _RateCache:
     def _rate(self, drone, slot: int, sector: str) -> float:
         return consumption_rate(self.model, drone.payload, self.swarm.formation,
                                 slot, sector)
+
+    def leg(self, net: SkywayNetwork, u: int, v: int):
+        """(segment, wind sector, travel time) of the leg u -> v; ValueError
+        when the segment has no wind data."""
+        hit = self._legs.get((u, v))
+        if hit is None:
+            seg = net.segment(u, v)
+            if seg.wind is None:
+                raise ValueError(f"segment ({u}, {v}) has no wind data")
+            hit = self._legs[(u, v)] = (
+                seg, wind_sector(net.heading(u, v), seg.wind),
+                travel_time(seg.distance_m, self.model.spec.cruise_speed))
+        return hit
 
     def rates(self, sector: str) -> dict[int, float]:
         if sector not in self._by_sector:
@@ -379,12 +394,8 @@ def feasible_leg(
     composer would grant nothing (and every drone when sharing is off)
     drains in closed form, exactly as the composer's trace would.
     """
-    seg = net.segment(u, v)
-    if seg.wind is None:
-        raise ValueError(f"segment ({u}, {v}) has no wind data")
-    sector = wind_sector(net.heading(u, v), seg.wind)
-    tt = travel_time(seg.distance_m, model.spec.cruise_speed)
     cache = rate_cache or _RateCache(swarm, model)
+    seg, sector, tt = cache.leg(net, u, v)
     rates = cache.rates(sector)
     before = dict(batteries) if batteries is not None else {d.id: d.battery for d in swarm.drones}
 
@@ -516,16 +527,12 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
     """
     legs = []
     for a, b in zip(path, path[1:]):
-        seg = net.segment(a, b)
-        if seg.wind is None:
-            break
-        sector = wind_sector(net.heading(a, b), seg.wind)
         try:
+            _, sector, tt = cache.leg(net, a, b)
             least = cache.least_rates(sector)
         except ValueError:
             break
-        legs.append((travel_time(seg.distance_m, model.spec.cruise_speed), least,
-                     cache.rates(sector)))
+        legs.append((tt, least, cache.rates(sector)))
     if not legs:
         return False
     share_rate = model.spec.inflight_share_rate
@@ -581,14 +588,42 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
     return False
 
 
+def _plain_fails(net, path, batteries, cache) -> bool:
+    """True when flying ``path`` from ``batteries`` without sharing fails,
+    decided without building a leg.
+
+    Without sharing, drone i's trace over a leg is (0, b) -> (tt, a) with
+    a = b - rate_i * tt, as ``feasible_leg`` builds it.  On that trace
+    ``_grid_feasible`` reads b and b + (a - b) * tt / tt, or a alone when
+    tt == 0.0.  Every rate is positive, so a - b <= 0 and the second read
+    is at most b: b never decides, and the second read is tested alone.
+    It, not a, decides: the two differ by an ulp at some legs that end at
+    the floor.  Legs are read in order, so a windless leg or one whose
+    rates cannot be built raises its ValueError only after every leg
+    before it passed, where ``feasible_leg`` raises it too.
+    """
+    state = batteries
+    for u, v in zip(path, path[1:]):
+        _, sector, tt = cache.leg(net, u, v)
+        after = {}
+        for i, rate in cache.rates(sector).items():
+            b = state[i]
+            after[i] = a = b - rate * tt
+            if (b + (a - b) * tt / tt if tt else a) < -FLOOR_TOLERANCE:
+                return True
+        state = after
+    return False
+
+
 def _fly_through(swarm, net, path, model, batteries, share, cache):
     """Fly consecutive segments without stopping; None if any leg fails.
 
-    A shared fly-through that ``_sharing_cannot_save`` rules out returns
-    None without composing a leg.
+    A fly-through that ``_plain_fails`` (without sharing) or
+    ``_sharing_cannot_save`` (with it) rules out returns None without
+    composing a leg.
     """
-    if share is not None and _sharing_cannot_save(net, path, model, batteries,
-                                                  share, cache):
+    if (_plain_fails(net, path, batteries, cache) if share is None
+            else _sharing_cannot_save(net, path, model, batteries, share, cache)):
         return None
     legs = []
     state = dict(batteries)

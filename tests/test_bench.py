@@ -117,6 +117,8 @@ class TestExperimentConfig:
         ({"failure_scale": math.inf}, "failure_scale"),
         ({"failure_scale": math.nan}, "failure_scale"),
         ({"bin_width_km": math.nan}, "bin_width_km"),
+        ({"positionings": ("location-aware", "location-aware")},
+         "positionings: duplicates"),
     ])
     def test_validation_names_the_field(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -461,6 +463,15 @@ class TestCli:
                      "--synth-nodes", "20", "--out", str(tmp_path), "--quiet"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_duplicate_positioning_exits_2_before_planning(self, tmp_path, capsys):
+        # planned twice, each request's pb row would be written twice
+        assert main(["run", "--positioning", "location-aware,location-aware",
+                     "--strategies", "pb", "--requests", "2", "--synth-nodes", "20",
+                     "--out", str(tmp_path / "exp"), "--quiet"]) == 2
+        assert ("error: positionings: duplicates not allowed"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "exp").exists()
 
     def test_bad_gamma_exits_2(self, tmp_path):
         assert main(["run", "--gamma", "1.5", "--requests", "1",

@@ -529,6 +529,19 @@ def edge_of_ruled_out(case, top):
     return lo
 
 
+def path_net(legs):
+    """A path of nodes 0..len(legs): leg i heads ``heading`` degrees for
+    ``km`` in a wind of ``wind_speed`` from ``wind_dir``, for each
+    (heading, km, wind_speed, wind_dir) in ``legs``."""
+    nodes, segs = [Node(0, 0.0, 0.0, 1)], []
+    for i, (heading, km, wind_speed, wind_dir) in enumerate(legs):
+        x = nodes[-1].x + km * 1000.0 * math.cos(math.radians(heading))
+        y = nodes[-1].y + km * 1000.0 * math.sin(math.radians(heading))
+        nodes.append(Node(i + 1, x, y, 1))
+        segs.append(Segment(i, i + 1, km * 1000.0, Wind(wind_speed, wind_dir)))
+    return SkywayNetwork(nodes, segs), list(range(len(nodes)))
+
+
 @st.composite
 def shared_fly_throughs(draw):
     """One or two provider blocks on a path of one to six legs in random
@@ -558,14 +571,8 @@ def shared_fly_throughs(draw):
     if long_last:
         km = draw(st.floats(0.3, 1.0)) * spec.battery_capacity / spec.base_consumption_rate
         legs.append((draw(degrees), km, draw(st.floats(0.0, 13.0)), draw(degrees)))
-    nodes, segs = [Node(0, 0.0, 0.0, 1)], []
-    for i, (heading, km, wind_speed, wind_dir) in enumerate(legs):
-        x = nodes[-1].x + km * 1000.0 * math.cos(math.radians(heading))
-        y = nodes[-1].y + km * 1000.0 * math.sin(math.radians(heading))
-        nodes.append(Node(i + 1, x, y, 1))
-        segs.append(Segment(i, i + 1, km * 1000.0, Wind(wind_speed, wind_dir)))
-    net = SkywayNetwork(nodes, segs)
-    path = list(range(len(nodes)))
+    net, path = path_net(legs)
+    segs = [net.segment(a, b) for a, b in zip(path, path[1:])]
     sectors = [wind_sector(net.heading(a, b), seg.wind)
                for a, b, seg in zip(path, path[1:], segs)]
     share = ShareConfig(draw(st.sampled_from(("pb", "fb"))),
@@ -852,15 +859,181 @@ class TestSharedFlyThroughBound:
         assert rates[2] * tts[0] < FLOOR_TOLERANCE / 4
 
 
+def plain_fails(swarm, net, path, model, batteries):
+    return planner._plain_fails(net, path, batteries, planner._RateCache(swarm, model))
+
+
+def a_leg_ends_below_the_floor(swarm, net, path, model, batteries):
+    """Whether some drone's b - rate * tt falls below the floor at a leg
+    end, legs in order: the plain check if it read a in place of the
+    grid's own expression there."""
+    cache, state = planner._RateCache(swarm, model), dict(batteries)
+    for a, b in zip(path, path[1:]):
+        _, sector, tt = cache.leg(net, a, b)
+        state = {i: state[i] - rate * tt for i, rate in cache.rates(sector).items()}
+        if min(state.values()) < -FLOOR_TOLERANCE:
+            return True
+    return False
+
+
+def leg_end_reads(rate, tts, battery):
+    """Leg ``len(tts)``'s end, a = b - rate * tt, and the grid's read there,
+    b + (a - b) * tt / tt, for a drone that starts the path at ``battery``
+    and drains ``rate[j]`` a minute on leg j."""
+    for r, tt in zip(rate, tts):
+        before, battery = battery, battery - r * tt
+    return battery, before + (battery - before) * tt / tt
+
+
+def starts_near_the_floor(rate, tts, capacity):
+    """The least start, to 60 halvings of [0, capacity], at which the grid's
+    read at leg ``len(tts)``'s end is at or above the floor, and the starts
+    within 3 ulps of it, each with whether a and that read fall either side
+    of the floor there; none if even ``capacity`` falls short."""
+    def passes(start):
+        return leg_end_reads(rate, tts, start)[1] >= -FLOOR_TOLERANCE
+
+    lo, hi = 0.0, capacity
+    if not passes(hi):
+        return []
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    starts = [hi]
+    for toward in (-math.inf, math.inf):
+        x = hi
+        for _ in range(3):
+            x = math.nextafter(x, toward)
+            starts.append(x)
+    return [(x, len({r < -FLOOR_TOLERANCE for r in leg_end_reads(rate, tts, x)}) == 2)
+            for x in starts]
+
+
+@st.composite
+def plain_fly_throughs(draw):
+    """A swarm with or without support drones on a path of one to eight
+    legs in random directions and winds, from batteries up to full; in
+    about half the draws one drone starts within a few ulps of where a
+    leg ends it at the floor, and the others start full."""
+    spec = DroneSpec(battery_capacity=draw(st.floats(1000.0, 8000.0)),
+                     cruise_speed=60.0,
+                     base_consumption_rate=draw(st.floats(10.0, 300.0)))
+    model = EnergyModel(spec, default_table())
+    n_delivery = draw(st.integers(1, 5))
+    drones = [make_delivery_drone(i, draw(st.floats(0.0, 1.4)), spec)
+              for i in range(n_delivery)]
+    drones += [make_support_drone(n_delivery + j, spec)
+               for j in range(draw(st.integers(0, 2)))]
+    swarm = swarm_of(drones, draw(st.sampled_from(FORMATION_KINDS)))
+    assign_positions(swarm, draw(st.sampled_from(POSITIONING_SETTINGS)),
+                     draw(st.sampled_from(WIND_SECTORS)), model)
+    degrees = st.floats(0.0, 360.0)
+    legs = draw(st.lists(st.tuples(degrees, st.floats(0.2, 8.0),
+                                   st.floats(0.0, 13.0), degrees),
+                         min_size=1, max_size=8))
+    net, path = path_net(legs)
+    batteries = {d.id: draw(st.one_of(st.just(d.capacity), st.floats(0.0, d.capacity)))
+                 for d in drones}
+    if draw(st.booleans()):
+        # one drone starts a few ulps from where leg k's end reaches the
+        # floor, the others full.  Where some drone has a start there at
+        # which a and the grid's read fall either side of the floor, one of
+        # those is drawn: only there, and only on the last leg, does the
+        # grid's read decide
+        k = draw(st.one_of(st.just(len(legs)), st.integers(1, len(legs))))
+        cache = planner._RateCache(swarm, model)
+        steps = [cache.leg(net, a, b) for a, b in zip(path[:k], path[1:k + 1])]
+        tts = [tt for _, _, tt in steps]
+        near = [(d.id, start, split) for d in drones
+                for start, split in starts_near_the_floor(
+                    [cache.rates(sector)[d.id] for _, sector, _ in steps], tts,
+                    d.capacity)]
+        if near:
+            i, start, _ = draw(st.sampled_from([n for n in near if n[2]] or near))
+            batteries = {d.id: d.capacity for d in drones}
+            batteries[i] = start
+    return swarm, net, path, model, batteries
+
+
+class TestPlainFlyThrough:
+    """The closed-form check that rules a plain fly-through out before its
+    legs are built: it fires exactly where the leg-by-leg flight fails."""
+
+    @given(plain_fly_throughs())
+    @settings(max_examples=300, deadline=None)
+    def test_fails_exactly_where_the_legs_fail(self, case):
+        fails = plain_fails(*case)
+        decided = ("the grid's leg-end read" if fails != a_leg_ends_below_the_floor(*case)
+                   else "either read")
+        event(f"plain fails: {fails}; decided by {decided}")
+        assert fails == (fly_leg_by_leg(*case, None) is None)
+
+    def one_drone(self, rate, battery, *km, wind=CALM):
+        """One drone that drains ``rate`` a minute on a line of ``km``
+        legs, at 1 km a minute."""
+        spec = DroneSpec(battery_capacity=8000.0, cruise_speed=60.0,
+                         base_consumption_rate=rate)
+        swarm = swarm_of([make_delivery_drone(0, 0.0, spec)])
+        return swarm, line_net(*km, wind=wind), list(range(len(km) + 1)), \
+            model_for(spec), {0: battery}
+
+    def assert_agrees(self, case, fails):
+        assert plain_fails(*case) is fails
+        assert (fly_leg_by_leg(*case, None) is None) is fails
+
+    def test_the_grid_read_not_the_leg_end_decides_at_the_float_edge(self):
+        b, rate, tt = 3290.936686566305, 287.98143383683094, 11.427600184920031
+        case = self.one_drone(rate, b, tt)
+        assert travel_time(tt * 1000.0, 60.0) == tt
+        a = b - rate * tt
+        assert -FLOOR_TOLERANCE < a and b + (a - b) * tt / tt < -FLOOR_TOLERANCE
+        assert not a_leg_ends_below_the_floor(*case)
+        self.assert_agrees(case, True)
+
+    def test_a_leg_that_ends_exactly_at_the_floor_passes(self):
+        self.assert_agrees(self.one_drone(FLOOR_TOLERANCE, 0.0, 1.0), False)
+        below = -4 * math.ulp(FLOOR_TOLERANCE)
+        self.assert_agrees(self.one_drone(FLOOR_TOLERANCE, below, 1.0), True)
+
+    @pytest.mark.parametrize("battery, fails", [(-2e-9, True), (-FLOOR_TOLERANCE, False)])
+    def test_a_leg_of_no_time_reads_its_start(self, battery, fails):
+        # a subnormal distance takes 0.0 minutes, where the grid reads the
+        # leg end alone: b - rate * 0.0 == b
+        case = self.one_drone(50.0, battery, 1e-323)
+        assert travel_time(case[1].segments[0].distance_m, 60.0) == 0.0
+        self.assert_agrees(case, fails)
+
+    def test_a_start_below_the_floor_fails_the_first_leg(self):
+        self.assert_agrees(self.one_drone(50.0, -2e-9, 1e-6), True)
+
+    def test_every_leg_is_read_not_only_the_last(self):
+        # the drone runs dry on leg 2 of 3; on its start it could fly leg 3
+        # alone.  A windless last leg (below) tells a check that reads only
+        # the last leg, after draining the others, from one that reads each
+        self.assert_agrees(self.one_drone(50.0, 400.0, 4.0, 5.0, 0.1), True)
+        self.assert_agrees(self.one_drone(50.0, 460.0, 4.0, 5.0, 0.1), False)
+
+    def test_a_windless_leg_raises_after_the_legs_before_it_pass(self):
+        wind = [CALM, CALM, None]
+        case = self.one_drone(50.0, 8000.0, 1.0, 1.0, 1.0, wind=wind)
+        for check in (plain_fails, lambda *c: fly_leg_by_leg(*c, None)):
+            with pytest.raises(ValueError, match=r"segment \(2, 3\) has no wind data"):
+                check(*case)
+        # and is never reached after one that fails
+        self.assert_agrees(self.one_drone(50.0, 60.0, 1.0, 1.0, 1.0, wind=wind), True)
+
+
 class TestSharedFlyThroughBoundOnWorlds:
-    """On slices of both walker worlds every shared fly-through equals its
-    leg-by-leg composition, and the bound rules out at least so many."""
+    """On slices of both walker worlds every fly-through, plain or shared,
+    equals its leg-by-leg composition, and the plain check and the shared
+    bound each rule out at least so many."""
 
     WORLDS = {
         # the acceptance world and sweep profile, and the CLI world and
-        # defaults, with the least count ruled out per strategy
-        "acceptance": (2118, (0, 3), {"fb": 111}),
-        "cli": (0, (1, 3), {"pb": 1, "fb": 1}),
+        # defaults, with the least count ruled out per strategy ("plain"
+        # counts the plain check, under every strategy)
+        "acceptance": (2118, (0, 3), {"fb": 111, "plain": 209}),
+        "cli": (0, (1, 3), {"pb": 1, "fb": 1, "plain": 1240}),
     }
 
     @pytest.mark.parametrize("world", sorted(WORLDS))
@@ -875,20 +1048,22 @@ class TestSharedFlyThroughBoundOnWorlds:
         else:
             cfg, spec = ExperimentConfig(), None
 
-        fired = {"pb": 0, "fb": 0}
+        fired = {"pb": 0, "fb": 0, "plain": 0}
         fly_through = planner._fly_through
 
         def checked(swarm, net, path, model, batteries, share, cache):
             got = fly_through(swarm, net, path, model, batteries, share, cache)
-            if share is not None:
-                case = (swarm, net, path, model, batteries, share)
-                fired[share.strategy] += rules_out(*case)
-                assert repr(got) == repr(fly_leg_by_leg(*case))
+            case = (swarm, net, path, model, batteries)
+            if share is None:
+                fired["plain"] += plain_fails(*case)
+            else:
+                fired[share.strategy] += rules_out(*case, share)
+            assert repr(got) == repr(fly_leg_by_leg(*case, share))
             return got
 
         monkeypatch.setattr(planner, "_fly_through", checked)
         run_experiment(net, requests, default_table(),
-                       replace(cfg, strategies=("pb", "fb")), spec=spec)
+                       replace(cfg, strategies=("baseline", "pb", "fb")), spec=spec)
         assert all(fired[strategy] >= n for strategy, n in least.items()), fired
 
 
