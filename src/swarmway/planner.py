@@ -671,6 +671,15 @@ def compose(
     the smaller node id; arriving at the destination costs no recharge).
     A node accepts at most two visits per plan; running out of moves
     strands the plan as "stuck".
+
+    A round is a pure function of its node and the batteries it starts
+    on, and every round after a recharge starts full.  So a round that
+    starts full keeps its node's feasible stops, in neighbor order, and a
+    later round at that node picks from them, less the neighbors that have
+    since reached their visit cap, without flying or probing again: both
+    fly-throughs failed there, and visit counts only rise.  A first round
+    on partly charged batteries keeps nothing.  A plan that repeats a stop
+    holds the same leg and visit objects twice.
     """
     strategy = share.strategy if share else "baseline"
     if tree is None or tree.root != request.destination:
@@ -680,39 +689,49 @@ def compose(
         plan.status = "unreachable"
         return plan
     cache = _RateCache(swarm, model)
+    full = {d.id: d.capacity for d in swarm.drones}
     batteries = {d.id: d.battery for d in swarm.drones}
     current = request.source
     visit_count = {current: 1}
+    stops_at: dict[int, list] = {}  # node -> its stops (cost, nb, leg, visit), from full
 
     while current != request.destination:
-        remaining = tree.path_to_root(current)
-        legs = _fly_through(swarm, net, remaining, model, batteries, None, cache)
-        if legs is None and share is not None:
-            legs = _fly_through(swarm, net, remaining, model, batteries, share, cache)
-        if legs is not None:
-            plan.legs.extend(legs)
-            plan.path.extend(remaining[1:])
-            current = request.destination
-            break
+        stops = stops_at.get(current)
+        if stops is None:
+            remaining = tree.path_to_root(current)
+            legs = _fly_through(swarm, net, remaining, model, batteries, None, cache)
+            if legs is None and share is not None:
+                legs = _fly_through(swarm, net, remaining, model, batteries, share, cache)
+            if legs is not None:
+                plan.legs.extend(legs)
+                plan.path.extend(remaining[1:])
+                current = request.destination
+                break
+
+            stops = []
+            for nb in net.neighbors(current):
+                if visit_count.get(nb, 0) >= MAX_NODE_VISITS:
+                    continue
+                if nb != request.destination and net.nodes[nb].pads < 1:
+                    continue
+                leg = feasible_leg(swarm, net, current, nb, model, batteries=batteries,
+                                   share=share, rate_cache=cache)
+                if leg is None:
+                    continue
+                if nb == request.destination:
+                    visit, nt = None, 0.0
+                else:
+                    visit = _full_recharge(swarm, leg, net.nodes[nb], model, cache)
+                    nt = visit.nt
+                stops.append((leg.tt + nt, nb, leg, visit))
+            if batteries == full:
+                stops_at[current] = stops
 
         best = None
-        for nb in net.neighbors(current):
-            if visit_count.get(nb, 0) >= MAX_NODE_VISITS:
-                continue
-            if nb != request.destination and net.nodes[nb].pads < 1:
-                continue
-            leg = feasible_leg(swarm, net, current, nb, model, batteries=batteries,
-                               share=share, rate_cache=cache)
-            if leg is None:
-                continue
-            if nb == request.destination:
-                visit, nt = None, 0.0
-            else:
-                visit = _full_recharge(swarm, leg, net.nodes[nb], model, cache)
-                nt = visit.nt
-            cost = leg.tt + nt
-            if best is None or cost < best[0]:
-                best = (cost, nb, leg, visit)
+        for stop in stops:
+            if visit_count.get(stop[1], 0) < MAX_NODE_VISITS and (
+                    best is None or stop[0] < best[0]):
+                best = stop
         if best is None:
             plan.stuck_node = current
             return plan
@@ -723,7 +742,7 @@ def compose(
         visit_count[nb] = visit_count.get(nb, 0) + 1
         if visit is not None:
             plan.visits.append(visit)
-            batteries = {d.id: d.capacity for d in swarm.drones}
+            batteries = full
         else:
             batteries = leg.batteries_after
         current = nb

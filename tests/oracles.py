@@ -301,3 +301,75 @@ def grid_scan_feasible(traces, tt, tol=1e-9) -> bool:
             if value < -tol:
                 return False
     return True
+
+
+def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
+    """``planner.compose`` with no memory across rounds: every round flies
+    the rest of the path, plain and then shared, and probes every neighbor
+    again, even at a node it has planned from before.
+
+    The walker's round loop before it kept each node's stops, as written.
+    """
+    from swarmway import planner
+    from swarmway.network import shortest_path_tree
+
+    strategy = share.strategy if share else "baseline"
+    if tree is None or tree.root != request.destination:
+        tree = shortest_path_tree(net, request.destination)
+    plan = planner.DeliveryPlan(request.id, strategy, "stuck", [request.source], [], [])
+    if tree.distance(request.source) == math.inf:
+        plan.status = "unreachable"
+        return plan
+    cache = planner._RateCache(swarm, model)
+    batteries = {d.id: d.battery for d in swarm.drones}
+    current = request.source
+    visit_count = {current: 1}
+
+    while current != request.destination:
+        remaining = tree.path_to_root(current)
+        legs = planner._fly_through(swarm, net, remaining, model, batteries, None, cache)
+        if legs is None and share is not None:
+            legs = planner._fly_through(swarm, net, remaining, model, batteries, share,
+                                        cache)
+        if legs is not None:
+            plan.legs.extend(legs)
+            plan.path.extend(remaining[1:])
+            current = request.destination
+            break
+
+        best = None
+        for nb in net.neighbors(current):
+            if visit_count.get(nb, 0) >= planner.MAX_NODE_VISITS:
+                continue
+            if nb != request.destination and net.nodes[nb].pads < 1:
+                continue
+            leg = planner.feasible_leg(swarm, net, current, nb, model,
+                                       batteries=batteries, share=share,
+                                       rate_cache=cache)
+            if leg is None:
+                continue
+            if nb == request.destination:
+                visit, nt = None, 0.0
+            else:
+                visit = planner._full_recharge(swarm, leg, net.nodes[nb], model, cache)
+                nt = visit.nt
+            cost = leg.tt + nt
+            if best is None or cost < best[0]:
+                best = (cost, nb, leg, visit)
+        if best is None:
+            plan.stuck_node = current
+            return plan
+
+        _, nb, leg, visit = best
+        plan.legs.append(leg)
+        plan.path.append(nb)
+        visit_count[nb] = visit_count.get(nb, 0) + 1
+        if visit is not None:
+            plan.visits.append(visit)
+            batteries = {d.id: d.capacity for d in swarm.drones}
+        else:
+            batteries = leg.batteries_after
+        current = nb
+
+    plan.status = "success"
+    return plan

@@ -51,7 +51,7 @@ from swarmway.network import (
 )
 from swarmway.preflight import POSITIONING_SETTINGS, Swarm, assign_positions
 
-from oracles import grid_scan_feasible, leg_grid_feasible
+from oracles import grid_scan_feasible, leg_grid_feasible, walk_every_round
 
 FLAT = CoefficientTable({
     (kind, slot, sector): 1.0
@@ -1025,15 +1025,18 @@ class TestPlainFlyThrough:
 
 class TestSharedFlyThroughBoundOnWorlds:
     """On slices of both walker worlds every fly-through, plain or shared,
-    equals its leg-by-leg composition, and the plain check and the shared
-    bound each rule out at least so many."""
+    equals its leg-by-leg composition, no compose flies the same one twice,
+    and the plain check and the shared bound each rule out at least so
+    many."""
 
     WORLDS = {
         # the acceptance world and sweep profile, and the CLI world and
         # defaults, with the least count ruled out per strategy ("plain"
-        # counts the plain check, under every strategy)
-        "acceptance": (2118, (0, 3), {"fb": 111, "plain": 209}),
-        "cli": (0, (1, 3), {"pb": 1, "fb": 1, "plain": 1240}),
+        # counts the plain check, under every strategy).  Of the calls made:
+        # acceptance fb 58 of 61, plain 112 of 157; cli pb 332 of 334, fb
+        # 143 of 165, plain 662 of 672
+        "acceptance": (2118, (0, 3), {"fb": 58, "plain": 112}),
+        "cli": (0, (1, 3), {"pb": 332, "fb": 143, "plain": 662}),
     }
 
     @pytest.mark.parametrize("world", sorted(WORLDS))
@@ -1049,9 +1052,13 @@ class TestSharedFlyThroughBoundOnWorlds:
             cfg, spec = ExperimentConfig(), None
 
         fired = {"pb": 0, "fb": 0, "plain": 0}
+        flown = set()  # (cache, path, share); a cache lives for one compose
         fly_through = planner._fly_through
 
         def checked(swarm, net, path, model, batteries, share, cache):
+            key = (cache, tuple(path), share)
+            assert key not in flown, (path, share)
+            flown.add(key)
             got = fly_through(swarm, net, path, model, batteries, share, cache)
             case = (swarm, net, path, model, batteries)
             if share is None:
@@ -1065,6 +1072,62 @@ class TestSharedFlyThroughBoundOnWorlds:
         run_experiment(net, requests, default_table(),
                        replace(cfg, strategies=("baseline", "pb", "fb")), spec=spec)
         assert all(fired[strategy] >= n for strategy, n in least.items()), fired
+
+
+class TestRevisitedStops:
+    """A round that starts full keeps its node's stops, and a revisit picks
+    from them: every plan equals the walker that plans every round afresh."""
+
+    WORLDS = TestSharedFlyThroughBoundOnWorlds.WORLDS
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_compose_equals_walking_every_round(self, world, monkeypatch):
+        from test_acceptance import SWEEP_CFG, SWEEP_SPEC
+        from swarmway import bench
+
+        net_seed, pads, _ = self.WORLDS[world]
+        net = largest_connected_component(synthesize_network(276, net_seed, pads=pads))
+        requests = synthesize_requests(net, 15, 0)
+        if world == "acceptance":
+            cfg, spec = SWEEP_CFG, SWEEP_SPEC
+        else:
+            cfg, spec = ExperimentConfig(), None
+
+        plans = []
+
+        def checked(swarm, net, request, model, **kwargs):
+            got = compose(swarm, net, request, model, **kwargs)
+            assert repr(got) == repr(walk_every_round(swarm, net, request, model,
+                                                      **kwargs))
+            plans.append(got)
+            return got
+
+        monkeypatch.setattr(bench, "compose", checked)
+        run_experiment(net, requests, default_table(),
+                       replace(cfg, strategies=("baseline", "pb", "fb")), spec=spec)
+        assert len(plans) == 15 * 5
+        # some plans plan again from a node they left: the memo is exercised
+        assert any(len(set(plan.path[:-1])) < len(plan.path) - 1 for plan in plans)
+
+    def test_a_partly_charged_start_probes_its_source_again(self):
+        # 300 of 700 mAh reach node 1 but not the destination 30 km away;
+        # full batteries back at the source fly there.  Round 1's probes
+        # would send the swarm to node 1 again and strand it there
+        spec = DroneSpec(battery_capacity=700.0, cruise_speed=60.0,
+                         pad_charge_rate=10.0, base_consumption_rate=20.0)
+        drones = [make_delivery_drone(i, 0.0, spec) for i in range(2)]
+        for d in drones:
+            d.battery = 300.0
+        swarm, model = swarm_of(drones), model_for(spec)
+        net = SkywayNetwork(
+            [Node(0, 0.0, 0.0, 1), Node(1, -10000.0, 0.0, 1), Node(2, 30000.0, 0.0, 1)],
+            [Segment(0, 1, 10000.0, CALM), Segment(0, 2, 30000.0, CALM)],
+        )
+        request = DeliveryRequest(12, 0, 2, [0.3, 0.3])
+        plan = compose(swarm, net, request, model)
+        assert plan.status == "success"
+        assert plan.path == [0, 1, 0, 2]
+        assert repr(plan) == repr(walk_every_round(swarm, net, request, model))
 
 
 class TestStaticBaselines:
