@@ -179,8 +179,8 @@ def _cmd_run(args) -> None:
         if done % 200 == 0 or done == total:
             log.info("  %d/%d requests", done, total)
 
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the sweep
     rows, metrics = run_experiment(net, requests, table, cfg, on_progress=progress)
-    os.makedirs(args.out, exist_ok=True)
     write_results(rows, os.path.join(args.out, "results.csv"))
     write_summary(metrics, os.path.join(args.out, "summary.csv"))
     if args.plot_data:

@@ -46,12 +46,12 @@ class DroneSpec:
 
 @dataclass
 class Drone:
-    """One swarm member. Battery and slot are mutable flight state."""
+    """One swarm member.  Every plan starts it on a full battery of
+    ``capacity``; its slot is mutable flight state."""
 
     id: int
     role: str  # "delivery" or "support"
     payload: float
-    battery: float
     capacity: float
     position: int = 0
 
@@ -60,23 +60,20 @@ class Drone:
             raise ValueError(f"drone {self.id}: bad role {self.role!r}")
         if self.payload < 0:
             raise ValueError(f"drone {self.id}: negative payload")
-        if not 0 <= self.battery <= self.capacity:
-            raise ValueError(
-                f"drone {self.id}: battery {self.battery} outside [0, {self.capacity}]"
-            )
+        if not self.capacity >= 0:
+            raise ValueError(f"drone {self.id}: capacity {self.capacity} must be >= 0")
 
 
 def make_delivery_drone(drone_id: int, payload: float, spec: DroneSpec) -> Drone:
     if payload > spec.max_payload:
         raise ValueError(f"payload {payload} exceeds max {spec.max_payload}")
-    return Drone(drone_id, "delivery", payload, spec.battery_capacity,
-                 spec.battery_capacity)
+    return Drone(drone_id, "delivery", payload, spec.battery_capacity)
 
 
 def make_support_drone(drone_id: int, spec: DroneSpec) -> Drone:
     cap = spec.battery_capacity * SUPPORT_CAPACITY_FACTOR
     payload = (SUPPORT_CAPACITY_FACTOR - 1) * SPARE_BATTERY_WEIGHT_KG
-    return Drone(drone_id, "support", payload, cap, cap)
+    return Drone(drone_id, "support", payload, cap)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,6 @@ class LegOutcome:
     tt: float
     sector: str
     consumed: dict[int, float]
-    batteries_before: dict[int, float]
     batteries_after: dict[int, float]
     plan: SharingPlan | None
     traces: dict[int, list[tuple[float, float]]] = field(repr=False, default_factory=dict)
@@ -292,7 +291,7 @@ def check_support_spacing(table: CoefficientTable) -> None:
                 if size - n not in {redundancy_count(float(p), n) for p in range(101)}:
                     continue
                 roles = ["delivery"] * n + ["support"] * (size - n)
-                swarm = Swarm([Drone(i, role, 0.0, 1.0, 1.0, i)
+                swarm = Swarm([Drone(i, role, 0.0, 1.0, i)
                                for i, role in enumerate(roles)], make_formation(kind, size))
                 for setting in POSITIONING_SETTINGS:
                     for sector in WIND_SECTORS:
@@ -387,6 +386,7 @@ def feasible_leg(
     rate_cache: _RateCache | None = None,
 ) -> LegOutcome | None:
     """Traverse one segment if the batteries survive it; None otherwise.
+    ``batteries`` defaults to full ones.
 
     With sharing enabled, each support drone independently serves its
     contiguous block of delivery drones, offering whatever its battery
@@ -397,7 +397,7 @@ def feasible_leg(
     cache = rate_cache or _RateCache(swarm, model)
     seg, sector, tt = cache.leg(net, u, v)
     rates = cache.rates(sector)
-    before = dict(batteries) if batteries is not None else {d.id: d.battery for d in swarm.drones}
+    before = dict(batteries) if batteries is not None else {d.id: d.capacity for d in swarm.drones}
 
     blocks = cache.blocks if share is not None else []
     plan = SharingPlan() if blocks else None
@@ -426,8 +426,7 @@ def feasible_leg(
 
     if not _grid_feasible(traces, tt):
         return None
-    return LegOutcome(u, v, seg.distance_m, tt, sector, consumed, before, after,
-                      plan, traces)
+    return LegOutcome(u, v, seg.distance_m, tt, sector, consumed, after, plan, traces)
 
 
 def _pool(battery, drained, reserve, share) -> float:
@@ -637,19 +636,24 @@ def _fly_through(swarm, net, path, model, batteries, share, cache):
     return legs
 
 
-def _full_recharge(swarm, leg, node, model, cache):
-    """Pad schedule for topping everyone up at this node's pads.
+def _full_recharge(swarm, node, sector, tt, model, cache):
+    """Pad schedule for topping everyone up at ``node`` after a leg of
+    ``tt`` minutes in ``sector`` that started full, priced without
+    building the leg.
 
-    After a leg that started full, the sector's pad candidates hold
-    pad_schedule's optimum (see static_edge_costs); other stops search.
+    Each drain is cap - (cap - rate * tt), the leg's own end battery
+    taken back from full.  The sector's pad candidates hold
+    pad_schedule's optimum on these times (see static_edge_costs), except
+    above the exhaustive cap or for a drain under a millionth of a
+    capacity, where pad_schedule searches.
     """
-    drains = [d.capacity - leg.batteries_after[d.id] for d in swarm.drones]
+    rates = cache.rates(sector)
+    drains = [d.capacity - (d.capacity - rates[d.id] * tt) for d in swarm.drones]
     times = [drain / model.spec.pad_charge_rate for drain in drains]
     if len(times) <= PAD_EXHAUSTIVE_CAP and all(
-            leg.batteries_before[d.id] == d.capacity and drain >= d.capacity * 1e-6
-            for d, drain in zip(swarm.drones, drains)):
+            drain >= d.capacity * 1e-6 for d, drain in zip(swarm.drones, drains)):
         return NodeVisit(node.id, *_first_optimum(
-            cache.pad_candidates(leg.sector, node.pads), times))
+            cache.pad_candidates(sector, node.pads), times))
     sched = pad_schedule(times, node.pads)
     return NodeVisit(node.id, sched.node_time, sched.queues)
 
@@ -672,14 +676,16 @@ def compose(
     A node accepts at most two visits per plan; running out of moves
     strands the plan as "stuck".
 
-    A round is a pure function of its node and the batteries it starts
-    on, and every round after a recharge starts full.  So a round that
-    starts full keeps its node's feasible stops, in neighbor order, and a
-    later round at that node picks from them, less the neighbors that have
-    since reached their visit cap, without flying or probing again: both
-    fly-throughs failed there, and visit counts only rise.  A first round
-    on partly charged batteries keeps nothing.  A plan that repeats a stop
-    holds the same leg and visit objects twice.
+    Every round starts on full batteries: at the source and after each
+    recharge.  From full both composers are idle on a single leg, so a
+    neighbor is feasible exactly when ``_plain_fails`` passes its leg, and
+    its price tt + nt needs no leg built; only the stop taken builds one.
+    A round is then a pure function of its node, so the first round at a
+    node keeps its feasible stops, in neighbor order, and a later round
+    there picks from them, less the neighbors that have since reached
+    their visit cap, without flying or probing again: both fly-throughs
+    failed there, and visit counts only rise.  A plan that repeats a stop
+    holds the same visit object twice.
     """
     strategy = share.strategy if share else "baseline"
     if tree is None or tree.root != request.destination:
@@ -690,42 +696,38 @@ def compose(
         return plan
     cache = _RateCache(swarm, model)
     full = {d.id: d.capacity for d in swarm.drones}
-    batteries = {d.id: d.battery for d in swarm.drones}
     current = request.source
     visit_count = {current: 1}
-    stops_at: dict[int, list] = {}  # node -> its stops (cost, nb, leg, visit), from full
+    stops_at: dict[int, list] = {}  # node -> its stops (cost, nb, visit)
 
     while current != request.destination:
         stops = stops_at.get(current)
         if stops is None:
             remaining = tree.path_to_root(current)
-            legs = _fly_through(swarm, net, remaining, model, batteries, None, cache)
+            legs = _fly_through(swarm, net, remaining, model, full, None, cache)
             if legs is None and share is not None:
-                legs = _fly_through(swarm, net, remaining, model, batteries, share, cache)
+                legs = _fly_through(swarm, net, remaining, model, full, share, cache)
             if legs is not None:
                 plan.legs.extend(legs)
                 plan.path.extend(remaining[1:])
                 current = request.destination
                 break
 
-            stops = []
+            stops = stops_at[current] = []
             for nb in net.neighbors(current):
                 if visit_count.get(nb, 0) >= MAX_NODE_VISITS:
                     continue
                 if nb != request.destination and net.nodes[nb].pads < 1:
                     continue
-                leg = feasible_leg(swarm, net, current, nb, model, batteries=batteries,
-                                   share=share, rate_cache=cache)
-                if leg is None:
+                if _plain_fails(net, [current, nb], full, cache):
                     continue
+                _, sector, tt = cache.leg(net, current, nb)
                 if nb == request.destination:
                     visit, nt = None, 0.0
                 else:
-                    visit = _full_recharge(swarm, leg, net.nodes[nb], model, cache)
+                    visit = _full_recharge(swarm, net.nodes[nb], sector, tt, model, cache)
                     nt = visit.nt
-                stops.append((leg.tt + nt, nb, leg, visit))
-            if batteries == full:
-                stops_at[current] = stops
+                stops.append((tt + nt, nb, visit))
 
         best = None
         for stop in stops:
@@ -736,15 +738,13 @@ def compose(
             plan.stuck_node = current
             return plan
 
-        _, nb, leg, visit = best
-        plan.legs.append(leg)
+        _, nb, visit = best
+        plan.legs.append(feasible_leg(swarm, net, current, nb, model, batteries=full,
+                                      share=share, rate_cache=cache))
         plan.path.append(nb)
         visit_count[nb] = visit_count.get(nb, 0) + 1
         if visit is not None:
             plan.visits.append(visit)
-            batteries = full
-        else:
-            batteries = leg.batteries_after
         current = nb
 
     plan.status = "success"
@@ -852,21 +852,16 @@ def _simulate_static_path(swarm, net, path, model, request_id, strategy, static_
     plan = DeliveryPlan(request_id, strategy, "stuck", list(path), [], [],
                         static_cost=static_cost)
     cache = _RateCache(swarm, model)
-    batteries = {d.id: d.battery for d in swarm.drones}
     for i, (a, b) in enumerate(zip(path, path[1:])):
-        leg = feasible_leg(swarm, net, a, b, model, batteries=batteries,
-                           rate_cache=cache)
+        leg = feasible_leg(swarm, net, a, b, model, rate_cache=cache)
         if leg is None:
             plan.stuck_node = a
             plan.path = list(path[: i + 1])
             return plan
         plan.legs.append(leg)
         if b != path[-1]:
-            visit = _full_recharge(swarm, leg, net.nodes[b], model, cache)
-            plan.visits.append(visit)
-            batteries = {d.id: d.capacity for d in swarm.drones}
-        else:
-            batteries = leg.batteries_after
+            plan.visits.append(_full_recharge(swarm, net.nodes[b], leg.sector, leg.tt,
+                                              model, cache))
     plan.status = "success"
     return plan
 

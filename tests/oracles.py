@@ -321,7 +321,7 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
         plan.status = "unreachable"
         return plan
     cache = planner._RateCache(swarm, model)
-    batteries = {d.id: d.battery for d in swarm.drones}
+    batteries = {d.id: d.capacity for d in swarm.drones}
     current = request.source
     visit_count = {current: 1}
 
@@ -351,7 +351,8 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
             if nb == request.destination:
                 visit, nt = None, 0.0
             else:
-                visit = planner._full_recharge(swarm, leg, net.nodes[nb], model, cache)
+                visit = planner._full_recharge(swarm, net.nodes[nb], leg.sector, leg.tt,
+                                               model, cache)
                 nt = visit.nt
             cost = leg.tt + nt
             if best is None or cost < best[0]:

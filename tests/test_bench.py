@@ -473,6 +473,17 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "exp").exists()
 
+    def test_out_that_names_a_file_exits_3_before_planning(self, tmp_path, capsys,
+                                                           monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("")
+        planned = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: planned.append(a))
+        assert main(["run", "--synth-nodes", "20", "--requests", "1",
+                     "--out", str(out), "--quiet"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert planned == []
+
     def test_bad_gamma_exits_2(self, tmp_path):
         assert main(["run", "--gamma", "1.5", "--requests", "1",
                      "--synth-nodes", "20", "--out", str(tmp_path),

@@ -310,7 +310,7 @@ class TestDroneTypes:
         spec = DroneSpec()
         d = make_delivery_drone(3, 1.1, spec)
         assert d.role == "delivery"
-        assert d.battery == d.capacity == spec.battery_capacity
+        assert d.capacity == spec.battery_capacity
         with pytest.raises(ValueError, match="exceeds"):
             make_delivery_drone(0, 1.5, spec)
 
@@ -323,11 +323,12 @@ class TestDroneTypes:
 
     def test_drone_validation(self):
         with pytest.raises(ValueError):
-            Drone(0, "scout", 0.0, 100.0, 100.0)
+            Drone(0, "scout", 0.0, 100.0)
         with pytest.raises(ValueError):
-            Drone(0, "delivery", -0.1, 100.0, 100.0)
-        with pytest.raises(ValueError):
-            Drone(0, "delivery", 0.0, 101.0, 100.0)
+            Drone(0, "delivery", -0.1, 100.0)
+        for capacity in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="capacity"):
+                Drone(0, "delivery", 0.0, capacity)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -129,8 +129,8 @@ class TestFeasibleLeg:
 
     def test_depleted_drone_makes_the_leg_infeasible(self):
         swarm, model = self.plain_pair()
-        swarm.drones[0].battery = 250.0
-        assert feasible_leg(swarm, line_net(6), 0, 1, model) is None
+        assert feasible_leg(swarm, line_net(6), 0, 1, model,
+                            batteries={0: 250.0, 1: 700.0}) is None
 
     def test_windless_segment_rejected(self):
         swarm, model = self.plain_pair()
@@ -139,17 +139,17 @@ class TestFeasibleLeg:
             feasible_leg(swarm, net, 0, 1, model)
 
     def rescue_pair(self, consumer_mah, provider_mah):
+        """A delivery drone and its support drone, and their batteries."""
         d0 = make_delivery_drone(0, 0.0, SHARE_SPEC)
-        d0.battery = consumer_mah
         s1 = make_support_drone(1, SHARE_SPEC)
-        s1.battery = provider_mah
-        return swarm_of([d0, s1]), model_for(SHARE_SPEC)
+        return swarm_of([d0, s1]), model_for(SHARE_SPEC), {0: consumer_mah, 1: provider_mah}
 
     def test_priority_transfer_rescues_the_leg(self):
-        swarm, model = self.rescue_pair(512.0, 8192.0)
+        swarm, model, batteries = self.rescue_pair(512.0, 8192.0)
         net = line_net(16)
-        assert feasible_leg(swarm, net, 0, 1, model) is None
-        leg = feasible_leg(swarm, net, 0, 1, model, share=ShareConfig("pb"))
+        assert feasible_leg(swarm, net, 0, 1, model, batteries=batteries) is None
+        leg = feasible_leg(swarm, net, 0, 1, model, batteries=batteries,
+                           share=ShareConfig("pb"))
         assert leg is not None
         # the refill request is cut at the 16-minute window: 128 mAh/min
         a = leg.plan.allocations[0]
@@ -165,8 +165,8 @@ class TestFeasibleLeg:
         assert not leg_grid_feasible({0: 512.0, 1: 8192.0}, rates, [], 16.0)
 
     def test_fairness_transfer_rescues_the_leg(self):
-        swarm, model = self.rescue_pair(512.0, 8192.0)
-        leg = feasible_leg(swarm, line_net(16), 0, 1, model,
+        swarm, model, batteries = self.rescue_pair(512.0, 8192.0)
+        leg = feasible_leg(swarm, line_net(16), 0, 1, model, batteries=batteries,
                            share=ShareConfig("fb", quantum=2048.0, delta_frac=0.0))
         assert leg is not None
         assert leg.plan.total_shared == 2048.0
@@ -174,10 +174,11 @@ class TestFeasibleLeg:
     def test_offer_cannot_exceed_provider_surplus(self):
         # provider has 76 mAh beyond its own drain: not enough for either
         # composer to keep the consumer alive
-        swarm, model = self.rescue_pair(512.0, 1100.0)
+        swarm, model, batteries = self.rescue_pair(512.0, 1100.0)
         net = line_net(16)
-        assert feasible_leg(swarm, net, 0, 1, model, share=ShareConfig("pb")) is None
-        assert feasible_leg(swarm, net, 0, 1, model,
+        assert feasible_leg(swarm, net, 0, 1, model, batteries=batteries,
+                            share=ShareConfig("pb")) is None
+        assert feasible_leg(swarm, net, 0, 1, model, batteries=batteries,
                             share=ShareConfig("fb", quantum=512.0)) is None
 
     def test_dip_between_whole_minutes_is_tolerated(self):
@@ -186,15 +187,14 @@ class TestFeasibleLeg:
                          base_consumption_rate=64.0)
         model = model_for(spec, payload_gain=1.0)
         d0 = make_delivery_drone(0, 0.0, spec)       # 64 mAh/min
-        d0.battery = 2048.0
         d1 = make_delivery_drone(1, 1.4, spec)       # 128 mAh/min
-        d1.battery = 160.0
         s2 = make_support_drone(2, spec)
         swarm = swarm_of([d0, d1, s2])
+        batteries = {0: 2048.0, 1: 160.0, 2: s2.capacity}
         net = line_net(8)
-        assert feasible_leg(swarm, net, 0, 1, model) is None
+        assert feasible_leg(swarm, net, 0, 1, model, batteries=batteries) is None
         cfg = ShareConfig("fb", quantum=1536.0, delta_frac=0.0)
-        leg = feasible_leg(swarm, net, 0, 1, model, share=cfg)
+        leg = feasible_leg(swarm, net, 0, 1, model, batteries=batteries, share=cfg)
         # d1 goes under at t=1.5, after the minute-1 check and before the
         # round-robin reaches it; the refill lands before minute 2
         assert leg is not None
@@ -205,18 +205,16 @@ class TestFeasibleLeg:
         drones = []
         for i, slot in enumerate((0, 2, 3, 5)):
             d = make_delivery_drone(i, 0.0, SHARE_SPEC)
-            d.battery = 3200.0
             d.position = slot
             drones.append(d)
         s4 = make_support_drone(4, SHARE_SPEC)
-        s4.battery = 8192.0
         s4.position = 1
         s5 = make_support_drone(5, SHARE_SPEC)
-        s5.battery = 8192.0
         s5.position = 4
         swarm = Swarm(drones + [s4, s5], make_formation("column", 6))
+        batteries = {0: 3200.0, 1: 3200.0, 2: 3200.0, 3: 3200.0, 4: 8192.0, 5: 8192.0}
         leg = feasible_leg(swarm, line_net(16), 0, 1, model_for(SHARE_SPEC),
-                           share=ShareConfig("pb"))
+                           batteries=batteries, share=ShareConfig("pb"))
         assert leg is not None
         # each provider refills its own two drones, then the re-poll tops
         # the first one up again until the window cuts the service short
@@ -234,17 +232,18 @@ class TestFeasibleLeg:
             d = make_delivery_drone(i, 0.0, SHARE_SPEC)
             d.position = slot
             drones.append(d)
-        drones[2].battery = 1000.0
         s4 = make_support_drone(4, SHARE_SPEC)
         s4.position = 1
         s5 = make_support_drone(5, SHARE_SPEC)
         s5.position = 4
         swarm = Swarm(drones + [s4, s5], make_formation("column", 6))
+        batteries = {d.id: d.capacity for d in swarm.drones}
+        batteries[2] = 1000.0
         model = model_for(SHARE_SPEC)
         net = line_net(7.3)
-        plain = feasible_leg(swarm, net, 0, 1, model)
+        plain = feasible_leg(swarm, net, 0, 1, model, batteries=batteries)
         for cfg in (ShareConfig("pb"), ShareConfig("fb", delta_frac=0.0)):
-            leg = feasible_leg(swarm, net, 0, 1, model, share=cfg)
+            leg = feasible_leg(swarm, net, 0, 1, model, batteries=batteries, share=cfg)
             assert [a.consumer for a in leg.plan.allocations] == [2]
             assert list(leg.plan.provider_given) == [4, 5]
             assert leg.plan.provider_given[4] == 0.0
@@ -255,7 +254,6 @@ class TestFeasibleLeg:
                 assert leg.batteries_after[i] == plain.batteries_after[i]
                 assert leg.traces[i] == plain.traces[i]
         # a shared leg where no block can share still carries an empty plan
-        drones[2].battery = SHARE_SPEC.battery_capacity
         plain = feasible_leg(swarm, net, 0, 1, model)
         leg = feasible_leg(swarm, net, 0, 1, model, share=ShareConfig("pb"))
         assert leg.plan is not None and leg.plan.allocations == []
@@ -402,18 +400,28 @@ class TestCompose:
         assert plan.status == "success"
         assert plan.path == [0, 1, 3]
 
-    def test_stop_after_a_partly_charged_start_searches_its_own_times(self):
-        # equal drains, but drone 0 left with 300 of 700 mAh: restore times
-        # 60, 20, 20, 20 min put it alone on a pad, which no split of the
-        # equal rate vector's optimum does
-        spec = DroneSpec(battery_capacity=700.0, cruise_speed=60.0,
-                         pad_charge_rate=10.0, base_consumption_rate=20.0)
-        drones = [make_delivery_drone(i, 0.0, spec) for i in range(4)]
-        drones[0].battery = 300.0
-        plan = compose(swarm_of(drones), line_net(10, 10, pads=2),
-                       DeliveryRequest(11, 0, 2, [0.3] * 4), model_for(spec))
-        assert plan.status == "success"
-        assert [(v.nt, v.queues) for v in plan.visits] == [(60.0, ((0,), (1, 2, 3)))]
+    def test_a_stop_after_a_tiny_leg_searches_its_own_times(self, monkeypatch):
+        # the 1 cm leg to node 1 drains under a millionth of a capacity, where
+        # the sector's pad candidates may miss the optimum, so the stop
+        # searches.  Node 1 to 2 drains drone 1's whole capacity: the swarm
+        # cannot fly through and stops at node 1
+        model = model_for(SHARE_SPEC, payload_gain=1.0)
+        drones = [make_delivery_drone(0, 0.0, SHARE_SPEC),   # 64 mAh/min
+                  make_delivery_drone(1, 1.4, SHARE_SPEC)]   # 128 mAh/min
+        searches = []
+        monkeypatch.setattr(planner, "pad_schedule",
+                            lambda *a: searches.append(a) or pad_schedule(*a))
+        plan = compose(swarm_of(drones), line_net(1e-5, 32),
+                       DeliveryRequest(11, 0, 2, [0.3, 0.3]), model)
+        assert plan.status == "success" and plan.path == [0, 1, 2]
+        leg, [visit] = plan.legs[0], plan.visits
+        drains = [d.capacity - leg.batteries_after[d.id] for d in drones]
+        assert all(0.0 < drain < d.capacity * 1e-6 for d, drain in zip(drones, drains))
+        times = [drain / SHARE_SPEC.pad_charge_rate for drain in drains]
+        assert searches == [(times, 1)]
+        want = pad_schedule(times, 1)
+        assert repr(visit.nt) == repr(want.node_time)
+        assert visit.queues == want.queues
 
     def share_world(self):
         """A bridge only crossable by topping up en route: the first leg
@@ -440,7 +448,6 @@ class TestCompose:
         assert shared.strategy == "pb"
         # composing leaves the swarm it was given untouched
         assert [d.position for d in swarm.drones] == [0, 1, 2]
-        assert all(d.battery == d.capacity for d in swarm.drones)
 
     def test_planning_leaves_the_swarm_unchanged(self):
         # three couriers, so a swap left in place would not undo itself
@@ -450,7 +457,7 @@ class TestCompose:
         request = DeliveryRequest(7, 0, 2, [0.5, 0.5, 0.5])
         for setting in POSITIONING_SETTINGS:
             assign_positions(swarm, setting, "tail", model)
-            standing = [(d.id, d.position, d.battery) for d in swarm.drones]
+            standing = [(d.id, d.position, d.capacity) for d in swarm.drones]
             for strategy in ("pb", "fb"):
                 plan = compose(swarm, net, request, model,
                                share=ShareConfig(strategy, gamma=0.95))
@@ -458,7 +465,7 @@ class TestCompose:
                     (setting, strategy)
             dijkstra_baseline(swarm, net, request, model)
             floyd_warshall_baseline(swarm, net, request, model)
-            assert [(d.id, d.position, d.battery) for d in swarm.drones] == standing
+            assert [(d.id, d.position, d.capacity) for d in swarm.drones] == standing
 
     def test_sharing_stays_idle_when_batteries_suffice(self):
         swarm, model = self.stop_swarm()
@@ -1023,6 +1030,33 @@ class TestPlainFlyThrough:
         self.assert_agrees(self.one_drone(50.0, 60.0, 1.0, 1.0, 1.0, wind=wind), True)
 
 
+class TestSharedLegFromFull:
+    """From full batteries both composers are idle on one leg, so a shared
+    leg drains as a plain one: the walker prices its stops on this."""
+
+    @given(plain_fly_throughs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_shared_leg_from_full_drains_as_a_plain_one(self, case, data):
+        swarm, net, path, model, _ = case
+        k = data.draw(st.integers(0, len(path) - 2))
+        u, v = path[k], path[k + 1]
+        share = ShareConfig(data.draw(st.sampled_from(("pb", "fb"))),
+                            gamma=data.draw(st.one_of(st.sampled_from((0.0, 0.8, 1.0)),
+                                                      st.floats(0.0, 1.0))),
+                            delta_frac=data.draw(st.floats(0.0, 0.99)),
+                            quantum=data.draw(st.one_of(st.sampled_from((28.0, 2240.0)),
+                                                        st.floats(1.0, 4000.0))))
+        full = {d.id: d.capacity for d in swarm.drones}
+        fails = planner._plain_fails(net, [u, v], full, planner._RateCache(swarm, model))
+        event(f"{share.strategy}, {len(swarm.support_drones())} support drones, "
+              f"plain fails: {fails}")
+        leg = feasible_leg(swarm, net, u, v, model, share=share)
+        assert (leg is None) == fails
+        if leg is not None:
+            assert leg.plan is None or leg.plan.allocations == []
+            assert leg.batteries_after == feasible_leg(swarm, net, u, v, model).batteries_after
+
+
 class TestSharedFlyThroughBoundOnWorlds:
     """On slices of both walker worlds every fly-through, plain or shared,
     equals its leg-by-leg composition, no compose flies the same one twice,
@@ -1075,8 +1109,9 @@ class TestSharedFlyThroughBoundOnWorlds:
 
 
 class TestRevisitedStops:
-    """A round that starts full keeps its node's stops, and a revisit picks
-    from them: every plan equals the walker that plans every round afresh."""
+    """The first round at a node keeps its stops, priced without building
+    their legs, and a revisit picks from them: every plan equals the walker
+    that plans every round afresh and builds every neighbor's leg."""
 
     WORLDS = TestSharedFlyThroughBoundOnWorlds.WORLDS
 
@@ -1094,40 +1129,42 @@ class TestRevisitedStops:
             cfg, spec = ExperimentConfig(), None
 
         plans = []
+        # feasible_leg calls made outside a fly-through, and the legs of
+        # the fly-throughs that succeeded, in the current compose
+        seen = {"depth": 0, "stops": 0, "flown": 0}
+        feasible, fly_through = planner.feasible_leg, planner._fly_through
+
+        def counted_leg(*args, **kwargs):
+            seen["stops"] += not seen["depth"]
+            return feasible(*args, **kwargs)
+
+        def counted_fly_through(*args):
+            seen["depth"] += 1
+            try:
+                legs = fly_through(*args)
+            finally:
+                seen["depth"] -= 1
+            seen["flown"] += len(legs or [])
+            return legs
 
         def checked(swarm, net, request, model, **kwargs):
+            seen.update(stops=0, flown=0)
             got = compose(swarm, net, request, model, **kwargs)
+            # one leg built per stop taken
+            assert seen["stops"] == len(got.legs) - seen["flown"]
             assert repr(got) == repr(walk_every_round(swarm, net, request, model,
                                                       **kwargs))
             plans.append(got)
             return got
 
+        monkeypatch.setattr(planner, "feasible_leg", counted_leg)
+        monkeypatch.setattr(planner, "_fly_through", counted_fly_through)
         monkeypatch.setattr(bench, "compose", checked)
         run_experiment(net, requests, default_table(),
                        replace(cfg, strategies=("baseline", "pb", "fb")), spec=spec)
         assert len(plans) == 15 * 5
         # some plans plan again from a node they left: the memo is exercised
         assert any(len(set(plan.path[:-1])) < len(plan.path) - 1 for plan in plans)
-
-    def test_a_partly_charged_start_probes_its_source_again(self):
-        # 300 of 700 mAh reach node 1 but not the destination 30 km away;
-        # full batteries back at the source fly there.  Round 1's probes
-        # would send the swarm to node 1 again and strand it there
-        spec = DroneSpec(battery_capacity=700.0, cruise_speed=60.0,
-                         pad_charge_rate=10.0, base_consumption_rate=20.0)
-        drones = [make_delivery_drone(i, 0.0, spec) for i in range(2)]
-        for d in drones:
-            d.battery = 300.0
-        swarm, model = swarm_of(drones), model_for(spec)
-        net = SkywayNetwork(
-            [Node(0, 0.0, 0.0, 1), Node(1, -10000.0, 0.0, 1), Node(2, 30000.0, 0.0, 1)],
-            [Segment(0, 1, 10000.0, CALM), Segment(0, 2, 30000.0, CALM)],
-        )
-        request = DeliveryRequest(12, 0, 2, [0.3, 0.3])
-        plan = compose(swarm, net, request, model)
-        assert plan.status == "success"
-        assert plan.path == [0, 1, 0, 2]
-        assert repr(plan) == repr(walk_every_round(swarm, net, request, model))
 
 
 class TestStaticBaselines:
@@ -1351,8 +1388,8 @@ class TestStaticCostsMatchPadSchedule:
 
 
 class TestStopsMatchPadSchedule:
-    """Every recharge stop equals pad_schedule on its own restore times:
-    node time under repr, and the queues."""
+    """Every recharge stop equals pad_schedule on the restore times of the
+    leg before it: node time under repr, and the queues."""
 
     WORLDS = {
         # the acceptance world and sweep profile, and the CLI world and defaults
@@ -1373,18 +1410,26 @@ class TestStopsMatchPadSchedule:
         else:
             cfg, spec = ExperimentConfig(), None
 
+        from swarmway import bench
+
         stops = []
         searches = []
-        full_recharge = planner._full_recharge
 
-        def recorded(swarm, leg, node, model, cache):
-            visit = full_recharge(swarm, leg, node, model, cache)
-            times = [(d.capacity - leg.batteries_after[d.id]) / model.spec.pad_charge_rate
-                     for d in swarm.drones]
-            stops.append((visit, pad_schedule(times, node.pads)))
-            return visit
+        def recorded(router):
+            def run(swarm, net, request, model, **kwargs):
+                plan = router(swarm, net, request, model, **kwargs)
+                # visit k follows leg k; a last leg into the destination,
+                # and the legs of a fly-through, have none
+                for leg, visit in zip(plan.legs, plan.visits):
+                    assert leg.v == visit.node
+                    times = [(d.capacity - leg.batteries_after[d.id])
+                             / model.spec.pad_charge_rate for d in swarm.drones]
+                    stops.append((visit, pad_schedule(times, net.nodes[leg.v].pads)))
+                return plan
+            return run
 
-        monkeypatch.setattr(planner, "_full_recharge", recorded)
+        for name in ("compose", "dijkstra_baseline", "floyd_warshall_baseline"):
+            monkeypatch.setattr(bench, name, recorded(getattr(bench, name)))
         monkeypatch.setattr(planner, "pad_schedule",
                             lambda *a, **k: searches.append(a) or pad_schedule(*a, **k))
         run_experiment(net, requests, default_table(),

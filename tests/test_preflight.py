@@ -6,6 +6,7 @@ import math
 import pytest
 
 from swarmway.energy import (
+    SUPPORT_CAPACITY_FACTOR,
     DroneSpec,
     EnergyModel,
     make_delivery_drone,
@@ -257,7 +258,9 @@ class TestBuildSwarm:
         support = swarm.support_drones()
         assert support and [d.id for d in support] == \
             list(range(3, 3 + len(support)))
-        assert all(d.battery == d.capacity for d in swarm.drones)
+        cap = MODEL.spec.battery_capacity
+        assert [d.capacity for d in delivery] == [cap] * 3
+        assert all(d.capacity == SUPPORT_CAPACITY_FACTOR * cap for d in support)
         assert swarm.formation.size == len(swarm.drones)
 
     def test_without_support(self):
