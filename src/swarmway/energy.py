@@ -12,6 +12,7 @@ direction quantized relative to travel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .formations import CoefficientTable, Formation
@@ -160,51 +161,69 @@ def pad_candidates(times: tuple[float, ...],
     whose makespan on ``times`` is within a relative 1e-9 of the optimum,
     in lexicographic order.
 
-    Branch and bound in lexicographic order, under a limit of 1 + 1e-9
-    times the LPT makespan, then times the best makespan found.  A branch
-    is cut when its partial makespan exceeds the limit, or when, with
-    room = limit * (1 + 1e-12), the sum of room - load over the pads
-    (unused ones included) whose room fits the smallest remaining time is
-    below the remaining total.  The second cut is exact: a completion
-    within the limit puts each remaining time on a pad that grows by at
-    least the smallest of them and by at most its room.  Rounding in the
-    loads and in both sums is a few (n + pads) * 2**-53 relative, far
-    below the 1e-12 slack.
+    One pad, or no times, has a single canonical assignment.  Otherwise a
+    branch and bound in lexicographic order, under a limit of 1 + 1e-9
+    times the LPT makespan, then times the best makespan found.  A child
+    whose partial makespan exceeds the limit is not entered.  A pad's room
+    is limit * (1 + 1e-12) less its load; only the pads (unused ones
+    included) whose room fits the smallest remaining time count.  A branch
+    is cut when their rooms sum to less than the remaining total (the room
+    cut), or when their counts sum to fewer than the remaining times (the
+    count cut); a pad's count is the largest k whose k smallest remaining
+    times, summed and shrunk by 1 - 1e-12, fit its room.  Both cuts are
+    exact: a completion within the limit puts on each pad a set of
+    remaining times that fits its room, and such a set grows the pad by at
+    least the smallest of them and has no more members than the count.
+    Rounding in the loads and in the sums is a few (n + pads) * 2**-53
+    relative, far below the 1e-12 slack in the room and in the shrink, so
+    it can only raise a room sum or a count.
     """
     n = len(times)
+    if pads == 1 or not n:
+        return [_queues((0,) * n, pads)]
     band = 1.0 + 1e-9
     limit = _makespan(_queues(_greedy_assignment(times, pads), pads), times) * band
     rest = [0.0] * (n + 1)  # rest[i]: total of times[i:]
     low = [math.inf] * (n + 1)  # low[i]: smallest of times[i:]
+    # least[i][k - 1]: the k smallest of times[i:] summed, shrunk by 1 - 1e-12
+    least = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         rest[i] = times[i] + rest[i + 1]
         low[i] = min(times[i], low[i + 1])
+        total = 0.0
+        for t in sorted(times[i:]):
+            total += t
+            least[i].append(total * (1.0 - 1e-12))
     assign = [0] * n
     loads = [0.0] * pads
     found = []
 
     def recurse(i: int, used: int, cur_max: float):
         nonlocal limit
-        if cur_max > limit:
-            return
-        if i == n:
-            found.append((cur_max, tuple(assign)))
-            limit = min(limit, cur_max * band)
-            return
         room = limit * (1.0 + 1e-12)
         spare = 0.0
+        fits = 0
         for load in loads:
             if room - load >= low[i]:
                 spare += room - load
-        if spare < rest[i]:
+                fits += bisect_right(least[i], room - load)
+        if spare < rest[i] or fits < n - i:
             return
         for pad in range(min(used + 1, pads)):
-            assign[i] = pad
             # save/restore instead of -=: float subtraction would not
             # exactly undo the addition and the drift corrupts pruning
             prev = loads[pad]
-            loads[pad] = prev + times[i]
-            recurse(i + 1, max(used, pad + 1), max(cur_max, loads[pad]))
+            load = prev + times[i]
+            top = max(cur_max, load)
+            if top > limit:
+                continue
+            assign[i] = pad
+            if i + 1 == n:
+                found.append((top, tuple(assign)))
+                limit = min(limit, top * band)
+                continue
+            loads[pad] = load
+            recurse(i + 1, max(used, pad + 1), top)
             loads[pad] = prev
 
     recurse(0, 0, 0.0)
@@ -231,8 +250,9 @@ def pad_schedule(charge_times: list[float], pads: int) -> PadSchedule:
     if pads < 1:
         raise ValueError(f"pad count must be >= 1, got {pads}")
     for i, t in enumerate(charge_times):
-        if t < 0:
-            raise ValueError(f"charge time for drone {i} must be >= 0, got {t}")
+        if not 0 <= t < math.inf:
+            raise ValueError(
+                f"charge time for drone {i} must be finite and >= 0, got {t}")
     times = tuple(charge_times)
     if len(times) <= PAD_EXHAUSTIVE_CAP:
         _, queues = _first_optimum(pad_candidates(times, pads), times)

@@ -169,6 +169,16 @@ class TestPadSchedule:
         with pytest.raises(ValueError):
             pad_schedule([-1.0], 1)
 
+    @pytest.mark.parametrize("times, drone", [
+        ([1.0, math.nan, 2.0], 1),
+        ([math.nan, 1.0], 0),
+        ([math.inf, 1.0], 0),
+    ])
+    def test_rejects_a_charge_time_that_is_not_finite(self, times, drone):
+        with pytest.raises(ValueError,
+                           match=f"charge time for drone {drone} must be finite"):
+            pad_schedule(times, 2)
+
     def test_beyond_the_cap_takes_the_lpt_queues(self):
         # LPT loads 3+2+2 | 3+2; the optimum is 3+3 | 2+2+2 = 6
         times = (3.0, 3.0, 2.0, 2.0, 2.0) + (0.0,) * 8
@@ -221,10 +231,12 @@ BAND_EDGE_CASES = (
 @st.composite
 def pad_inputs(draw):
     """Charge times and a pad count: free floats, identical times, zeros,
-    integer ratios of one scale, and sets at the edge of the 1e-9 band."""
+    integer ratios of one scale, sets at the edge of the 1e-9 band, and up
+    to ten similar times on two or three pads, as the walker's swarms make."""
     pads = draw(st.integers(1, 4))
     n = draw(st.integers(1, 8))
-    shape = draw(st.sampled_from(("free", "identical", "zeros", "ratios", "band edge")))
+    shape = draw(st.sampled_from(("free", "identical", "zeros", "ratios", "band edge",
+                                  "similar")))
     if shape == "free":
         times = draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
     elif shape == "identical":
@@ -235,11 +247,17 @@ def pad_inputs(draw):
         scale = draw(st.floats(0.01, 100.0))
         times = [scale * k for k in draw(st.lists(st.integers(1, 5), min_size=n,
                                                   max_size=n))]
-    else:
+    elif shape == "band edge":
         scale = draw(st.floats(0.1, 10.0))
         times = [scale * x for x in draw(st.permutations([0.5, 0.5, 0.5 - EDGE,
                                                           0.5 + EDGE]))]
         pads = 2
+    else:  # within 25% of one scale: rooms add up, yet few times fit each pad
+        scale = draw(st.floats(0.1, 100.0))
+        n = draw(st.integers(1, 10))
+        times = [scale * x for x in draw(st.lists(st.floats(0.75, 1.25), min_size=n,
+                                                  max_size=n))]
+        pads = draw(st.integers(2, 3))
     return tuple(times), pads
 
 
@@ -262,7 +280,7 @@ def search_nodes(search, times, pads) -> int:
 
 class TestPadSearch:
     """The pruned search against brute force and against the search
-    without the wasted-room cut."""
+    without the room and count cuts."""
 
     @given(pad_inputs())
     @example(((0.0, 0.0, 0.0), 2))
@@ -294,6 +312,19 @@ class TestPadSearch:
         # a small first time fits any pad; the items after it must still cut
         pruned = search_nodes(pad_candidates, times, 3)
         assert 2 * pruned < search_nodes(near_optimal_queues_reference, times, 3)
+
+    def test_count_cut_bites_on_similar_times(self):
+        # like times leave rooms that hold the remaining total in branches
+        # where too few of the remaining times fit: without the count cut
+        # the search enters 499 branches, here 86
+        times = tuple(20.0 - 0.75 * k for k in range(10))
+        assert search_nodes(pad_candidates, times, 3) < 250
+        assert pad_candidates(times, 3) == near_optimal_queues_reference(times, 3)
+
+    @pytest.mark.parametrize("times, pads", [((), 1), ((), 3), ((3.0, 1.0, 2.0), 1)])
+    def test_one_pad_or_no_times_open_no_branch(self, times, pads):
+        assert search_nodes(pad_candidates, times, pads) == 0
+        assert pad_candidates(times, pads) == near_optimal_queues_reference(times, pads)
 
 
 class TestDroneTypes:

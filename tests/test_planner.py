@@ -51,7 +51,12 @@ from swarmway.network import (
 )
 from swarmway.preflight import POSITIONING_SETTINGS, Swarm, assign_positions
 
-from oracles import grid_scan_feasible, leg_grid_feasible, walk_every_round
+from oracles import (
+    grid_scan_feasible,
+    leg_grid_feasible,
+    near_optimal_queues_reference,
+    walk_every_round,
+)
 
 FLAT = CoefficientTable({
     (kind, slot, sector): 1.0
@@ -1440,6 +1445,32 @@ class TestStopsMatchPadSchedule:
         for visit, want in stops:
             assert repr(visit.nt) == repr(want.node_time)
             assert visit.queues == want.queues
+
+
+class TestPadSearchOnAWorldSlice:
+    """Every pad search the walker makes on a slice of the CLI world (eight
+    requests under baseline, pb and fb, both positionings; ten-drone swarms
+    on two and three pads among them) returns the list of the search
+    without the room and count cuts."""
+
+    def test_every_search_equals_the_reference(self, monkeypatch):
+        net = largest_connected_component(synthesize_network(276, 0, pads=(1, 3)))
+        requests = synthesize_requests(net, 8, 0)
+        searches = []
+        search = planner.pad_candidates
+
+        def recorded(times, pads):
+            got = search(times, pads)
+            searches.append((times, pads, got))
+            return got
+
+        monkeypatch.setattr(planner, "pad_candidates", recorded)
+        run_experiment(net, requests, default_table(),
+                       ExperimentConfig(strategies=("baseline", "pb", "fb")))
+        for times, pads, got in searches:
+            assert got == near_optimal_queues_reference(times, pads), (times, pads)
+        shapes = {(len(times), pads) for times, pads, _ in searches}
+        assert {(10, 2), (10, 3)} <= shapes, shapes
 
 
 def reference_floyd(net, costs):
