@@ -139,9 +139,10 @@ def _greedy_assignment(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
 
 def _queues(assign: tuple[int, ...], pads: int) -> tuple[tuple[int, ...], ...]:
     """Drone indices per pad, in input order, for a pad assignment."""
-    return tuple(
-        tuple(i for i in range(len(assign)) if assign[i] == p) for p in range(pads)
-    )
+    queues = [[] for _ in range(pads)]
+    for i, pad in enumerate(assign):
+        queues[pad].append(i)
+    return tuple(map(tuple, queues))
 
 
 def _makespan(queues, times) -> float:
@@ -182,7 +183,10 @@ def pad_candidates(times: tuple[float, ...],
     if pads == 1 or not n:
         return [_queues((0,) * n, pads)]
     band = 1.0 + 1e-9
-    limit = _makespan(_queues(_greedy_assignment(times, pads), pads), times) * band
+    lpt = [0.0] * pads  # the LPT loads, summed in input order as _makespan does
+    for t, pad in zip(times, _greedy_assignment(times, pads)):
+        lpt[pad] += t
+    limit = max(lpt) * band
     rest = [0.0] * (n + 1)  # rest[i]: total of times[i:]
     low = [math.inf] * (n + 1)  # low[i]: smallest of times[i:]
     # least[i][k - 1]: the k smallest of times[i:] summed, shrunk by 1 - 1e-12

@@ -1,11 +1,17 @@
-"""Random instance builders shared by the sharing and acceptance tests.
+"""Random instance builders shared by the tests.
 
-Every quantity is a small dyadic rational (multiples of 1/4 or finer on
-values, powers of two on rates), so composer arithmetic and closed-form
-oracle arithmetic are both exact and results can be compared with ==.
+In the sharing instances every quantity is a small dyadic rational
+(multiples of 1/4 or finer on values, powers of two on rates), so composer
+arithmetic and closed-form oracle arithmetic are both exact and results can
+be compared with ==.
 """
 
+import math
 import random
+
+from hypothesis import strategies as st
+
+from swarmway.network import Node, Segment, SkywayNetwork
 
 PROVIDER_ID = 100
 
@@ -38,3 +44,22 @@ def dyadic_instance(rng: random.Random) -> dict:
         "quantum": rng.randrange(1, 65537) / 4.0,
         "reserve": rng.randrange(0, 65537) / 4.0,
     }
+
+
+@st.composite
+def directed_cost_worlds(draw):
+    """A small graph, segments inserted in a drawn order, and directed
+    costs that may be inf; lengths and costs are small integers (many
+    ties) or free floats."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = draw(st.permutations([p for p, k in zip(pairs, keep) if k]))
+    weight = (st.integers(1, 3).map(float) if draw(st.booleans())
+              else st.floats(0.5, 50.0, allow_nan=False))
+    segs = [Segment(u, v, draw(weight)) for u, v in chosen]
+    costs = {}
+    for u, v in chosen:
+        for a, b in ((u, v), (v, u)):
+            costs[(a, b)] = draw(st.one_of(weight, st.just(math.inf)))
+    return SkywayNetwork([Node(i, 0.0, 0.0, 1) for i in range(n)], segs), costs

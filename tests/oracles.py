@@ -60,6 +60,21 @@ def static_dijkstra_reference(net, costs, source: int):
     return dist, parent
 
 
+def diameter_every_root(net) -> float:
+    """Largest finite shortest-path distance, from a Dijkstra at every node.
+
+    ``preflight.network_diameter`` as it was before it pruned roots by
+    eccentricity bounds, kept as written.
+    """
+    from swarmway.network import shortest_path_tree
+
+    best = 0.0
+    for nid in sorted(net.nodes):
+        tree = shortest_path_tree(net, nid)
+        best = max(best, max(tree.dist.values()))
+    return best
+
+
 def brute_pad_makespan(times, pads: int) -> float:
     """Minimal makespan over every pad assignment (tiny inputs only)."""
     if not times:

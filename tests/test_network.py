@@ -4,7 +4,6 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from swarmway.network import (
     DeliveryRequest,
@@ -23,6 +22,7 @@ from swarmway.network import (
     synthesize_wind,
 )
 
+from instances import directed_cost_worlds
 from oracles import brute_shortest, static_dijkstra_reference
 
 
@@ -237,25 +237,6 @@ class TestSynthesis:
         )
         (req,) = synthesize_requests(net, 1, seed=0)
         assert {req.source, req.destination} == {3, 8}
-
-
-@st.composite
-def directed_cost_worlds(draw):
-    """A small graph, segments inserted in a drawn order, and directed
-    costs that may be inf; lengths and costs are small integers (many
-    ties) or free floats."""
-    n = draw(st.integers(1, 8))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    chosen = draw(st.permutations([p for p, k in zip(pairs, keep) if k]))
-    weight = (st.integers(1, 3).map(float) if draw(st.booleans())
-              else st.floats(0.5, 50.0, allow_nan=False))
-    segs = [Segment(u, v, draw(weight)) for u, v in chosen]
-    costs = {}
-    for u, v in chosen:
-        for a, b in ((u, v), (v, u)):
-            costs[(a, b)] = draw(st.one_of(weight, st.just(math.inf)))
-    return SkywayNetwork([Node(i, 0.0, 0.0, 1) for i in range(n)], segs), costs
 
 
 class TestShortestPaths:

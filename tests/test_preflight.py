@@ -4,7 +4,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swarmway import preflight
 from swarmway.energy import (
     SUPPORT_CAPACITY_FACTOR,
     DroneSpec,
@@ -19,7 +22,15 @@ from swarmway.formations import (
     default_table,
     make_formation,
 )
-from swarmway.network import DeliveryRequest, Node, Segment, SkywayNetwork, Wind
+from swarmway.network import (
+    DeliveryRequest,
+    Node,
+    Segment,
+    SkywayNetwork,
+    Wind,
+    largest_connected_component,
+    synthesize_network,
+)
 from swarmway.preflight import (
     FailureInputs,
     Swarm,
@@ -32,6 +43,9 @@ from swarmway.preflight import (
     route_average_wind,
     select_formation,
 )
+
+from instances import directed_cost_worlds
+from oracles import diameter_every_root
 
 MODEL = EnergyModel(DroneSpec(), default_table())
 
@@ -234,6 +248,89 @@ class TestRouteStats:
     def test_network_diameter(self):
         net = self.line_net([Wind(5.0, 0.0), Wind(5.0, 0.0)])
         assert network_diameter(net) == 2000.0
+
+
+@st.composite
+def large_worlds(draw):
+    """20-60 nodes in up to three components, each a random tree plus a few
+    chords; node ids shuffled, so any component may hold the smallest id.
+    Lengths are free floats, or tenths, whose sums round differently in
+    different orders."""
+    n = draw(st.integers(20, 60))
+    ids = draw(st.permutations(range(n)))
+    starts = sorted({0} | draw(st.sets(st.integers(1, n - 1), max_size=2)))
+    weight = draw(st.sampled_from([
+        st.floats(0.5, 5000.0, allow_nan=False),
+        st.integers(1, 30).map(lambda k: k / 10),
+    ]))
+    pairs = set()
+    for first, end in zip(starts, starts[1:] + [n]):
+        for i in range(first + 1, end):
+            pairs.add((draw(st.integers(first, i - 1)), i))
+        if end - first > 2:
+            for _ in range(draw(st.integers(0, 4))):
+                u, v = sorted(draw(st.lists(st.integers(first, end - 1), min_size=2,
+                                            max_size=2, unique=True)))
+                pairs.add((u, v))
+    segs = [Segment(ids[u], ids[v], draw(weight)) for u, v in sorted(pairs)]
+    return SkywayNetwork([Node(i, 0.0, 0.0, 1) for i in range(n)], segs)
+
+
+def chain(lengths, ids):
+    """Nodes ``ids`` in a line, ``lengths`` between consecutive ones."""
+    return SkywayNetwork([Node(i, 0.0, 0.0, 1) for i in ids],
+                         [Segment(u, v, d) for u, v, d in zip(ids, ids[1:], lengths)])
+
+
+class TestDiameter:
+    """``network_diameter`` prunes roots by eccentricity bounds and returns
+    the float of a Dijkstra from every node (``diameter_every_root``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(directed_cost_worlds())
+    def test_small_graphs_match_every_root(self, world):
+        net, _ = world  # lengths only; the directed costs play no part
+        assert network_diameter(net) == diameter_every_root(net)
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_worlds())
+    def test_large_graphs_match_every_root(self, net):
+        assert network_diameter(net) == diameter_every_root(net)
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 3], [3, 2, 1, 0]])
+    def test_either_end_first_gives_the_larger_float(self, ids):
+        # summed from the 0.1 end: 0.30000000000000004 + 0.3; from the 0.3 end: 0.5 + 0.1
+        net = chain([0.1, 0.2, 0.3], ids)
+        assert network_diameter(net) == diameter_every_root(net) == 0.6000000000000001
+
+    def test_a_bound_that_rounds_below_the_best_keeps_its_node(self):
+        # 3 -0.2- 2 -0.4- 1 -0.3- 0 -0.9- 4.  Root 0 bounds node 3 by
+        # 0.9 + 0.8999999999999999 = 1.7999999999999998, root 4 then reads 1.8,
+        # yet node 3's own eccentricity sums to 1.8000000000000003
+        net = chain([0.2, 0.4, 0.3, 0.9], [3, 2, 1, 0, 4])
+        assert network_diameter(net) == diameter_every_root(net) == 1.8000000000000003
+
+    def test_the_diameter_may_lie_in_the_component_without_the_smallest_id(self):
+        net = SkywayNetwork([Node(i, 0.0, 0.0, 1) for i in range(5)],
+                            [Segment(0, 1, 1.0), Segment(2, 3, 5.0), Segment(3, 4, 7.0)])
+        assert network_diameter(net) == diameter_every_root(net) == 12.0
+
+    def test_no_segments_gives_zero(self):
+        assert network_diameter(SkywayNetwork([], [])) == 0.0
+        net = SkywayNetwork([Node(i, 0.0, 0.0, 1) for i in range(3)], [])
+        assert network_diameter(net) == diameter_every_root(net) == 0.0
+
+    @pytest.mark.parametrize("seed, pads, size", [(2118, (0, 3), 195), (0, (1, 3), 263)])
+    def test_worlds_take_a_handful_of_runs(self, monkeypatch, seed, pads, size):
+        # the acceptance world and the CLI world; a Dijkstra per node took 195 and 263
+        net = largest_connected_component(synthesize_network(276, seed, pads=pads))
+        assert len(net.nodes) == size
+        runs = []
+        tree = preflight.shortest_path_tree
+        monkeypatch.setattr(preflight, "shortest_path_tree",
+                            lambda net, root: runs.append(root) or tree(net, root))
+        assert network_diameter(net) == diameter_every_root(net)
+        assert len(runs) <= 20
 
 
 class TestBuildSwarm:
