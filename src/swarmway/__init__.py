@@ -61,7 +61,6 @@ from .preflight import (
     select_formation,
 )
 from .sharing import (
-    EnergyOffer,
     SharingPlan,
     fb_compose,
     pb_compose,

@@ -42,7 +42,6 @@ from .network import DeliveryRequest, PathTree, SkywayNetwork, shortest_path_tre
 from .preflight import POSITIONING_SETTINGS, Swarm, assign_positions, redundancy_count
 from .sharing import (
     LEAST_FILING,
-    EnergyOffer,
     ShareContext,
     SharingPlan,
     SwapPlan,
@@ -367,11 +366,12 @@ def _share_block(block, before, rates, tt, share, model, swaps):
         rates={i: rates[i] for i in block.ids},
         consumer_ids=block.consumers,
         share_rate=model.spec.inflight_share_rate,
+        provider_id=p,
+        offer=ae,
     )
-    offer = EnergyOffer(p, ae)
     if share.strategy == "pb":
-        return pb_compose(ctx, offer, (0.0, tt), share.gamma, swaps=swaps)
-    return fb_compose(ctx, offer, (0.0, tt), share.quantum, reserve, swaps=swaps)
+        return pb_compose(ctx, tt, share.gamma, swaps=swaps)
+    return fb_compose(ctx, tt, share.quantum, reserve, swaps=swaps)
 
 
 def feasible_leg(
@@ -406,8 +406,6 @@ def feasible_leg(
     for block in blocks or [None]:
         result = None
         if block is not None:
-            plan.provider_given[block.provider] = 0.0
-            plan.consumer_gained.update(dict.fromkeys(block.consumers, 0.0))
             result = _share_block(block, before, rates, tt, share, model, swaps)
         if result is None:
             for i in block.ids if block else rates:  # rates: every drone, in order
@@ -421,8 +419,6 @@ def feasible_leg(
         traces.update(result.traces)
         plan.allocations.extend(result.plan.allocations)
         plan.swaps.extend(result.plan.swaps)
-        plan.provider_given.update(result.plan.provider_given)
-        plan.consumer_gained.update(result.plan.consumer_gained)
 
     if not _grid_feasible(traces, tt):
         return None
@@ -452,9 +448,9 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
     ``deficit`` sums that over C.  What C receives, p gives:
 
     * pb serves one transfer at a time at share_rate and cuts it at the
-      window end, so a leg gives at most share_rate * tt.  An fb turn takes
-      quantum / share_rate minutes and grants at most a quantum, and only
-      a leg's last turn runs past its end, so a leg gives at most
+      end of the leg, so a leg gives at most share_rate * tt.  An fb turn
+      takes quantum / share_rate minutes and grants at most a quantum, and
+      only a leg's last turn runs past its end, so a leg gives at most
       share_rate * tt + quantum.
     * Neither composer gives more than its offer, p's battery less p's
       drain over the leg, and p never swaps, so what later legs give

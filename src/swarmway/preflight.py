@@ -36,7 +36,7 @@ DEFAULT_FAILURE_SCALE = 12.0
 class Swarm:
     """Drones plus the formation they fly, each drone in its standing slot.
 
-    Planning reads slots and batteries and never changes them.
+    Planning reads the drones and their slots and never changes them.
     """
 
     drones: list

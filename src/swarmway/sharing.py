@@ -21,28 +21,19 @@ Two composition policies are provided:
 * ``fb_compose`` has no requests: it cycles in id order over every
   delivery drone that has room, granting a fixed quantum per turn while
   the provider keeps a reserve; a turn may start any time before the
-  window closes and its transfer then completes even if the recorded
+  leg ends and its transfer then completes even if the recorded
   interval is clipped.
 
-All times are minutes relative to the segment window.  Batteries may go
-negative in the returned state; judging feasibility is the planner's job.
+All times are minutes from the start of the leg, which lasts ``tt``
+minutes.  Batteries may go negative in the returned state; judging
+feasibility is the planner's job.  The plan records only the
+allocations and swaps; what a drone gave or gained is their sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-
-@dataclass
-class EnergyOffer:
-    """Energy a support drone can spare over a segment window."""
-
-    provider_id: int
-    energy: float
-
-    def __post_init__(self):
-        if self.energy < 0:
-            raise ValueError(f"offer energy must be >= 0, got {self.energy}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +62,6 @@ SwapPlan = tuple[tuple[int, int], dict[int, float]]
 class SharingPlan:
     allocations: list[Allocation] = field(default_factory=list)
     swaps: list[SwapEvent] = field(default_factory=list)
-    provider_given: dict[int, float] = field(default_factory=dict)
-    consumer_gained: dict[int, float] = field(default_factory=dict)
 
     @property
     def total_shared(self) -> float:
@@ -81,10 +70,12 @@ class SharingPlan:
 
 @dataclass
 class ShareContext:
-    """Flight state a composer needs: who flies, how charged, how thirsty.
+    """Flight state a composer needs: who flies, how charged, how thirsty,
+    and how much the provider can spare.
 
     ``batteries``/``rates`` cover the provider as well as the consumers;
-    ``consumer_ids`` names the delivery drones eligible to receive.
+    ``consumer_ids`` names the delivery drones eligible to receive, and
+    ``offer`` is the most ``provider_id`` gives over the leg.
     """
 
     batteries: dict[int, float]
@@ -92,10 +83,14 @@ class ShareContext:
     rates: dict[int, float]
     consumer_ids: list[int]
     share_rate: float
+    provider_id: int
+    offer: float
 
     def __post_init__(self):
-        if self.share_rate <= 0:
-            raise ValueError(f"share_rate must be > 0, got {self.share_rate}")
+        if not 0 < self.share_rate < math.inf:
+            raise ValueError(f"share_rate must be finite and > 0, got {self.share_rate}")
+        if not 0 <= self.offer < math.inf:
+            raise ValueError(f"offer must be finite and >= 0, got {self.offer}")
         for cid in self.consumer_ids:
             if cid not in self.batteries or cid not in self.capacities:
                 raise ValueError(f"consumer {cid} missing battery or capacity")
@@ -112,12 +107,12 @@ class ShareResult:
 class _LegState:
     """Steps batteries forward between events; linear between breakpoints."""
 
-    def __init__(self, ctx: ShareContext, t0: float):
-        self.t = t0
+    def __init__(self, ctx: ShareContext):
+        self.t = 0.0
         self.b = dict(ctx.batteries)
         self.rates = ctx.rates
         self.consumed = {i: 0.0 for i in self.b}
-        self.traces = {i: [(t0, self.b[i])] for i in self.b}
+        self.traces = {i: [(0.0, self.b[i])] for i in self.b}
 
     def advance(self, t2: float, deltas: dict[int, float] | None = None,
                 overrides: dict[int, float] | None = None):
@@ -151,7 +146,7 @@ def _wants_topup(battery: float, capacity: float, gamma: float) -> bool:
 
 
 def _pb_idle(batteries, capacities, consumer_ids, gamma: float) -> bool:
-    """True when pb_compose files no request at the window start.
+    """True when pb_compose files no request at the start of the leg.
 
     pb_compose then grants nothing and the block simply drains.
     """
@@ -171,11 +166,14 @@ def _fb_idle(batteries, capacities, consumer_ids, offer_energy: float,
 
 
 def _transfer(state, plan, swaps, provider_id, consumer_id, amount, start, end):
-    """Step from ``start`` to ``end`` while ``amount`` flows to the consumer.
+    """Step from ``start`` to ``end`` while ``amount`` flows to the consumer,
+    and log the allocation.
 
     A consumer listed in ``swaps`` flies the transfer in its partner's
     slot at the table's rates, logged as one exchange at each end.
     """
+    plan.allocations.append(
+        Allocation(provider_id, consumer_id, start, end - start, amount))
     deltas = {consumer_id: amount, provider_id: -amount}
     swap = swaps.get(consumer_id) if swaps else None
     if swap is None:
@@ -190,8 +188,7 @@ def _transfer(state, plan, swaps, provider_id, consumer_id, amount, start, end):
 
 def pb_compose(
     ctx: ShareContext,
-    offer: EnergyOffer,
-    window: tuple[float, float],
+    tt: float,
     gamma: float,
     *,
     swaps: dict[int, SwapPlan | None] | None = None,
@@ -204,66 +201,58 @@ def pb_compose(
     that refill is under ``LEAST_FILING`` of its capacity.  The
     provider serves one request at a time, the first in order whose
     full amount still fits the offer; a request keeps the amount it was
-    filed with while it waits.  A service running into the window end
-    is cut there with a proportional amount.  ``swaps`` maps a consumer
-    to the slot swap its transfers need.
+    filed with while it waits.  A service running into the end of the
+    leg, ``tt`` minutes in, is cut there with a proportional amount.
+    ``swaps`` maps a consumer to the slot swap its transfers need.
 
     Requests are plain ``(filed at, amount, drone id)`` tuples:
 
     * every filing happens at ``free``, the end of the last transfer, so
-      service always starts at ``free`` and the window end is the only
-      time gate;
+      service always starts at ``free`` and the end of the leg is the
+      only time gate;
     * the battery state already stands at ``free`` when a transfer
       starts, so no drain step comes before it;
     * filings are appended in filing order and each scans drones in id
       order, so a stable sort on (filed at, -amount) breaks ties in
       filing order, lowest drone id first within one filing.
     """
-    w_start, w_end = window
-    if not w_start < w_end:
-        raise ValueError(f"empty window [{w_start}, {w_end}]")
+    if not 0 < tt < math.inf:
+        raise ValueError(f"leg length tt must be finite and > 0, got {tt}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma {gamma} outside [0, 1]")
-    state = _LegState(ctx, w_start)
-    plan = SharingPlan(provider_given={offer.provider_id: 0.0},
-                       consumer_gained={c: 0.0 for c in ctx.consumer_ids})
+    state = _LegState(ctx)
+    plan = SharingPlan()
     caps = ctx.capacities
     order = sorted(set(ctx.consumer_ids))
     pending = []  # (filed at, amount, drone id)
     given = 0.0
-    free = w_start
-    while free < w_end:
+    free = 0.0
+    while free < tt:
         filed = {drone for _, _, drone in pending}
         for c in order:
             if c not in filed and _wants_topup(state.b[c], caps[c], gamma):
                 pending.append((free, caps[c] - state.b[c], c))
         pending.sort(key=lambda r: (r[0], -r[1]))
         pick = next((i for i, r in enumerate(pending)
-                     if not r[1] > offer.energy - given), None)
+                     if not r[1] > ctx.offer - given), None)
         if pick is None:
             break
         _, amount, drone = pending.pop(pick)
         start = free
         end = start + amount / ctx.share_rate
-        if end > w_end:
-            end = w_end
+        if end > tt:
+            end = tt
             amount = ctx.share_rate * (end - start)
-        _transfer(state, plan, swaps, offer.provider_id, drone, amount, start, end)
-        plan.allocations.append(
-            Allocation(offer.provider_id, drone, start, end - start, amount)
-        )
+        _transfer(state, plan, swaps, ctx.provider_id, drone, amount, start, end)
         given += amount
-        plan.provider_given[offer.provider_id] = given
-        plan.consumer_gained[drone] += amount
         free = end
-    state.advance(w_end)
+    state.advance(tt)
     return ShareResult(plan, state.b, state.consumed, state.traces)
 
 
 def fb_compose(
     ctx: ShareContext,
-    offer: EnergyOffer,
-    window: tuple[float, float],
+    tt: float,
     quantum: float,
     reserve: float,
     *,
@@ -271,55 +260,48 @@ def fb_compose(
 ) -> ShareResult:
     """Round-robin a fixed quantum to every non-full delivery drone.
 
-    Each granted turn costs quantum / share_rate minutes of window
+    Each granted turn costs quantum / share_rate minutes of the leg
     regardless of how much actually flows (grants clamp to the room left
     in the battery and to the energy left in the offer).  A turn may
     begin whenever time remains and the provider still holds strictly
     more than ``reserve``; the final turn's transfer completes in full
-    but its recorded interval stops at the window end.  Full drones cost
-    nothing.  ``swaps`` maps a consumer to the slot swap its turns need.
+    but its recorded interval stops at the end of the leg, ``tt``
+    minutes in.  Full drones cost nothing, and a pass that grants
+    nothing ends the rotation.  ``swaps`` maps a consumer to the slot
+    swap its turns need.
     """
-    w_start, w_end = window
-    if not w_start < w_end:
-        raise ValueError(f"empty window [{w_start}, {w_end}]")
-    if quantum <= 0:
-        raise ValueError(f"quantum must be > 0, got {quantum}")
-    if reserve < 0:
-        raise ValueError(f"reserve must be >= 0, got {reserve}")
+    if not 0 < tt < math.inf:
+        raise ValueError(f"leg length tt must be finite and > 0, got {tt}")
+    if not 0 < quantum < math.inf:
+        raise ValueError(f"quantum must be finite and > 0, got {quantum}")
+    if not 0 <= reserve < math.inf:
+        raise ValueError(f"reserve must be finite and >= 0, got {reserve}")
     turn_time = quantum / ctx.share_rate
-    state = _LegState(ctx, w_start)
-    plan = SharingPlan(provider_given={offer.provider_id: 0.0},
-                       consumer_gained={c: 0.0 for c in ctx.consumer_ids})
+    state = _LegState(ctx)
+    plan = SharingPlan()
     given = 0.0
-    ct = w_start
-    idle = _fb_idle(ctx.batteries, ctx.capacities, ctx.consumer_ids, offer.energy,
-                    reserve)
+    ct = 0.0
     order = sorted(ctx.consumer_ids)
-    while not idle and ct < w_end and offer.energy - given > reserve:
+    while ct < tt and ctx.offer - given > reserve:
         progressed = False
         for cid in order:
-            if ct >= w_end or offer.energy - given <= reserve:
+            if ct >= tt or ctx.offer - given <= reserve:
                 break
             state.advance(ct)
             room = ctx.capacities[cid] - state.b[cid]
             if room <= 0:
                 continue
-            amount = min(quantum, room, offer.energy - given)
+            amount = min(quantum, room, ctx.offer - given)
             start = ct
-            end_recorded = min(ct + turn_time, w_end)
+            end_recorded = min(ct + turn_time, tt)
             ct += turn_time
-            _transfer(state, plan, swaps, offer.provider_id, cid, amount,
+            _transfer(state, plan, swaps, ctx.provider_id, cid, amount,
                       start, end_recorded)
-            plan.allocations.append(
-                Allocation(offer.provider_id, cid, start, end_recorded - start, amount)
-            )
             given += amount
-            plan.provider_given[offer.provider_id] = given
-            plan.consumer_gained[cid] += amount
             progressed = True
         if not progressed:
             break  # everyone full; nothing left to rotate over
-    state.advance(w_end)
+    state.advance(tt)
     return ShareResult(plan, state.b, state.consumed, state.traces)
 
 

@@ -1,4 +1,5 @@
-"""Random instance builders shared by the tests.
+"""Random instance builders shared by the tests, and the sums over a
+sharing plan's allocations.
 
 In the sharing instances every quantity is a small dyadic rational
 (multiples of 1/4 or finer on values, powers of two on rates), so composer
@@ -38,12 +39,22 @@ def dyadic_instance(rng: random.Random) -> dict:
         "consumer_ids": consumer_ids,
         "provider_id": PROVIDER_ID,
         "share_rate": float(rng.choice((4, 8, 16))),
-        "window": (0.0, float(rng.randint(1, 200))),
+        "tt": float(rng.randint(1, 200)),
         "gamma": rng.randrange(0, 17) / 16.0,
         "ae": rng.randrange(0, 131073) / 4.0,
         "quantum": rng.randrange(1, 65537) / 4.0,
         "reserve": rng.randrange(0, 65537) / 4.0,
     }
+
+
+def transfer_sums(plan) -> tuple[dict[int, float], dict[int, float]]:
+    """What each provider gave and each consumer gained, summed over the
+    plan's allocations in order."""
+    given, gained = {}, {}
+    for a in plan.allocations:
+        given[a.provider] = given.get(a.provider, 0.0) + a.amount
+        gained[a.consumer] = gained.get(a.consumer, 0.0) + a.amount
+    return given, gained
 
 
 @st.composite

@@ -58,7 +58,7 @@ from swarmway.preflight import (
     redundancy_count,
     route_average_wind,
 )
-from swarmway.sharing import EnergyOffer, ShareContext, fb_compose, pb_compose
+from swarmway.sharing import ShareContext, fb_compose, pb_compose
 
 from instances import PROVIDER_ID, dyadic_instance
 from oracles import brute_shortest, fb_oracle, pb_oracle
@@ -124,19 +124,19 @@ def test_criterion_2_composers_match_reference_simulator():
             rates=inst["rates"],
             consumer_ids=inst["consumer_ids"],
             share_rate=inst["share_rate"],
+            provider_id=PROVIDER_ID,
+            offer=inst["ae"],
         )
-        offer = EnergyOffer(PROVIDER_ID, inst["ae"])
         oracle_args = (inst["batteries"], inst["capacities"], inst["rates"],
                        inst["consumer_ids"], PROVIDER_ID, inst["ae"],
-                       inst["share_rate"], inst["window"])
+                       inst["share_rate"], (0.0, inst["tt"]))
 
-        pb = pb_compose(ctx, offer, inst["window"], inst["gamma"])
+        pb = pb_compose(ctx, inst["tt"], inst["gamma"])
         want_b, want_total = pb_oracle(*oracle_args, inst["gamma"])
         if pb.batteries_after != want_b or pb.plan.total_shared != want_total:
             mismatches += 1
 
-        fb = fb_compose(ctx, offer, inst["window"], inst["quantum"],
-                        inst["reserve"])
+        fb = fb_compose(ctx, inst["tt"], inst["quantum"], inst["reserve"])
         want_b, want_total = fb_oracle(*oracle_args, inst["quantum"],
                                        inst["reserve"])
         if fb.batteries_after != want_b or fb.plan.total_shared != want_total:
@@ -224,9 +224,11 @@ def _trace_value(trace, t):
     return trace[-1][1]
 
 
-def _plan_violations(plan, capacities):
+def _plan_violations(plan, swarm):
     bad = []
     tol = 1e-9
+    capacities = {d.id: d.capacity for d in swarm.drones}
+    roles = {d.id: d.role for d in swarm.drones}
     for leg in plan.legs:
         for did, trace in leg.traces.items():
             cap = capacities[did]
@@ -237,24 +239,33 @@ def _plan_violations(plan, capacities):
                     bad.append(f"battery {b:.3f} outside [0, {cap}] "
                                f"drone {did} t={t:g}")
         if leg.plan is not None:
-            # ledgers carry 0.0 entries for every would-be participant;
-            # replaying the allocations must reproduce them bit for bit
-            given = {pid: 0.0 for pid in leg.plan.provider_given}
-            gained = {cid: 0.0 for cid in leg.plan.consumer_gained}
+            # replay the allocations against the batteries: each drone ends
+            # at its start less its drain plus what it received less what it
+            # gave, and the leg as a whole makes and loses no energy
+            moved = dict.fromkeys(leg.traces, 0.0)  # received - given
+            volume = dict.fromkeys(leg.traces, 0.0)  # received + given
             for a in leg.plan.allocations:
-                if a.provider not in given or a.consumer not in gained:
-                    bad.append("allocation names a drone the ledgers lack")
-                    break
-                given[a.provider] += a.amount
-                gained[a.consumer] += a.amount
-            if given != leg.plan.provider_given:
-                bad.append("provider ledger disagrees with allocations")
-            if gained != leg.plan.consumer_gained:
-                bad.append("consumer ledger disagrees with allocations")
-            lost = math.fsum(leg.plan.provider_given.values()) \
-                - math.fsum(leg.plan.consumer_gained.values())
-            if abs(lost) > 1e-9:
-                bad.append(f"transfer leak of {lost} mAh")
+                if (roles.get(a.provider) != "support"
+                        or roles.get(a.consumer) != "delivery"):
+                    bad.append(f"allocation {a} is not from a support drone "
+                               "to a delivery drone")
+                    continue
+                moved[a.provider] -= a.amount
+                moved[a.consumer] += a.amount
+                volume[a.provider] += a.amount
+                volume[a.consumer] += a.amount
+            made, slack = [], []
+            for did, trace in leg.traces.items():
+                start, end, used = trace[0][1], trace[-1][1], leg.consumed[did]
+                bound = tol * (abs(start) + used + volume[did])
+                off = end - (start - used + moved[did])
+                if abs(off) > bound:
+                    bad.append(f"drone {did} ends {off:.3g} mAh off the replay "
+                               f"of leg {leg.u}-{leg.v}")
+                made.append(end - start + used)
+                slack.append(bound)
+            if abs(math.fsum(made)) > math.fsum(slack):
+                bad.append(f"leg {leg.u}-{leg.v} makes {math.fsum(made):.3g} mAh")
     if plan.dt != sum(leg.tt for leg in plan.legs) + sum(v.nt for v in plan.visits):
         bad.append("dt is not tt + nt")
     return bad
@@ -297,8 +308,7 @@ def test_criterion_4_conservation_and_safety(world):
             checked += 1
             if plan.energy_shared > 0:
                 shared_plans += 1
-            caps = {d.id: d.capacity for d in swarm.drones}
-            for msg in _plan_violations(plan, caps):
+            for msg in _plan_violations(plan, swarm):
                 problems.append(f"request {req.id} {strategy or 'baseline'}"
                                 f"/{pos}: {msg}")
     ok = not problems and checked >= 1000 and shared_plans >= 50

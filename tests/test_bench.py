@@ -36,7 +36,7 @@ from swarmway.network import (
     Wind,
     load_network,
 )
-from swarmway.sharing import EnergyOffer, ShareContext, fb_compose
+from swarmway.sharing import ShareContext, fb_compose
 
 FLAT = CoefficientTable({
     (kind, slot, sector): 1.0
@@ -140,9 +140,8 @@ class TestExperimentConfig:
         ctx = ShareContext(batteries={1: 0.0, 2: 0.0, 9: 1e6},
                            capacities={1: 4480.0, 2: 4480.0, 9: 1e6},
                            rates={1: 1.0, 2: 1.0, 9: 1.0}, consumer_ids=[1, 2],
-                           share_rate=5.88)
-        res = fb_compose(ctx, EnergyOffer(9, 1e6), (0.0, 1.0),
-                         MIN_FB_TURN * 5.88, 0.0)
+                           share_rate=5.88, provider_id=9, offer=1e6)
+        res = fb_compose(ctx, 1.0, MIN_FB_TURN * 5.88, 0.0)
         assert 1000 <= len(res.plan.allocations) <= 1001
 
 

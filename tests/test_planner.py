@@ -50,7 +50,9 @@ from swarmway.network import (
     synthesize_requests,
 )
 from swarmway.preflight import POSITIONING_SETTINGS, Swarm, assign_positions
+from swarmway.sharing import SharingPlan
 
+from instances import transfer_sums
 from oracles import (
     grid_scan_feasible,
     leg_grid_feasible,
@@ -162,8 +164,7 @@ class TestFeasibleLeg:
             (1, 0, 0.0, 16.0, 2048.0)
         assert leg.batteries_after[0] == 512.0 - 1024.0 + 2048.0
         assert leg.batteries_after[1] == 8192.0 - 1024.0 - 2048.0
-        assert leg.plan.provider_given == {1: 2048.0}
-        assert leg.plan.consumer_gained == {0: 2048.0}
+        assert transfer_sums(leg.plan) == ({1: 2048.0}, {0: 2048.0})
         rates = {0: 64.0, 1: 64.0}
         assert leg_grid_feasible({0: 512.0, 1: 8192.0}, rates,
                                  leg.plan.allocations, 16.0)
@@ -223,8 +224,9 @@ class TestFeasibleLeg:
         assert leg is not None
         # each provider refills its own two drones, then the re-poll tops
         # the first one up again until the window cuts the service short
-        assert leg.plan.provider_given == {4: 2048.0, 5: 2048.0}
-        assert leg.plan.consumer_gained == {0: 1152.0, 1: 896.0, 2: 1152.0, 3: 896.0}
+        given, gained = transfer_sums(leg.plan)
+        assert given == {4: 2048.0, 5: 2048.0}
+        assert gained == {0: 1152.0, 1: 896.0, 2: 1152.0, 3: 896.0}
         # the two providers run concurrently over their own consumers
         starts = sorted(a.start for a in leg.plan.allocations)
         assert starts == [0.0, 0.0, 7.0, 7.0, 14.0, 14.0]
@@ -249,10 +251,7 @@ class TestFeasibleLeg:
         plain = feasible_leg(swarm, net, 0, 1, model, batteries=batteries)
         for cfg in (ShareConfig("pb"), ShareConfig("fb", delta_frac=0.0)):
             leg = feasible_leg(swarm, net, 0, 1, model, batteries=batteries, share=cfg)
-            assert [a.consumer for a in leg.plan.allocations] == [2]
-            assert list(leg.plan.provider_given) == [4, 5]
-            assert leg.plan.provider_given[4] == 0.0
-            assert list(leg.plan.consumer_gained.items())[:2] == [(0, 0.0), (1, 0.0)]
+            assert [(a.provider, a.consumer) for a in leg.plan.allocations] == [(5, 2)]
             assert list(leg.consumed) == [4, 0, 1, 5, 2, 3]
             for i in (4, 0, 1):
                 assert leg.consumed[i] == plain.consumed[i]
@@ -261,8 +260,7 @@ class TestFeasibleLeg:
         # a shared leg where no block can share still carries an empty plan
         plain = feasible_leg(swarm, net, 0, 1, model)
         leg = feasible_leg(swarm, net, 0, 1, model, share=ShareConfig("pb"))
-        assert leg.plan is not None and leg.plan.allocations == []
-        assert leg.plan.provider_given == {4: 0.0, 5: 0.0}
+        assert leg.plan == SharingPlan()
         assert leg.consumed == plain.consumed
         assert leg.traces == plain.traces
 

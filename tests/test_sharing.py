@@ -14,8 +14,8 @@ from swarmway import sharing
 from swarmway.sharing import (
     LEAST_FILING,
     Allocation,
-    EnergyOffer,
     ShareContext,
+    SharingPlan,
     SwapEvent,
     _fb_idle,
     _pb_idle,
@@ -24,7 +24,7 @@ from swarmway.sharing import (
     reorder_fixed,
 )
 
-from instances import PROVIDER_ID, dyadic_instance
+from instances import PROVIDER_ID, dyadic_instance, transfer_sums
 from oracles import fb_oracle, pb_oracle
 
 
@@ -35,26 +35,25 @@ def make_ctx(inst):
         rates=inst["rates"],
         consumer_ids=inst["consumer_ids"],
         share_rate=inst["share_rate"],
+        provider_id=inst["provider_id"],
+        offer=inst["ae"],
     )
-
-
-def make_offer(inst):
-    return EnergyOffer(inst["provider_id"], inst["ae"])
 
 
 class TestGenerateRequests:
     """pb_compose files its own requests; these pin when and for how much."""
 
-    def serve(self, batteries, gamma, *, rates=None, window=(0.0, 10.0),
-              share_rate=1024.0):
+    def serve(self, batteries, gamma, *, rates=None, tt=10.0, share_rate=1024.0):
         ctx = ShareContext(
             batteries={**batteries, 9: 65536.0},
             capacities={1: 4096.0, 2: 4096.0, 9: 65536.0},
             rates={1: 0.0, 2: 0.0, 9: 0.0, **(rates or {})},
             consumer_ids=[1, 2],
             share_rate=share_rate,
+            provider_id=9,
+            offer=65536.0,
         )
-        return pb_compose(ctx, EnergyOffer(9, 65536.0), window, gamma)
+        return pb_compose(ctx, tt, gamma)
 
     def test_threshold_is_strict(self):
         # 0.75 * 4096 = 3072 exactly in binary
@@ -76,9 +75,9 @@ class TestGenerateRequests:
 
     def test_closed_window_files_nothing(self):
         # drone 2 drains below 3072 by minute 8, when drone 1's refill ends
-        # the window; nothing is filed or served after that
+        # the leg; nothing is filed or served after that
         res = self.serve({1: 2048.0, 2: 3584.0}, 0.75, rates={2: 128.0},
-                         window=(0.0, 8.0), share_rate=256.0)
+                         tt=8.0, share_rate=256.0)
         assert [(a.consumer, a.start, a.duration, a.amount)
                 for a in res.plan.allocations] == [(1, 0.0, 8.0, 2048.0)]
         assert res.batteries_after[2] == 3584.0 - 128.0 * 8.0
@@ -100,8 +99,9 @@ class TestGenerateRequests:
         capacities = {0: 4480.0, 1: 10000.0}
         rates = {0: 100.0, 1: 0.0}
         ctx = ShareContext(batteries=batteries, capacities=capacities, rates=rates,
-                           consumer_ids=[0], share_rate=160.0)
-        res = pb_compose(ctx, EnergyOffer(1, 10000.0), (0.0, 10.0), 1.0)
+                           consumer_ids=[0], share_rate=160.0, provider_id=1,
+                           offer=10000.0)
+        res = pb_compose(ctx, 10.0, 1.0)
         amounts = [a.amount for a in res.plan.allocations]
         assert 20 <= len(amounts) <= 30
         assert min(amounts) >= 4480.0 * LEAST_FILING
@@ -116,24 +116,29 @@ class TestGenerateRequests:
                 self.serve({1: 100.0, 2: 100.0}, gamma)
 
     def test_offer_validation(self):
-        with pytest.raises(ValueError):
-            EnergyOffer(0, -1.0)
+        for offer in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="offer"):
+                ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1], 5.0, 0, offer)
+        ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1], 5.0, 0, 0.0)
 
     def test_context_validation(self):
-        with pytest.raises(ValueError):
-            ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1], 0.0)
+        for share_rate in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="share_rate"):
+                ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1], share_rate, 0, 1.0)
         with pytest.raises(ValueError, match="consumer 2"):
-            ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1, 2], 5.0)
+            ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1, 2], 5.0, 0, 1.0)
 
 
 class TestPriorityComposer:
-    def ctx(self, batteries, rates=None, consumer_ids=(1, 2, 3)):
+    def ctx(self, batteries, rates=None, consumer_ids=(1, 2, 3), offer=1000.0):
         return ShareContext(
             batteries={1: 4480.0, 2: 4480.0, 3: 4480.0, **batteries, 9: 4000.0},
             capacities={1: 4480.0, 2: 4480.0, 3: 4480.0, 9: 4480.0},
             rates={1: 0.0, 2: 0.0, 3: 0.0, 9: 0.0, **(rates or {})},
             consumer_ids=list(consumer_ids),
             share_rate=10.0,
+            provider_id=9,
+            offer=offer,
         )
 
     def test_worked_example(self):
@@ -141,34 +146,33 @@ class TestPriorityComposer:
         # minute 0, drone 3 drains past it and files 600 at minute 30, but
         # only 500 of the offer is left once drone 2 is served
         ctx = self.ctx({1: 4180.0, 2: 4280.0}, rates={3: 20.0})
-        res = pb_compose(ctx, EnergyOffer(9, 1000.0), (0.0, 100.0), 0.96)
+        res = pb_compose(ctx, 100.0, 0.96)
         got = [(a.consumer, a.start, a.duration, a.amount)
                for a in res.plan.allocations]
         assert got == [(1, 0.0, 30.0, 300.0), (2, 30.0, 20.0, 200.0)]
         assert res.plan.total_shared == 500.0
-        assert res.plan.provider_given == {9: 500.0}
-        assert res.plan.consumer_gained == {1: 300.0, 2: 200.0, 3: 0.0}
+        assert transfer_sums(res.plan) == ({9: 500.0}, {1: 300.0, 2: 200.0})
         assert res.batteries_after == {1: 4480.0, 2: 4480.0, 3: 2480.0, 9: 3500.0}
 
     def test_no_requests_means_untouched_batteries(self):
         # every drone sits above 0.8 * 4480 = 3584
         ctx = self.ctx({1: 4180.0, 2: 4280.0, 3: 3880.0})
-        res = pb_compose(ctx, EnergyOffer(9, 1000.0), (0.0, 100.0), 0.8)
+        res = pb_compose(ctx, 100.0, 0.8)
         assert res.plan.allocations == []
         assert res.batteries_after == ctx.batteries
 
     def test_equal_start_serves_largest_first(self):
         ctx = self.ctx({1: 4280.0, 2: 4180.0})
-        res = pb_compose(ctx, EnergyOffer(9, 1000.0), (0.0, 100.0), 0.99)
+        res = pb_compose(ctx, 100.0, 0.99)
         assert [a.consumer for a in res.plan.allocations] == [2, 1]
 
     def test_equal_deficits_serve_lowest_drone_id_first(self):
         ctx = self.ctx({3: 4280.0, 2: 4280.0}, consumer_ids=(3, 2, 1))
-        res = pb_compose(ctx, EnergyOffer(9, 1000.0), (0.0, 100.0), 0.99)
+        res = pb_compose(ctx, 100.0, 0.99)
         assert [a.consumer for a in res.plan.allocations] == [2, 3]
 
     def test_truncation_at_window_end(self):
-        res = pb_compose(self.ctx({1: 4180.0}), EnergyOffer(9, 1000.0), (0.0, 10.0), 0.99)
+        res = pb_compose(self.ctx({1: 4180.0}), 10.0, 0.99)
         a = res.plan.allocations[0]
         assert (a.start, a.duration, a.amount) == (0.0, 10.0, 100.0)
         assert res.batteries_after[1] == 4180.0 + 100.0
@@ -182,8 +186,10 @@ class TestPriorityComposer:
             rates={1: 0.0, 2: 64.0, 7: 0.0},
             consumer_ids=[1, 2],
             share_rate=128.0,
+            provider_id=7,
+            offer=4000.0,
         )
-        res = pb_compose(ctx, EnergyOffer(7, 4000.0), (0.0, 40.0), 0.75)
+        res = pb_compose(ctx, 40.0, 0.75)
         got = [(a.consumer, a.start, a.duration, a.amount)
                for a in res.plan.allocations]
         assert got == [(1, 0.0, 16.0, 2048.0), (2, 16.0, 12.0, 1536.0)]
@@ -199,71 +205,69 @@ class TestPriorityComposer:
             rates={1: 0.0, 2: 16.0, 7: 0.0},
             consumer_ids=[1, 2],
             share_rate=128.0,
+            provider_id=7,
+            offer=4000.0,
         )
-        res = pb_compose(ctx, EnergyOffer(7, 4000.0), (0.0, 32.0), 0.9)
+        res = pb_compose(ctx, 32.0, 0.9)
         got = [(a.consumer, a.start, a.duration, a.amount)
                for a in res.plan.allocations]
         assert got == [(1, 0.0, 16.0, 2048.0), (2, 16.0, 8.0, 1024.0)]
         assert res.batteries_after[2] == 3072.0 - 16.0 * 32.0 + 1024.0
 
     def test_unservable_request_skipped_not_fatal(self):
-        ctx = self.ctx({1: 3580.0, 2: 4280.0})  # drone 1's 900 exceeds the offer
-        res = pb_compose(ctx, EnergyOffer(9, 500.0), (0.0, 100.0), 0.99)
+        # drone 1's 900 exceeds the offer
+        ctx = self.ctx({1: 3580.0, 2: 4280.0}, offer=500.0)
+        res = pb_compose(ctx, 100.0, 0.99)
         assert [a.consumer for a in res.plan.allocations] == [2]
 
 
 class TestFairnessComposer:
-    def ctx_two(self, b1=3980.0, b2=3980.0, r1=0.0, r2=0.0):
+    def ctx_two(self, b1=3980.0, b2=3980.0, r1=0.0, r2=0.0, offer=1000.0):
         return ShareContext(
             batteries={1: b1, 2: b2, 9: 18000.0},
             capacities={1: 4480.0, 2: 4480.0, 9: 17920.0},
             rates={1: r1, 2: r2, 9: 0.0},
             consumer_ids=[1, 2],
             share_rate=10.0,
+            provider_id=9,
+            offer=offer,
         )
 
     def test_worked_example_with_clipped_final_round(self):
-        res = fb_compose(self.ctx_two(), EnergyOffer(9, 1000.0),
-                         (0.0, 25.0), 100.0, 0.0)
+        res = fb_compose(self.ctx_two(), 25.0, 100.0, 0.0)
         got = [(a.consumer, a.start, a.duration, a.amount)
                for a in res.plan.allocations]
         # the last turn starts at 20 (< 25) and its transfer completes in
-        # full even though the recorded interval is clipped at the window
+        # full even though the recorded interval is clipped at the leg end
         assert got == [(1, 0.0, 10.0, 100.0), (2, 10.0, 10.0, 100.0),
                        (1, 20.0, 5.0, 100.0)]
-        assert res.plan.consumer_gained == {1: 200.0, 2: 100.0}
+        assert transfer_sums(res.plan) == ({9: 300.0}, {1: 200.0, 2: 100.0})
         assert res.batteries_after[1] == 3980.0 + 200.0
         assert res.batteries_after[2] == 3980.0 + 100.0
         assert res.batteries_after[9] == 18000.0 - 300.0
 
     def test_provider_at_reserve_grants_nothing(self):
-        res = fb_compose(self.ctx_two(), EnergyOffer(9, 3584.0),
-                         (0.0, 25.0), 100.0, 3584.0)
-        assert res.plan.allocations == []
-        assert res.plan.provider_given == {9: 0.0}
+        res = fb_compose(self.ctx_two(offer=3584.0), 25.0, 100.0, 3584.0)
+        assert res.plan == SharingPlan()
 
     def test_full_drone_skipped_without_spending_time(self):
-        res = fb_compose(self.ctx_two(b1=4480.0), EnergyOffer(9, 1000.0),
-                         (0.0, 25.0), 100.0, 0.0)
+        res = fb_compose(self.ctx_two(b1=4480.0), 25.0, 100.0, 0.0)
         assert res.plan.allocations[0].consumer == 2
         assert res.plan.allocations[0].start == 0.0
 
     def test_everyone_full_terminates_with_empty_plan(self):
-        res = fb_compose(self.ctx_two(b1=4480.0, b2=4480.0),
-                         EnergyOffer(9, 1000.0), (0.0, 25.0), 100.0, 0.0)
+        res = fb_compose(self.ctx_two(b1=4480.0, b2=4480.0), 25.0, 100.0, 0.0)
         assert res.plan.allocations == []
 
     def test_grant_clamps_to_room_but_turn_costs_full_time(self):
-        res = fb_compose(self.ctx_two(b1=4450.0), EnergyOffer(9, 1000.0),
-                         (0.0, 25.0), 100.0, 0.0)
+        res = fb_compose(self.ctx_two(b1=4450.0), 25.0, 100.0, 0.0)
         first = res.plan.allocations[0]
         assert (first.consumer, first.amount) == (1, 30.0)
         second = res.plan.allocations[1]
         assert (second.consumer, second.start) == (2, 10.0)
 
     def test_grant_clamps_to_energy_left_in_offer(self):
-        res = fb_compose(self.ctx_two(), EnergyOffer(9, 150.0),
-                         (0.0, 25.0), 100.0, 0.0)
+        res = fb_compose(self.ctx_two(offer=150.0), 25.0, 100.0, 0.0)
         got = [(a.consumer, a.amount) for a in res.plan.allocations]
         assert got == [(1, 100.0), (2, 50.0)]
         assert res.plan.total_shared == 150.0
@@ -275,53 +279,60 @@ class TestFairnessComposer:
             rates={1: 0.0, 2: 0.0, 9: 0.0},
             consumer_ids=[1, 2],
             share_rate=64.0,
+            provider_id=9,
+            offer=8192.0,
         )
-        offer = EnergyOffer(9, 8192.0)
-        pb = pb_compose(ctx, offer, (0.0, 100.0), 0.75)
-        fb = fb_compose(ctx, offer, (0.0, 100.0), 512.0, 6144.0)
+        pb = pb_compose(ctx, 100.0, 0.75)
+        fb = fb_compose(ctx, 100.0, 512.0, 6144.0)
         assert pb.plan.total_shared == 4096.0
         assert fb.plan.total_shared == 2048.0
         assert pb.plan.total_shared >= fb.plan.total_shared
 
     def test_parameter_validation(self):
-        ctx = self.ctx_two()
-        offer = EnergyOffer(9, 100.0)
+        ctx = self.ctx_two(offer=100.0)
         with pytest.raises(ValueError):
-            fb_compose(ctx, offer, (0.0, 25.0), 0.0, 0.0)
+            fb_compose(ctx, 25.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            fb_compose(ctx, offer, (0.0, 25.0), 100.0, -1.0)
+            fb_compose(ctx, 25.0, 100.0, -1.0)
         with pytest.raises(ValueError):
-            fb_compose(ctx, offer, (25.0, 25.0), 100.0, 0.0)
+            fb_compose(ctx, 0.0, 100.0, 0.0)
         with pytest.raises(ValueError):
-            pb_compose(ctx, offer, (25.0, 0.0), 0.8)
+            pb_compose(ctx, -25.0, 0.8)
+
+    def test_non_finite_parameters_are_rejected(self):
+        # unchecked, a nan quantum gives nan batteries, a nan reserve
+        # grants nothing, and an infinite leg drains to -inf
+        ctx = self.ctx_two(offer=100.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="quantum"):
+                fb_compose(ctx, 25.0, bad, 0.0)
+            with pytest.raises(ValueError, match="reserve"):
+                fb_compose(ctx, 25.0, 100.0, bad)
+            with pytest.raises(ValueError, match="leg length"):
+                pb_compose(ctx, bad, 0.8)
+            with pytest.raises(ValueError, match="leg length"):
+                fb_compose(ctx, bad, 100.0, 0.0)
 
 
 class TestComposerProperties:
     def run_pb(self, inst):
-        return pb_compose(make_ctx(inst), make_offer(inst), inst["window"],
-                          inst["gamma"])
+        return pb_compose(make_ctx(inst), inst["tt"], inst["gamma"])
 
     def run_fb(self, inst):
-        return fb_compose(make_ctx(inst), make_offer(inst), inst["window"],
-                          inst["quantum"], inst["reserve"])
+        return fb_compose(make_ctx(inst), inst["tt"], inst["quantum"], inst["reserve"])
 
     def check_plan_shape(self, inst, res):
-        w0, w1 = inst["window"]
-        provider = inst["provider_id"]
         given = 0.0
-        gained = {c: 0.0 for c in inst["consumer_ids"]}
-        prev_end = w0
+        prev_end = 0.0
         for a in res.plan.allocations:
-            assert a.provider == provider
+            assert a.provider == inst["provider_id"]
+            assert a.consumer in inst["consumer_ids"]
             assert a.amount > 0.0 and a.duration > 0.0
             assert a.start >= prev_end - 1e-9  # one consumer at a time
-            assert a.start >= w0 and a.start + a.duration <= w1 + 1e-9
+            assert a.start >= 0.0 and a.start + a.duration <= inst["tt"] + 1e-9
             prev_end = a.start + a.duration
             given += a.amount
-            gained[a.consumer] += a.amount
-        # ledgers are the same running sums the composer accumulated
-        assert res.plan.provider_given == {provider: given}
-        assert res.plan.consumer_gained == gained
+        assert res.plan.total_shared == given
         assert given <= inst["ae"] + 1e-9
         for cid in inst["consumer_ids"]:
             cap = inst["capacities"][cid]
@@ -336,7 +347,7 @@ class TestComposerProperties:
             want, want_given = pb_oracle(
                 inst["batteries"], inst["capacities"], inst["rates"],
                 inst["consumer_ids"], inst["provider_id"], inst["ae"],
-                inst["share_rate"], inst["window"], inst["gamma"])
+                inst["share_rate"], (0.0, inst["tt"]), inst["gamma"])
             assert res.batteries_after == want
             assert res.plan.total_shared == want_given
             self.check_plan_shape(inst, res)
@@ -349,7 +360,7 @@ class TestComposerProperties:
             want, want_given = fb_oracle(
                 inst["batteries"], inst["capacities"], inst["rates"],
                 inst["consumer_ids"], inst["provider_id"], inst["ae"],
-                inst["share_rate"], inst["window"], inst["quantum"],
+                inst["share_rate"], (0.0, inst["tt"]), inst["quantum"],
                 inst["reserve"])
             assert res.batteries_after == want
             assert res.plan.total_shared == want_given
@@ -360,18 +371,17 @@ class TestComposerProperties:
         for _ in range(40):
             inst = dyadic_instance(rng)
             for res in (self.run_pb(inst), self.run_fb(inst)):
+                given, gained = transfer_sums(res.plan)
                 for i, b0 in inst["batteries"].items():
-                    gained = res.plan.consumer_gained.get(i, 0.0)
-                    gained -= res.plan.provider_given.get(i, 0.0)
-                    assert res.batteries_after[i] == b0 - res.consumed[i] + gained
+                    moved = gained.get(i, 0.0) - given.get(i, 0.0)
+                    assert res.batteries_after[i] == b0 - res.consumed[i] + moved
 
     def test_traces_start_and_end_on_the_window(self):
         inst = dyadic_instance(random.Random(5))
         res = self.run_pb(inst)
-        w0, w1 = inst["window"]
         for points in res.traces.values():
-            assert points[0][0] == w0
-            assert points[-1][0] == w1
+            assert points[0][0] == 0.0
+            assert points[-1][0] == inst["tt"]
 
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
@@ -404,7 +414,7 @@ def sharing_blocks(draw):
     return {
         "batteries": batteries, "capacities": capacities, "rates": rates,
         "consumer_ids": consumers, "provider_id": PROVIDER_ID,
-        "share_rate": draw(st.floats(1.0, 200.0, **FINITE)), "window": (0.0, tt),
+        "share_rate": draw(st.floats(1.0, 200.0, **FINITE)), "tt": tt,
         "gamma": gamma, "ae": ae, "quantum": draw(st.floats(1.0, 3000.0, **FINITE)),
         "reserve": reserve,
     }
@@ -414,10 +424,8 @@ class TestIdleBlocks:
     """Blocks the idle tests pass over drain exactly as the composers would."""
 
     def assert_drains_in_closed_form(self, inst, res):
-        tt = inst["window"][1]
-        assert res.plan.allocations == [] and res.plan.swaps == []
-        assert res.plan.provider_given == {PROVIDER_ID: 0.0}
-        assert res.plan.consumer_gained == dict.fromkeys(inst["consumer_ids"], 0.0)
+        tt = inst["tt"]
+        assert res.plan == SharingPlan()
         for i, before in inst["batteries"].items():
             spent = inst["rates"][i] * tt
             assert res.consumed[i] == spent
@@ -432,19 +440,19 @@ class TestIdleBlocks:
         oracle_args = (inst["batteries"], inst["capacities"], inst["rates"],
                        inst["consumer_ids"], PROVIDER_ID)
         # an offer covering the largest deficit serves the first request
-        # filed at the window start, so the oracle grants nothing only if
-        # no request was filed there
+        # filed at the start of the leg, so the oracle grants nothing only
+        # if no request was filed there
+        window = (0.0, inst["tt"])
         cover = max(0.0, *(inst["capacities"][c] - inst["batteries"][c]
                            for c in inst["consumer_ids"]))
-        _, given = pb_oracle(*oracle_args, cover, inst["share_rate"], inst["window"],
+        _, given = pb_oracle(*oracle_args, cover, inst["share_rate"], window,
                              inst["gamma"])
         assert idle == (given == 0.0)
         if idle:
-            res = pb_compose(make_ctx(inst), make_offer(inst), inst["window"],
-                             inst["gamma"])
+            res = pb_compose(make_ctx(inst), inst["tt"], inst["gamma"])
             self.assert_drains_in_closed_form(inst, res)
             _, given = pb_oracle(*oracle_args, inst["ae"], inst["share_rate"],
-                                 inst["window"], inst["gamma"])
+                                 window, inst["gamma"])
             assert given == 0.0
 
     @given(sharing_blocks())
@@ -452,12 +460,11 @@ class TestIdleBlocks:
     def test_fb(self, inst):
         args = (inst["batteries"], inst["capacities"], inst["consumer_ids"])
         idle = _fb_idle(*args, inst["ae"], inst["reserve"])
-        res = fb_compose(make_ctx(inst), make_offer(inst), inst["window"],
-                         inst["quantum"], inst["reserve"])
+        res = fb_compose(make_ctx(inst), inst["tt"], inst["quantum"], inst["reserve"])
         _, given = fb_oracle(
             inst["batteries"], inst["capacities"], inst["rates"],
             inst["consumer_ids"], PROVIDER_ID, inst["ae"], inst["share_rate"],
-            inst["window"], inst["quantum"], inst["reserve"])
+            (0.0, inst["tt"]), inst["quantum"], inst["reserve"])
         # fb grants on its first turn unless the block is idle
         assert idle == (res.plan.allocations == [])
         if idle:
@@ -523,9 +530,9 @@ class TestComposerBounds:
         return 2.0 ** -50 * max(abs(v) for v in values)
 
     def composed(self, inst):
-        ctx, offer = make_ctx(inst), make_offer(inst)
-        yield pb_compose(ctx, offer, inst["window"], inst["gamma"], swaps=inst["swaps"])
-        yield fb_compose(ctx, offer, inst["window"], inst["quantum"], inst["reserve"],
+        ctx = make_ctx(inst)
+        yield pb_compose(ctx, inst["tt"], inst["gamma"], swaps=inst["swaps"])
+        yield fb_compose(ctx, inst["tt"], inst["quantum"], inst["reserve"],
                          swaps=inst["swaps"])
 
     @given(swapped_blocks())
@@ -543,9 +550,9 @@ class TestComposerBounds:
     @settings(max_examples=300, deadline=None)
     def test_fb_provider_that_gave_ends_above_its_reserve_less_a_quantum(self, inst):
         offer, reserve, quantum = inst["ae"], inst["reserve"], inst["quantum"]
-        res = fb_compose(make_ctx(inst), make_offer(inst), inst["window"], quantum,
-                         reserve, swaps=inst["swaps"])
-        given = res.plan.provider_given[PROVIDER_ID]
+        res = fb_compose(make_ctx(inst), inst["tt"], quantum, reserve,
+                         swaps=inst["swaps"])
+        given = res.plan.total_shared
         assert given <= offer
         if given > 0:
             assert offer - given > reserve - quantum
@@ -553,9 +560,8 @@ class TestComposerBounds:
     @given(swapped_blocks())
     @settings(max_examples=300, deadline=None)
     def test_pb_gives_at_most_its_offer(self, inst):
-        res = pb_compose(make_ctx(inst), make_offer(inst), inst["window"],
-                         inst["gamma"], swaps=inst["swaps"])
-        assert res.plan.provider_given[PROVIDER_ID] <= inst["ae"]
+        res = pb_compose(make_ctx(inst), inst["tt"], inst["gamma"], swaps=inst["swaps"])
+        assert res.plan.total_shared <= inst["ae"]
 
 
 class TestReorder:
@@ -606,9 +612,10 @@ class TestSwapAccounting:
             rates={1: 16.0, 9: 8.0},
             consumer_ids=[1],
             share_rate=64.0,
+            provider_id=9,
+            offer=4096.0,
         )
-        res = pb_compose(ctx, EnergyOffer(9, 4096.0), (0.0, 64.0),
-                         0.75, swaps={1: ((0, 2), {1: 32.0})})
+        res = pb_compose(ctx, 64.0, 0.75, swaps={1: ((0, 2), {1: 32.0})})
         assert [(a.start, a.duration, a.amount) for a in res.plan.allocations] == \
             [(0.0, 48.0, 3072.0)]
         assert res.plan.swaps == [SwapEvent(0.0, 0, 2), SwapEvent(48.0, 0, 2)]
@@ -624,9 +631,11 @@ class TestSwapAccounting:
             rates={1: 16.0, 2: 16.0, 9: 8.0},
             consumer_ids=[1, 2],
             share_rate=64.0,
+            provider_id=9,
+            offer=4096.0,
         )
-        res = fb_compose(ctx, EnergyOffer(9, 4096.0), (0.0, 64.0),
-                         1024.0, 2048.0, swaps={1: ((0, 2), {1: 32.0}), 2: None})
+        res = fb_compose(ctx, 64.0, 1024.0, 2048.0,
+                         swaps={1: ((0, 2), {1: 32.0}), 2: None})
         assert [(a.consumer, a.start, a.amount) for a in res.plan.allocations] == \
             [(1, 0.0, 1024.0), (2, 16.0, 1024.0)]
         assert res.plan.swaps == [SwapEvent(0.0, 0, 2), SwapEvent(16.0, 0, 2)]
