@@ -40,7 +40,6 @@ from .network import (
     shortest_path_tree,
     synthesize_network,
     synthesize_requests,
-    synthesize_wind,
 )
 from .planner import (
     DeliveryPlan,

@@ -147,8 +147,8 @@ def bin_metrics(rows, bin_width_km: float = 0.5) -> MetricsTable:
     Bin k covers distances [k*w, (k+1)*w) km; means cover successful
     rows only, so an all-failed bin reports NaN rather than 0.
     """
-    if bin_width_km <= 0:
-        raise ValueError("bin_width_km: must be > 0")
+    if not 0 < bin_width_km < math.inf:
+        raise ValueError("bin_width_km: must be finite and > 0")
     groups: dict[tuple[str, str], GroupMetrics] = {}
     for row in rows:
         key = (row["strategy"], row["positioning"])

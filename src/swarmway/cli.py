@@ -118,12 +118,6 @@ def _load_or_synthesize(network_path, synth_nodes, seed):
         raise NetworkFormatError(
             f"{network_path}: {len(net.nodes)} node(s); requests need at least 2"
         )
-    for seg in net.segments:
-        if seg.wind is None:
-            raise NetworkFormatError(
-                f"{network_path}: segment ({seg.u}, {seg.v}) has no wind data; "
-                "planning needs wind speed and direction on every segment"
-            )
     return net
 
 

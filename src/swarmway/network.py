@@ -1,8 +1,9 @@
 """Skyway network model: recharging-pad nodes joined by wind-bearing segments.
 
 A network is loaded from (or saved to) a two-section CSV file and stays
-immutable afterwards.  Requests, wind fields, and whole synthetic networks
-can be generated deterministically from a seed.
+immutable afterwards.  Every segment carries its wind.  Requests and whole
+synthetic networks, wind included, can be generated deterministically from
+a seed.
 """
 
 from __future__ import annotations
@@ -62,14 +63,17 @@ class Node:
 
 @dataclass(frozen=True)
 class Segment:
-    """Undirected link between two nodes; stored once per pair."""
+    """Undirected link between two nodes, with its wind; stored once per pair."""
 
     u: int
     v: int
     distance_m: float
-    wind: Wind | None = None
+    wind: Wind
 
     def __post_init__(self):
+        if not isinstance(self.wind, Wind):
+            raise TypeError(f"segment ({self.u}, {self.v}): wind must be a Wind, "
+                            f"got {self.wind!r}")
         if self.u == self.v:
             raise ValueError(f"segment endpoints must differ, got {self.u}")
         if not 0 < self.distance_m < math.inf:
@@ -146,8 +150,8 @@ def load_network(path) -> SkywayNetwork:
     """Parse the two-section ``nodes``/``segments`` CSV format.
 
     Node rows are ``id,x,y,pads``; segment rows are
-    ``u,v,distance_m[,wind_speed,wind_dir]``.  Parse errors carry the
-    1-based line number.
+    ``u,v,distance_m,wind_speed,wind_dir``, and a row without the wind is
+    rejected.  Parse errors carry the 1-based line number.
     """
     nodes: list[Node] = []
     segments: list[Segment] = []
@@ -172,12 +176,15 @@ def load_network(path) -> SkywayNetwork:
                         Node(int(row[0]), float(row[1]), float(row[2]), int(row[3]))
                     )
                 else:
-                    if len(row) not in (3, 5):
-                        raise ValueError(f"expected 3 or 5 fields, got {len(row)}")
-                    wind = None
-                    if len(row) == 5:
-                        wind = Wind(float(row[3]), float(row[4]))
-                    segments.append(Segment(int(row[0]), int(row[1]), float(row[2]), wind))
+                    if len(row) == 3:
+                        raise ValueError(
+                            f"segment ({int(row[0])}, {int(row[1])}) has no wind data; "
+                            "planning needs wind speed and direction on every segment"
+                        )
+                    if len(row) != 5:
+                        raise ValueError(f"expected 5 fields, got {len(row)}")
+                    segments.append(Segment(int(row[0]), int(row[1]), float(row[2]),
+                                            Wind(float(row[3]), float(row[4]))))
             except ValueError as exc:
                 raise NetworkFormatError(f"line {lineno}: {exc}") from None
     try:
@@ -196,10 +203,8 @@ def save_network(net: SkywayNetwork, path) -> None:
             writer.writerow([node.id, repr(node.x), repr(node.y), node.pads])
         writer.writerow(["segments"])
         for seg in sorted(net.segments, key=lambda s: (s.u, s.v)):
-            row = [seg.u, seg.v, repr(seg.distance_m)]
-            if seg.wind is not None:
-                row += [repr(seg.wind.speed), repr(seg.wind.direction)]
-            writer.writerow(row)
+            writer.writerow([seg.u, seg.v, repr(seg.distance_m),
+                             repr(seg.wind.speed), repr(seg.wind.direction)])
 
 
 def load_requests(path, max_weight: float | None = None,
@@ -267,21 +272,6 @@ def largest_connected_component(net: SkywayNetwork) -> SkywayNetwork:
     return SkywayNetwork(nodes, segs)
 
 
-def synthesize_wind(net: SkywayNetwork, seed: int) -> SkywayNetwork:
-    """Assign every segment a seeded wind draw.
-
-    Speeds are uniform in [0, 13.8) m/s and directions uniform in
-    [0, 360).  Segments are visited in (u, v) order so identical seeds
-    give identical fields.
-    """
-    rng = random.Random(seed)
-    segs = []
-    for seg in sorted(net.segments, key=lambda s: (s.u, s.v)):
-        wind = Wind(rng.uniform(0.0, MAX_WIND_SPEED), rng.uniform(0.0, 360.0))
-        segs.append(Segment(seg.u, seg.v, seg.distance_m, wind))
-    return SkywayNetwork(list(net.nodes.values()), segs)
-
-
 def synthesize_requests(net: SkywayNetwork, n: int, seed: int) -> list[DeliveryRequest]:
     """Draw ``n`` delivery requests with distinct endpoints and per-package weights.
 
@@ -310,8 +300,10 @@ def synthesize_network(n_nodes: int, seed: int, *,
     Nodes scatter around 8 randomly placed cluster centers in a 30 km
     square and link to their 3 nearest neighbors within 6 km, so segment
     lengths stay mostly short while cluster-to-cluster bridges come out
-    long.  Pad counts are uniform over the inclusive ``pads`` range.  The
-    result is usually disconnected; pass it through
+    long.  Pad counts are uniform over the inclusive ``pads`` range.
+    Each segment's wind is drawn from its own ``random.Random(seed)`` in
+    (u, v) order: speed uniform in [0, 13.8) m/s, then direction uniform in
+    [0, 360).  The result is usually disconnected; pass it through
     ``largest_connected_component``.
     """
     if n_nodes < 2:
@@ -353,13 +345,16 @@ def synthesize_network(n_nodes: int, seed: int, *,
         pairs.add((min(a.id, b.id), max(a.id, b.id)))
 
     by_id = {n.id: n for n in nodes}
+    wind_rng = random.Random(seed)
     segments = []
     for u, v in sorted(pairs):
         d = round(dist(by_id[u], by_id[v]), 1)
         # boundary clamping can co-locate nodes; no flyable segment there
         if d > 0:
-            segments.append(Segment(u, v, d))
-    return synthesize_wind(SkywayNetwork(nodes, segments), seed)
+            wind = Wind(wind_rng.uniform(0.0, MAX_WIND_SPEED),
+                        wind_rng.uniform(0.0, 360.0))
+            segments.append(Segment(u, v, d, wind))
+    return SkywayNetwork(nodes, segments)
 
 
 @dataclass

@@ -113,7 +113,6 @@ class DeliveryPlan:
     legs: list[LegOutcome]
     visits: list[NodeVisit]
     stuck_node: int | None = None
-    static_cost: float | None = None  # static routers: their path's planned cost
 
     @property
     def tt_total(self) -> float:
@@ -189,13 +188,10 @@ class _RateCache:
                                 slot, sector)
 
     def leg(self, net: SkywayNetwork, u: int, v: int):
-        """(segment, wind sector, travel time) of the leg u -> v; ValueError
-        when the segment has no wind data."""
+        """(segment, wind sector, travel time) of the leg u -> v."""
         hit = self._legs.get((u, v))
         if hit is None:
             seg = net.segment(u, v)
-            if seg.wind is None:
-                raise ValueError(f"segment ({u}, {v}) has no wind data")
             hit = self._legs[(u, v)] = (
                 seg, wind_sector(net.heading(u, v), seg.wind),
                 travel_time(seg.distance_m, self.model.spec.cruise_speed))
@@ -516,14 +512,14 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
     FLOOR_TOLERANCE.
 
     The legs are read up to the first one whose rates cannot be built
-    (no wind, or a ValueError from the coefficients or the swap table);
+    (a ValueError from the coefficients or the swap table);
     ``feasible_leg`` raises there if the composition gets that far.
     Leg 1's swap table is built first, as the composition builds it.
     """
     legs = []
     for a, b in zip(path, path[1:]):
+        _, sector, tt = cache.leg(net, a, b)
         try:
-            _, sector, tt = cache.leg(net, a, b)
             least = cache.least_rates(sector)
         except ValueError:
             break
@@ -593,9 +589,9 @@ def _plain_fails(net, path, batteries, cache) -> bool:
     tt == 0.0.  Every rate is positive, so a - b <= 0 and the second read
     is at most b: b never decides, and the second read is tested alone.
     It, not a, decides: the two differ by an ulp at some legs that end at
-    the floor.  Legs are read in order, so a windless leg or one whose
-    rates cannot be built raises its ValueError only after every leg
-    before it passed, where ``feasible_leg`` raises it too.
+    the floor.  Legs are read in order, so a leg whose rates cannot be
+    built raises its ValueError only after every leg before it passed,
+    where ``feasible_leg`` raises it too.
     """
     state = batteries
     for u, v in zip(path, path[1:]):
@@ -775,8 +771,6 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel):
     pad_rate = model.spec.pad_charge_rate
     costs: dict[tuple[int, int], float] = {}
     for seg in net.segments:
-        if seg.wind is None:
-            raise ValueError(f"segment ({seg.u}, {seg.v}) has no wind data")
         tt = travel_time(seg.distance_m, model.spec.cruise_speed)
         for a, b in ((seg.u, seg.v), (seg.v, seg.u)):
             head = net.nodes[b]
@@ -843,10 +837,9 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
     return ids, dist, nxt
 
 
-def _simulate_static_path(swarm, net, path, model, request_id, strategy, static_cost):
+def _simulate_static_path(swarm, net, path, model, request_id, strategy):
     """Fly a fixed path with full recharges at the intermediate stops."""
-    plan = DeliveryPlan(request_id, strategy, "stuck", list(path), [], [],
-                        static_cost=static_cost)
+    plan = DeliveryPlan(request_id, strategy, "stuck", list(path), [], [])
     cache = _RateCache(swarm, model)
     for i, (a, b) in enumerate(zip(path, path[1:])):
         leg = feasible_leg(swarm, net, a, b, model, rate_cache=cache)
@@ -878,8 +871,7 @@ def dijkstra_baseline(
         return DeliveryPlan(request.id, "dijkstra", "unreachable",
                             [request.source], [], [])
     path = tree.path_to_root(request.destination)[::-1]
-    return _simulate_static_path(swarm, net, path, model, request.id, "dijkstra",
-                                 tree.dist[request.destination])
+    return _simulate_static_path(swarm, net, path, model, request.id, "dijkstra")
 
 
 def floyd_warshall_baseline(
@@ -904,5 +896,4 @@ def floyd_warshall_baseline(
     while at != di:
         at = int(nxt[at, di])
         path.append(ids[at])
-    return _simulate_static_path(swarm, net, path, model, request.id, "floyd",
-                                 float(dist[si, di]))
+    return _simulate_static_path(swarm, net, path, model, request.id, "floyd")

@@ -195,8 +195,6 @@ def route_average_wind(net: SkywayNetwork, path: list[int]) -> Wind:
     vx = vy = 0.0
     for u, v in zip(path, path[1:]):
         wind = net.segment(u, v).wind
-        if wind is None:
-            raise ValueError(f"segment ({u}, {v}) has no wind data")
         speeds.append(wind.speed)
         vx += math.cos(math.radians(wind.direction))
         vy += math.sin(math.radians(wind.direction))

@@ -73,9 +73,10 @@ class ShareContext:
     """Flight state a composer needs: who flies, how charged, how thirsty,
     and how much the provider can spare.
 
-    ``batteries``/``rates`` cover the provider as well as the consumers;
-    ``consumer_ids`` names the delivery drones eligible to receive, and
-    ``offer`` is the most ``provider_id`` gives over the leg.
+    ``batteries``/``capacities`` cover the provider as well as the
+    consumers, and ``rates`` every drone with a battery; ``consumer_ids``
+    names the delivery drones eligible to receive, and ``offer`` is the
+    most ``provider_id`` gives over the leg.
     """
 
     batteries: dict[int, float]
@@ -91,9 +92,13 @@ class ShareContext:
             raise ValueError(f"share_rate must be finite and > 0, got {self.share_rate}")
         if not 0 <= self.offer < math.inf:
             raise ValueError(f"offer must be finite and >= 0, got {self.offer}")
-        for cid in self.consumer_ids:
-            if cid not in self.batteries or cid not in self.capacities:
-                raise ValueError(f"consumer {cid} missing battery or capacity")
+        for i in (self.provider_id, *self.consumer_ids):
+            if i not in self.batteries or i not in self.capacities:
+                role = "provider" if i == self.provider_id else "consumer"
+                raise ValueError(f"{role} {i} missing battery or capacity")
+        for i in self.batteries:
+            if i not in self.rates:
+                raise ValueError(f"drone {i} has a battery but no rate")
 
 
 @dataclass
@@ -124,7 +129,7 @@ class _LegState:
             return
         rates = {**self.rates, **overrides} if overrides else self.rates
         for i in self.b:
-            drained = rates.get(i, 0.0) * dt
+            drained = rates[i] * dt
             self.consumed[i] += drained
             b2 = self.b[i] - drained
             if deltas and i in deltas:

@@ -12,9 +12,12 @@ import random
 
 from hypothesis import strategies as st
 
-from swarmway.network import Node, Segment, SkywayNetwork
+from swarmway.network import Node, Segment, SkywayNetwork, Wind
 
 PROVIDER_ID = 100
+
+# the wind of worlds that test only distances: a constant, not a draw
+CALM = Wind(0.0, 0.0)
 
 
 def dyadic_instance(rng: random.Random) -> dict:
@@ -68,7 +71,7 @@ def directed_cost_worlds(draw):
     chosen = draw(st.permutations([p for p, k in zip(pairs, keep) if k]))
     weight = (st.integers(1, 3).map(float) if draw(st.booleans())
               else st.floats(0.5, 50.0, allow_nan=False))
-    segs = [Segment(u, v, draw(weight)) for u, v in chosen]
+    segs = [Segment(u, v, draw(weight), CALM) for u, v in chosen]
     costs = {}
     for u, v in chosen:
         for a, b in ((u, v), (v, u)):

@@ -60,7 +60,7 @@ from swarmway.preflight import (
 )
 from swarmway.sharing import ShareContext, fb_compose, pb_compose
 
-from instances import PROVIDER_ID, dyadic_instance
+from instances import CALM, PROVIDER_ID, dyadic_instance
 from oracles import brute_shortest, fb_oracle, pb_oracle
 
 # 276 synthesized nodes whose largest component has exactly 195;
@@ -159,7 +159,7 @@ def test_criterion_3_route_math_matches_reference():
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < 0.45:
-                    segs.append(Segment(u, v, rng.uniform(1.0, 50.0)))
+                    segs.append(Segment(u, v, rng.uniform(1.0, 50.0), CALM))
         net = SkywayNetwork(nodes, segs)
         for a in range(n):
             tree = shortest_path_tree(net, a)

@@ -238,8 +238,10 @@ class TestBinMetrics:
         assert table.groups == {}
 
     def test_bad_width_rejected(self):
-        with pytest.raises(ValueError, match="bin_width_km"):
-            bin_metrics([], 0.0)
+        # nan would fail mid-aggregation, and inf put every row in bin 0
+        for width in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="bin_width_km: must be finite"):
+                bin_metrics([result_row()], width)
 
 
 @pytest.fixture(scope="module")

@@ -133,9 +133,9 @@ class TestSegmentConsumption:
         assert back.consumed[0] > fwd.consumed[0]
 
     def test_windless_segment_rejected(self):
-        net = self.net(None)
-        with pytest.raises(ValueError, match="no wind data"):
-            feasible_leg(self.swarm(), net, 0, 1, model())
+        # a leg cannot be asked of a segment without wind: none is built
+        with pytest.raises(TypeError, match="wind must be a Wind"):
+            self.net(None)
 
 
 class TestPadSchedule:

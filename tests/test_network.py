@@ -1,11 +1,13 @@
 """Network model, file formats, synthesis, and shortest paths."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from swarmway.network import (
+    MAX_WIND_SPEED,
     DeliveryRequest,
     NetworkFormatError,
     Node,
@@ -19,14 +21,13 @@ from swarmway.network import (
     shortest_path_tree,
     synthesize_network,
     synthesize_requests,
-    synthesize_wind,
 )
 
-from instances import directed_cost_worlds
+from instances import CALM, directed_cost_worlds
 from oracles import brute_shortest, static_dijkstra_reference
 
 
-def line_net(*dists, pads=2, wind=Wind(0.0, 0.0)):
+def line_net(*dists, pads=2, wind=CALM):
     nodes = [Node(i, 1000.0 * i, 0.0, pads) for i in range(len(dists) + 1)]
     segs = [Segment(i, i + 1, d, wind) for i, d in enumerate(dists)]
     return SkywayNetwork(nodes, segs)
@@ -51,12 +52,16 @@ class TestTypes:
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):
-            Segment(1, 1, 100.0)
+            Segment(1, 1, 100.0, CALM)
         with pytest.raises(ValueError):
-            Segment(1, 2, 0.0)
+            Segment(1, 2, 0.0, CALM)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                Segment(1, 2, bad)
+                Segment(1, 2, bad, CALM)
+        with pytest.raises(TypeError):
+            Segment(1, 2, 5.0)
+        with pytest.raises(TypeError, match="wind must be a Wind"):
+            Segment(1, 2, 5.0, None)
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -73,23 +78,25 @@ class TestTypes:
     def test_duplicate_segment_rejected(self):
         nodes = [Node(1, 0, 0, 1), Node(2, 5, 5, 1)]
         with pytest.raises(ValueError, match="duplicate segment"):
-            SkywayNetwork(nodes, [Segment(1, 2, 5.0), Segment(2, 1, 7.0)])
+            SkywayNetwork(nodes, [Segment(1, 2, 5.0, CALM),
+                                  Segment(2, 1, 7.0, CALM)])
 
     def test_segment_unknown_endpoint(self):
         with pytest.raises(ValueError, match="unknown node"):
-            SkywayNetwork([Node(1, 0, 0, 1)], [Segment(1, 2, 5.0)])
+            SkywayNetwork([Node(1, 0, 0, 1)], [Segment(1, 2, 5.0, CALM)])
 
     def test_neighbors_sorted(self):
         net = SkywayNetwork(
             [Node(i, i, 0, 1) for i in range(4)],
-            [Segment(0, 3, 1.0), Segment(0, 1, 1.0), Segment(0, 2, 1.0)],
+            [Segment(0, 3, 1.0, CALM), Segment(0, 1, 1.0, CALM),
+             Segment(0, 2, 1.0, CALM)],
         )
         assert net.neighbors(0) == [1, 2, 3]
 
     def test_heading(self):
         net = SkywayNetwork(
             [Node(0, 0.0, 0.0, 1), Node(1, 100.0, 100.0, 1)],
-            [Segment(0, 1, 141.4)],
+            [Segment(0, 1, 141.4, CALM)],
         )
         assert net.heading(0, 1) == pytest.approx(45.0)
         assert net.heading(1, 0) == pytest.approx(225.0)
@@ -137,11 +144,12 @@ class TestFiles:
         with pytest.raises(NetworkFormatError, match="line 4"):
             load_network(path)
 
-    def test_segments_without_wind_load_as_none(self, tmp_path):
+    def test_segment_rows_without_wind_are_rejected(self, tmp_path):
         path = tmp_path / "net.csv"
         path.write_text("nodes\n1,0.0,0.0,2\n2,9.0,0.0,1\nsegments\n1,2,9.0\n")
-        net = load_network(path)
-        assert net.segment(1, 2).wind is None
+        with pytest.raises(NetworkFormatError,
+                           match=r"line 5: segment \(1, 2\) has no wind data; planning"):
+            load_network(path)
 
     def test_requests_round_trip(self, tmp_path):
         net = synthesize_network(20, seed=2)
@@ -165,14 +173,15 @@ class TestFiles:
 class TestComponents:
     def test_largest_component_kept(self):
         nodes = [Node(i, i, 0, 1) for i in range(6)]
-        segs = [Segment(0, 1, 1.0), Segment(2, 3, 1.0), Segment(3, 4, 1.0)]
+        segs = [Segment(0, 1, 1.0, CALM), Segment(2, 3, 1.0, CALM),
+                Segment(3, 4, 1.0, CALM)]
         lcc = largest_connected_component(SkywayNetwork(nodes, segs))
         assert sorted(lcc.nodes) == [2, 3, 4]
         assert len(lcc.segments) == 2
 
     def test_component_tie_keeps_smallest_id(self):
         nodes = [Node(i, i, 0, 1) for i in range(4)]
-        segs = [Segment(2, 3, 1.0), Segment(0, 1, 1.0)]
+        segs = [Segment(2, 3, 1.0, CALM), Segment(0, 1, 1.0, CALM)]
         lcc = largest_connected_component(SkywayNetwork(nodes, segs))
         assert sorted(lcc.nodes) == [0, 1]
 
@@ -207,16 +216,19 @@ class TestSynthesis:
     def test_wind_attached_and_in_range(self):
         net = synthesize_network(30, seed=0)
         for seg in net.segments:
-            assert seg.wind is not None
             assert 0.0 <= seg.wind.speed < 13.8
             assert 0.0 <= seg.wind.direction < 360.0
 
-    def test_synthesize_wind_overwrites_deterministically(self):
-        base = line_net(1000.0, 2000.0)
-        a = synthesize_wind(base, seed=4)
-        b = synthesize_wind(base, seed=4)
-        for sa, sb in zip(a.segments, b.segments):
-            assert sa.wind.speed == sb.wind.speed
+    def test_wind_is_drawn_from_the_seed_in_segment_order(self):
+        # speed then direction per segment, in (u, v) order, from a
+        # generator of its own: the same fields as before the wind was
+        # drawn inside synthesize_network
+        for seed in (0, 4):
+            net = synthesize_network(40, seed=seed)
+            rng = random.Random(seed)
+            for seg in sorted(net.segments, key=lambda s: (s.u, s.v)):
+                assert seg.wind == Wind(rng.uniform(0.0, MAX_WIND_SPEED),
+                                        rng.uniform(0.0, 360.0))
 
     def test_requests_valid_and_seeded(self):
         net = synthesize_network(30, seed=0)
@@ -233,7 +245,7 @@ class TestSynthesis:
 
     def test_two_node_net_forces_the_only_pair(self):
         net = SkywayNetwork(
-            [Node(3, 0, 0, 1), Node(8, 5, 0, 1)], [Segment(3, 8, 5.0)]
+            [Node(3, 0, 0, 1), Node(8, 5, 0, 1)], [Segment(3, 8, 5.0, CALM)]
         )
         (req,) = synthesize_requests(net, 1, seed=0)
         assert {req.source, req.destination} == {3, 8}
@@ -242,8 +254,6 @@ class TestSynthesis:
 class TestShortestPaths:
     def test_matches_brute_force_on_random_graphs(self):
         # random graphs stay tiny so full path enumeration is cheap
-        import random
-
         rng = random.Random(42)
         for trial in range(30):
             n = rng.randint(2, 8)
@@ -253,7 +263,7 @@ class TestShortestPaths:
             for u in range(n):
                 for v in range(u + 1, n):
                     if rng.random() < 0.45:
-                        segs.append(Segment(u, v, rng.uniform(1.0, 50.0)))
+                        segs.append(Segment(u, v, rng.uniform(1.0, 50.0), CALM))
             net = SkywayNetwork(nodes, segs)
             for a in range(n):
                 tree = shortest_path_tree(net, a)
@@ -286,8 +296,8 @@ class TestShortestPaths:
         # before 1 at 5 m), so it wins over the lexicographically smaller
         # route via 1; with or without costs
         nodes = [Node(i, i, 0, 1) for i in range(4)]
-        segs = [Segment(0, 1, 5.0), Segment(1, 3, 5.0),
-                Segment(0, 2, 4.0), Segment(2, 3, 6.0)]
+        segs = [Segment(0, 1, 5.0, CALM), Segment(1, 3, 5.0, CALM),
+                Segment(0, 2, 4.0, CALM), Segment(2, 3, 6.0, CALM)]
         net = SkywayNetwork(nodes, segs)
         costs = {}
         for seg in segs:

@@ -140,10 +140,8 @@ class TestFeasibleLeg:
                             batteries={0: 250.0, 1: 700.0}) is None
 
     def test_windless_segment_rejected(self):
-        swarm, model = self.plain_pair()
-        net = line_net(6, wind=None)
-        with pytest.raises(ValueError, match="no wind data"):
-            feasible_leg(swarm, net, 0, 1, model)
+        with pytest.raises(TypeError, match="wind must be a Wind"):
+            line_net(6, wind=None)
 
     def rescue_pair(self, consumer_mah, provider_mah):
         """A delivery drone and its support drone, and their batteries."""
@@ -978,14 +976,14 @@ class TestPlainFlyThrough:
         event(f"plain fails: {fails}; decided by {decided}")
         assert fails == (fly_leg_by_leg(*case, None) is None)
 
-    def one_drone(self, rate, battery, *km, wind=CALM):
+    def one_drone(self, rate, battery, *km, wind=CALM, coeffs=FLAT):
         """One drone that drains ``rate`` a minute on a line of ``km``
         legs, at 1 km a minute."""
         spec = DroneSpec(battery_capacity=8000.0, cruise_speed=60.0,
                          base_consumption_rate=rate)
         swarm = swarm_of([make_delivery_drone(0, 0.0, spec)])
         return swarm, line_net(*km, wind=wind), list(range(len(km) + 1)), \
-            model_for(spec), {0: battery}
+            EnergyModel(spec, coeffs, 0.0), {0: battery}
 
     def assert_agrees(self, case, fails):
         assert plain_fails(*case) is fails
@@ -1018,19 +1016,24 @@ class TestPlainFlyThrough:
 
     def test_every_leg_is_read_not_only_the_last(self):
         # the drone runs dry on leg 2 of 3; on its start it could fly leg 3
-        # alone.  A windless last leg (below) tells a check that reads only
-        # the last leg, after draining the others, from one that reads each
+        # alone.  A last leg without coefficients (below) tells a check that
+        # reads only the last leg, after draining the others, from one that
+        # reads each
         self.assert_agrees(self.one_drone(50.0, 400.0, 4.0, 5.0, 0.1), True)
         self.assert_agrees(self.one_drone(50.0, 460.0, 4.0, 5.0, 0.1), False)
 
-    def test_a_windless_leg_raises_after_the_legs_before_it_pass(self):
-        wind = [CALM, CALM, None]
-        case = self.one_drone(50.0, 8000.0, 1.0, 1.0, 1.0, wind=wind)
+    def test_a_leg_without_coefficients_raises_after_the_legs_before_it_pass(self):
+        # the table prices tail wind only, and leg 3 flies into a head wind
+        tail_only = CoefficientTable({(kind, slot, "tail"): 1.0
+                                      for kind in FORMATION_KINDS for slot in range(12)})
+        wind = [CALM, CALM, Wind(5.0, TOWARD["head"])]
+        case = self.one_drone(50.0, 8000.0, 1.0, 1.0, 1.0, wind=wind, coeffs=tail_only)
         for check in (plain_fails, lambda *c: fly_leg_by_leg(*c, None)):
-            with pytest.raises(ValueError, match=r"segment \(2, 3\) has no wind data"):
+            with pytest.raises(ValueError, match="no coefficient .* sector 'head'"):
                 check(*case)
         # and is never reached after one that fails
-        self.assert_agrees(self.one_drone(50.0, 60.0, 1.0, 1.0, 1.0, wind=wind), True)
+        self.assert_agrees(self.one_drone(50.0, 60.0, 1.0, 1.0, 1.0, wind=wind,
+                                          coeffs=tail_only), True)
 
 
 class TestSharedLegFromFull:
@@ -1209,7 +1212,6 @@ class TestStaticBaselines:
             assert plan.status == "success"
             assert plan.path == [0, 1, 2]
             assert plan.dt == 130.0
-            assert plan.static_cost == 240.0
         assert dij.strategy == "dijkstra" and fw.strategy == "floyd"
 
     def test_static_route_can_strand_where_compose_detours(self):

@@ -116,17 +116,30 @@ class TestGenerateRequests:
                 self.serve({1: 100.0, 2: 100.0}, gamma)
 
     def test_offer_validation(self):
+        two = {1: 1.0, 0: 2.0}
         for offer in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="offer"):
-                ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1], 5.0, 0, offer)
-        ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1], 5.0, 0, 0.0)
+                ShareContext(two, two, two, [1], 5.0, 0, offer)
+        ShareContext(two, two, two, [1], 5.0, 0, 0.0)
 
     def test_context_validation(self):
+        two = {1: 1.0, 0: 2.0}
         for share_rate in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="share_rate"):
-                ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1], share_rate, 0, 1.0)
+                ShareContext(two, two, two, [1], share_rate, 0, 1.0)
         with pytest.raises(ValueError, match="consumer 2"):
-            ShareContext({1: 1.0}, {1: 2.0}, {1: 0.0}, [1, 2], 5.0, 0, 1.0)
+            ShareContext(two, two, two, [1, 2], 5.0, 0, 1.0)
+        # a provider the composer does not hold would grant energy from
+        # nowhere: fb would give drone 1 300 mAh and debit no one
+        for batteries, capacities in (({1: 1000.0}, {1: 4480.0, 9: 4480.0}),
+                                      ({1: 1000.0, 9: 500.0}, {1: 4480.0})):
+            with pytest.raises(ValueError, match="provider 9"):
+                ShareContext(batteries, capacities, {1: 0.0, 9: 0.0}, [1], 10.0, 9, 500.0)
+        # a drone without a rate would not drain
+        for rates in ({9: 0.0}, {1: 0.0}):
+            with pytest.raises(ValueError, match="no rate"):
+                ShareContext({1: 1000.0, 9: 500.0}, {1: 4480.0, 9: 4480.0}, rates,
+                             [1], 10.0, 9, 500.0)
 
 
 class TestPriorityComposer:
