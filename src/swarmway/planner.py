@@ -753,7 +753,11 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel):
     n = len(swarm.drones)
     # Drone d's restore time on an edge is rate_d(sector) * tt / pad rate,
     # so within one (sector, pad count) every edge scales the same rate
-    # vector and one search over it serves them all.  pad_schedule's
+    # vector: one pass groups the edges, and each group is priced as one
+    # array, an edge per row, from one search over the rates.  Each row
+    # sums every queue's times in queue order from 0.0 and takes the
+    # largest sum, then the least over the candidates: _makespan's and
+    # _first_optimum's float operations, row by row.  pad_schedule's
     # node_time is the float minimum of the makespan over all assignments,
     # whatever its tie-break.  An assignment's float makespan on an edge's
     # times lies within (n+2)*2**-53 relative of tt / pad rate times its
@@ -761,8 +765,8 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel):
     # within (n-1)*2**-53 of that real makespan.  So an assignment more
     # than 1e-9 relative above the optimum on the rates never gives the
     # minimum on an edge, and the minimum over the kept candidates is
-    # node_time, bit for bit.  With a pad per drone that minimum is
-    # max(times); above the exhaustive cap pad_schedule still decides.
+    # node_time, bit for bit.  With a pad per drone that minimum is the
+    # row's max; above the exhaustive cap pad_schedule still decides.
     # A recharge stop after a leg that started full has times
     # (cap - (cap - s)) / pad rate with s = rate * tt.  The subtraction
     # cap - s rounds by at most half an ulp of cap, so each time carries a
@@ -770,23 +774,34 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel):
     # that is below 1.2e-10, and the 1e-9 band still holds every optimum.
     pad_rate = model.spec.pad_charge_rate
     costs: dict[tuple[int, int], float] = {}
+    groups: dict[tuple[str, int], list] = {}  # (sector, pads) -> [(edge, tt)]
     for seg in net.segments:
         tt = travel_time(seg.distance_m, model.spec.cruise_speed)
         for a, b in ((seg.u, seg.v), (seg.v, seg.u)):
-            head = net.nodes[b]
-            if head.pads < 1:
-                costs[(a, b)] = math.inf
-                continue
-            sector = wind_sector(net.heading(a, b), seg.wind)
-            times = [rate * tt / pad_rate for rate in cache.rates(sector).values()]
-            if n > PAD_EXHAUSTIVE_CAP:
-                node_time = pad_schedule(times, head.pads).node_time
-            elif head.pads >= n:
-                node_time = max(times)
-            else:
-                node_time, _ = _first_optimum(cache.pad_candidates(sector, head.pads),
-                                              times)
-            costs[(a, b)] = tt + node_time
+            costs[(a, b)] = math.inf  # padless heads keep it
+            pads = net.nodes[b].pads
+            if pads >= 1:
+                key = (wind_sector(net.heading(a, b), seg.wind), pads)
+                groups.setdefault(key, []).append(((a, b), tt))
+    for (sector, pads), edges in groups.items():
+        tts = np.array([tt for _, tt in edges])
+        rates = np.array(list(cache.rates(sector).values()))
+        times = rates[None, :] * tts[:, None] / pad_rate
+        if n > PAD_EXHAUSTIVE_CAP:
+            node_times = np.array([pad_schedule(row, pads).node_time
+                                   for row in times.tolist()])
+        elif pads >= n:
+            node_times = times.max(axis=1)
+        else:
+            node_times = np.full(len(edges), np.inf)
+            for queues in cache.pad_candidates(sector, pads):
+                span = np.zeros(len(edges))
+                for queue in queues:
+                    clock = sum((times[:, d] for d in queue), np.zeros(len(edges)))
+                    np.maximum(span, clock, out=span)
+                np.minimum(node_times, span, out=node_times)
+        for (edge, _), cost in zip(edges, (tts + node_times).tolist()):
+            costs[edge] = cost
     return costs
 
 
@@ -808,10 +823,14 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
     np.fill_diagonal(dist, 0.0)
     nxt = np.full((n, n), -1, dtype=np.int64)
     nxt[np.diag_indices(n)] = np.arange(n)
-    for (a, b), w in costs.items():
-        if w < dist[index[a], index[b]]:
-            dist[index[a], index[b]] = w
-            nxt[index[a], index[b]] = index[b]
+    # Each key names one cell, so one masked assignment is the edge loop.
+    tails = np.fromiter((index[a] for a, _ in costs), np.intp, len(costs))
+    heads = np.fromiter((index[b] for _, b in costs), np.intp, len(costs))
+    weights = np.fromiter(costs.values(), float, len(costs))
+    keep = weights < dist[tails, heads]
+    tails, heads = tails[keep], heads[keep]
+    dist[tails, heads] = weights[keep]
+    nxt[tails, heads] = heads
     cand = np.empty((n, n))
     mask = np.empty((n, n), dtype=bool)
     for k in range(n):
@@ -820,20 +839,22 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
         # skipping it changes nothing.  Column k does not change during
         # pivot k, so nxt[:, k] can be read while the pivot writes.
         # Below half the rows, gather that block and scatter what improves;
-        # above it, the dense in-place pass is cheaper.
+        # above it, compare every cell and scatter only those that improve
+        # (about 6% on the CLI world), far cheaper than masked copies.
         rows = np.flatnonzero(dist[:, k] < np.inf)
         if 2 * len(rows) < n:
             cols = np.flatnonzero(dist[k] < np.inf)
             sub = dist[rows, k, None] + dist[k, cols]
-            r, c = np.nonzero(sub < dist[np.ix_(rows, cols)])
+            r, c = np.nonzero(sub < dist[rows[:, None], cols])
             i, j = rows[r], cols[c]
             dist[i, j] = sub[r, c]
             nxt[i, j] = nxt[i, k]
         else:
             np.add(dist[:, k, None], dist[None, k, :], out=cand)
             np.less(cand, dist, out=mask)
-            np.copyto(dist, cand, where=mask)
-            np.copyto(nxt, nxt[:, k, None], where=mask)
+            idx = np.flatnonzero(mask)
+            dist.reshape(-1)[idx] = cand.reshape(-1)[idx]
+            nxt.reshape(-1)[idx] = nxt[idx // n, k]
     return ids, dist, nxt
 
 

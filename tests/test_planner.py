@@ -1343,6 +1343,7 @@ class TestStaticCostsMatchPadSchedule:
     def assert_identical(self, swarm, net, model):
         got = static_edge_costs(swarm, net, model)
         want = self.reference(swarm, net, model)
+        assert list(got) == list(want)
         assert got == want
         assert {k: repr(v) for k, v in got.items()} == \
             {k: repr(v) for k, v in want.items()}
@@ -1380,6 +1381,25 @@ class TestStaticCostsMatchPadSchedule:
             swarm = self.swarm([0.5] * 5, "column")
             for _ in range(3):
                 self.assert_identical(swarm, self.random_world(rng, 10), model)
+
+    def test_every_head_padless(self):
+        rng = random.Random(29)
+        model = model_for(DroneSpec())
+        net = self.random_world(rng)
+        net = SkywayNetwork([replace(node, pads=0) for node in net.nodes.values()],
+                            net.segments)
+        assert net.segments
+        swarm = self.swarm([0.3, 0.9, 1.2])
+        self.assert_identical(swarm, net, model)
+        assert set(static_edge_costs(swarm, net, model).values()) == {math.inf}
+
+    def test_groups_of_a_single_edge(self):
+        # one segment between heads of 2 and 3 pads: each (sector, pads)
+        # group holds one edge, and four drones make both search the pads
+        model = model_for(DroneSpec())
+        net = SkywayNetwork([Node(0, 0.0, 0.0, 2), Node(1, 3000.0, 1700.0, 3)],
+                            [Segment(0, 1, 3456.7, Wind(6.1, 33.0))])
+        self.assert_identical(self.swarm([0.2, 0.5, 0.8, 1.3]), net, model)
 
     def test_beyond_the_exhaustive_cap(self):
         rng = random.Random(13)
@@ -1553,3 +1573,40 @@ class TestFloydWarshallTables:
                 pivots += len(ids)
         # most pivots of the sparse worlds take the gathered path
         assert sparse_pivots > pivots / 2
+
+    def test_matches_the_triple_loop_on_float_costs(self):
+        # costs off the dyadic grid round every sum, so each path's costs
+        # must be added in the triple loop's order
+        rng = random.Random(31)
+        sparse_pivots = dense_pivots = pivots = 0
+        for world in [dense_world] * 60 + [sparse_world] * 90:
+            nodes, pairs = world(rng)
+            net = SkywayNetwork(nodes, [Segment(a, b, 1000.0, CALM) for a, b in pairs])
+            costs = {}
+            for a, b in pairs:
+                for edge in ((a, b), (b, a)):
+                    costs[edge] = (math.inf if rng.random() < 0.2
+                                   else rng.uniform(0.1, 3.0))
+            sparse = self.assert_matches_the_triple_loop(net, costs)
+            dense_pivots += len(net.nodes) - sparse
+            if world is sparse_world:
+                sparse_pivots += sparse
+                pivots += len(net.nodes)
+        # both kinds of pivot run
+        assert sparse_pivots > pivots / 2
+        assert dense_pivots > 0
+
+    @pytest.mark.parametrize("n_nodes", [1, 3])
+    def test_no_costs(self, n_nodes):
+        net = SkywayNetwork([Node(7 * i, float(i), 0.0, 1) for i in range(n_nodes)], [])
+        self.assert_matches_the_triple_loop(net, {})
+
+    def assert_matches_the_triple_loop(self, net, costs):
+        """Returns how many pivots fewer than half the rows could reach."""
+        ids, dist, nxt = floyd_warshall_tables(net, costs)
+        want_ids, want_dist, want_nxt, sparse = reference_floyd(net, costs)
+        assert ids == want_ids
+        assert nxt.dtype == np.int64
+        assert np.array_equal(dist, np.array(want_dist))
+        assert np.array_equal(nxt, np.array(want_nxt))
+        return sparse
