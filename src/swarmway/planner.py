@@ -814,7 +814,8 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
     """All-pairs static costs and successor table, vectorized over nodes.
 
     Pivot ``k`` relaxes only the rows that reach ``k`` and the columns
-    that ``k`` reaches; the tables equal the textbook triple loop's.
+    that ``k`` reaches; for costs >= 0 or inf the tables equal the
+    textbook triple loop's.
     """
     ids = sorted(net.nodes)
     index = {nid: i for i, nid in enumerate(ids)}
@@ -827,34 +828,42 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
     tails = np.fromiter((index[a] for a, _ in costs), np.intp, len(costs))
     heads = np.fromiter((index[b] for _, b in costs), np.intp, len(costs))
     weights = np.fromiter(costs.values(), float, len(costs))
+    bad = (~(weights >= 0.0)).nonzero()[0]
+    if len(bad):
+        edge = list(costs)[bad[0]]
+        raise ValueError(f"edge {edge}: cost {weights[bad[0]]} must be >= 0 or inf")
     keep = weights < dist[tails, heads]
     tails, heads = tails[keep], heads[keep]
     dist[tails, heads] = weights[keep]
     nxt[tails, heads] = heads
+    flat, nflat = dist.reshape(-1), nxt.reshape(-1)
     cand = np.empty((n, n))
     mask = np.empty((n, n), dtype=bool)
     for k in range(n):
         # A cell whose row cannot reach k, or whose column k cannot reach,
-        # has candidate inf (or nan), which never passes the strict <, so
-        # skipping it changes nothing.  Column k does not change during
-        # pivot k, so nxt[:, k] can be read while the pivot writes.
+        # has candidate inf, which never passes the strict <, so skipping
+        # it changes nothing.  Column k does not change during pivot k
+        # (dist[k, k] stays 0.0), so nxt[:, k] can be read while it writes.
         # Below half the rows, gather that block and scatter what improves;
         # above it, compare every cell and scatter only those that improve
         # (about 6% on the CLI world), far cheaper than masked copies.
-        rows = np.flatnonzero(dist[:, k] < np.inf)
+        # Both scatter by flat cell index: the compare's own mask picks the
+        # cells and their candidates, so no (row, column) pair is built.
+        col, row = dist[:, k], dist[k]
+        rows = (col < np.inf).nonzero()[0]
         if 2 * len(rows) < n:
-            cols = np.flatnonzero(dist[k] < np.inf)
-            sub = dist[rows, k, None] + dist[k, cols]
-            r, c = np.nonzero(sub < dist[rows[:, None], cols])
-            i, j = rows[r], cols[c]
-            dist[i, j] = sub[r, c]
-            nxt[i, j] = nxt[i, k]
+            cols = (row < np.inf).nonzero()[0]
+            sub = col[rows][:, None] + row[cols]
+            cells = (rows * n)[:, None] + cols
+            better = sub < flat[cells]
+            idx = cells[better]
+            flat[idx] = sub[better]
         else:
-            np.add(dist[:, k, None], dist[None, k, :], out=cand)
+            np.add(col[:, None], row, out=cand)
             np.less(cand, dist, out=mask)
-            idx = np.flatnonzero(mask)
-            dist.reshape(-1)[idx] = cand.reshape(-1)[idx]
-            nxt.reshape(-1)[idx] = nxt[idx // n, k]
+            idx = mask.reshape(-1).nonzero()[0]
+            flat[idx] = cand.reshape(-1)[idx]
+        nflat[idx] = nxt[:, k][idx // n]
     return ids, dist, nxt
 
 

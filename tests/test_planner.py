@@ -1601,6 +1601,66 @@ class TestFloydWarshallTables:
         net = SkywayNetwork([Node(7 * i, float(i), 0.0, 1) for i in range(n_nodes)], [])
         self.assert_matches_the_triple_loop(net, {})
 
+    def test_zero_cost_ties_keep_the_first_successor(self):
+        # with every cost 0.0, each pivot's candidate ties the cell it
+        # would replace, so only a strict < keeps the direct edges' successors
+        nodes = [Node(i, float(i), 0.0, 1) for i in range(6)]
+        pairs = [(a.id, b.id) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+        net = SkywayNetwork(nodes, [Segment(a, b, 1000.0, CALM) for a, b in pairs])
+        costs = {edge: 0.0 for a, b in pairs for edge in ((a, b), (b, a))}
+        self.assert_matches_the_triple_loop(net, costs)
+        _, dist, nxt = floyd_warshall_tables(net, costs)
+        assert not dist.any()
+        assert np.array_equal(nxt, np.tile(np.arange(6), (6, 1)))
+
+    def test_matches_the_triple_loop_with_zero_costs(self):
+        # zero-cost edges make dist[i, k] + dist[k, j] == dist[i, j] common,
+        # at 0.0 too; inf edges still leave pairs reachable one way only
+        rng = random.Random(43)
+        sparse_pivots = dense_pivots = zero_pairs = 0
+        for world in [dense_world] * 60 + [sparse_world] * 60:
+            nodes, pairs = world(rng)
+            net = SkywayNetwork(nodes, [Segment(a, b, 1000.0, CALM) for a, b in pairs])
+            costs = {edge: rng.choice([0.0, 0.0, 1.0, 2.0, math.inf])
+                     for a, b in pairs for edge in ((a, b), (b, a))}
+            sparse = self.assert_matches_the_triple_loop(net, costs)
+            sparse_pivots += sparse
+            dense_pivots += len(nodes) - sparse
+            _, dist, _ = floyd_warshall_tables(net, costs)
+            zero_pairs += int((dist == 0.0).sum()) - len(nodes)
+        assert sparse_pivots > 0 and dense_pivots > 0
+        assert zero_pairs > 500
+
+    @pytest.mark.parametrize("side", ["into", "out of"])
+    def test_a_node_cut_off_on_one_side(self, side):
+        # every edge into the node (or out of it) costs inf, so its pivot
+        # reaches only itself (or reaches nothing but itself)
+        rng = random.Random(59)
+        for world in [dense_world] * 30 + [sparse_world] * 30:
+            nodes, pairs = world(rng)
+            net = SkywayNetwork(nodes, [Segment(a, b, 1000.0, CALM) for a, b in pairs])
+            cut = rng.choice(nodes).id
+            costs = {}
+            for a, b in pairs:
+                for edge in ((a, b), (b, a)):
+                    blocked = edge[1] == cut if side == "into" else edge[0] == cut
+                    costs[edge] = math.inf if blocked else float(rng.randint(1, 4))
+            self.assert_matches_the_triple_loop(net, costs)
+            ids, dist, _ = floyd_warshall_tables(net, costs)
+            at = ids.index(cut)
+            line = dist[:, at] if side == "into" else dist[at]
+            assert np.isfinite(line).sum() == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_costs_below_zero_or_nan_are_rejected(self, bad):
+        net = SkywayNetwork([Node(i, float(i), 0.0, 1) for i in range(3)],
+                            [Segment(0, 1, 1000.0, CALM), Segment(1, 2, 1000.0, CALM)])
+        costs = {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 0.0, (2, 1): math.inf}
+        self.assert_matches_the_triple_loop(net, costs)
+        costs[(2, 1)] = bad
+        with pytest.raises(ValueError, match=r"edge \(2, 1\): cost .* must be >= 0 or inf"):
+            floyd_warshall_tables(net, costs)
+
     def assert_matches_the_triple_loop(self, net, costs):
         """Returns how many pivots fewer than half the rows could reach."""
         ids, dist, nxt = floyd_warshall_tables(net, costs)
