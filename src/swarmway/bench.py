@@ -183,6 +183,8 @@ def run_experiment(
         base = DroneSpec()
         spec = replace(base, inflight_share_rate=cfg.share_rate,
                        pad_charge_rate=base.battery_capacity / cfg.pad_minutes)
+    else:  # fb flies the spec's share rate: check the turn it gives
+        cfg = replace(cfg, share_rate=spec.inflight_share_rate)
     model = EnergyModel(spec, table)
     diameter = network_diameter(net)
     combos = sweep_configurations(cfg)
@@ -216,28 +218,24 @@ def run_experiment(
             diameter_m=diameter,
             failure_scale=cfg.failure_scale,
         )
-        plain_swarm = build_swarm(req, model, positioning="location-aware",
-                                  include_support=False, **swarm_kwargs)
-        static_costs = static_edge_costs(plain_swarm, net, model) if needs_static else None
+        # planning never writes to a swarm, so pb and fb fly the same one
+        swarms = {pos: build_swarm(req, model, positioning=pos, include_support=True,
+                                   **swarm_kwargs) for pos in cfg.positionings if share_by}
+        swarms["none"] = build_swarm(req, model, positioning="location-aware",
+                                     include_support=False, **swarm_kwargs)
+        static_costs = (static_edge_costs(swarms["none"], net, model)
+                        if needs_static else None)
 
         for strategy, pos in combos:
-            if strategy in SHARING_STRATEGIES:
-                swarm = build_swarm(req, model, positioning=pos,
-                                    include_support=True, **swarm_kwargs)
-                t0 = time.perf_counter()
-                plan = compose(swarm, net, req, model, share=share_by[strategy],
-                               tree=tree)
-            elif strategy == "baseline":
-                t0 = time.perf_counter()
-                plan = compose(plain_swarm, net, req, model, tree=tree)
-            elif strategy == "dijkstra":
-                t0 = time.perf_counter()
-                plan = dijkstra_baseline(plain_swarm, net, req, model,
-                                         costs=static_costs)
+            swarm = swarms[pos]
+            t0 = time.perf_counter()
+            if strategy == "dijkstra":
+                plan = dijkstra_baseline(swarm, net, req, model, costs=static_costs)
+            elif strategy == "floyd":
+                plan = floyd_warshall_baseline(swarm, net, req, model, costs=static_costs)
             else:
-                t0 = time.perf_counter()
-                plan = floyd_warshall_baseline(plain_swarm, net, req, model,
-                                               costs=static_costs)
+                plan = compose(swarm, net, req, model, share=share_by.get(strategy),
+                               tree=tree)
             runtime_ms = (time.perf_counter() - t0) * 1000.0
             rows.append({
                 "request_id": req.id, "strategy": strategy, "positioning": pos,

@@ -194,7 +194,7 @@ def load_coefficients(path) -> CoefficientTable:
     values = {}
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0] == "formation":
+            if not row or (len(row) == 1 and not row[0].strip()) or row[0] == "formation":
                 continue
             try:
                 if len(row) != 4:

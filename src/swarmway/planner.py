@@ -86,9 +86,12 @@ class LegOutcome:
     tt: float
     sector: str
     consumed: dict[int, float]
-    batteries_after: dict[int, float]
     plan: SharingPlan | None
-    traces: dict[int, list[tuple[float, float]]] = field(repr=False, default_factory=dict)
+    traces: dict[int, list[tuple[float, float]]] = field(repr=False)
+
+    @property
+    def batteries_after(self) -> dict[int, float]:
+        return {i: points[-1][1] for i, points in self.traces.items()}
 
     @property
     def shared(self) -> float:
@@ -109,10 +112,17 @@ class DeliveryPlan:
     request_id: int
     strategy: str
     status: str  # "success", "stuck", or "unreachable"
-    path: list[int]
+    source: int
     legs: list[LegOutcome]
     visits: list[NodeVisit]
-    stuck_node: int | None = None
+
+    @property
+    def path(self) -> list[int]:
+        return [self.source] + [leg.v for leg in self.legs]
+
+    @property
+    def stuck_node(self) -> int | None:
+        return self.path[-1] if self.status == "stuck" else None
 
     @property
     def tt_total(self) -> float:
@@ -224,15 +234,15 @@ class _RateCache:
             table: dict[int, SwapPlan | None] = {}
             for block in self.blocks:
                 for cid in block.consumers:
-                    rec = reorder_fixed(self.swarm, cid, block.provider)
-                    if rec is None:
+                    partner = reorder_fixed(self.swarm, cid, block.provider)
+                    if partner is None:
                         table[cid] = None
                         continue
-                    rates = {cid: self._rate(by_id[cid], rec.partner_slot, sector)}
-                    if rec.partner_id in block.consumers:
-                        partner = by_id[rec.partner_id]
-                        rates[partner.id] = self._rate(partner, rec.consumer_slot, sector)
-                    table[cid] = ((rec.consumer_slot, rec.partner_slot), rates)
+                    consumer = by_id[cid]
+                    rates = {cid: self._rate(consumer, partner.position, sector)}
+                    if partner.id in block.consumers:
+                        rates[partner.id] = self._rate(partner, consumer.position, sector)
+                    table[cid] = ((consumer.position, partner.position), rates)
             self._swaps_by_sector[sector] = table
         return self._swaps_by_sector[sector]
 
@@ -398,7 +408,7 @@ def feasible_leg(
     blocks = cache.blocks if share is not None else []
     plan = SharingPlan() if blocks else None
     swaps = cache.swaps(sector) if blocks else None
-    after, consumed, traces = {}, {}, {}
+    consumed, traces = {}, {}
     for block in blocks or [None]:
         result = None
         if block is not None:
@@ -407,10 +417,8 @@ def feasible_leg(
             for i in block.ids if block else rates:  # rates: every drone, in order
                 spent = rates[i] * tt
                 consumed[i] = spent
-                after[i] = left = before[i] - spent
-                traces[i] = [(0.0, before[i]), (tt, left)]
+                traces[i] = [(0.0, before[i]), (tt, before[i] - spent)]
             continue
-        after.update(result.batteries_after)
         consumed.update(result.consumed)
         traces.update(result.traces)
         plan.allocations.extend(result.plan.allocations)
@@ -418,7 +426,7 @@ def feasible_leg(
 
     if not _grid_feasible(traces, tt):
         return None
-    return LegOutcome(u, v, seg.distance_m, tt, sector, consumed, after, plan, traces)
+    return LegOutcome(u, v, seg.distance_m, tt, sector, consumed, plan, traces)
 
 
 def _pool(battery, drained, reserve, share) -> float:
@@ -682,7 +690,7 @@ def compose(
     strategy = share.strategy if share else "baseline"
     if tree is None or tree.root != request.destination:
         tree = shortest_path_tree(net, request.destination)
-    plan = DeliveryPlan(request.id, strategy, "stuck", [request.source], [], [])
+    plan = DeliveryPlan(request.id, strategy, "stuck", request.source, [], [])
     if tree.distance(request.source) == math.inf:
         plan.status = "unreachable"
         return plan
@@ -701,7 +709,6 @@ def compose(
                 legs = _fly_through(swarm, net, remaining, model, full, share, cache)
             if legs is not None:
                 plan.legs.extend(legs)
-                plan.path.extend(remaining[1:])
                 current = request.destination
                 break
 
@@ -727,13 +734,11 @@ def compose(
                     best is None or stop[0] < best[0]):
                 best = stop
         if best is None:
-            plan.stuck_node = current
             return plan
 
         _, nb, visit = best
         plan.legs.append(feasible_leg(swarm, net, current, nb, model, batteries=full,
                                       share=share, rate_cache=cache))
-        plan.path.append(nb)
         visit_count[nb] = visit_count.get(nb, 0) + 1
         if visit is not None:
             plan.visits.append(visit)
@@ -869,13 +874,11 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
 
 def _simulate_static_path(swarm, net, path, model, request_id, strategy):
     """Fly a fixed path with full recharges at the intermediate stops."""
-    plan = DeliveryPlan(request_id, strategy, "stuck", list(path), [], [])
+    plan = DeliveryPlan(request_id, strategy, "stuck", path[0], [], [])
     cache = _RateCache(swarm, model)
-    for i, (a, b) in enumerate(zip(path, path[1:])):
+    for a, b in zip(path, path[1:]):
         leg = feasible_leg(swarm, net, a, b, model, rate_cache=cache)
         if leg is None:
-            plan.stuck_node = a
-            plan.path = list(path[: i + 1])
             return plan
         plan.legs.append(leg)
         if b != path[-1]:
@@ -898,8 +901,7 @@ def dijkstra_baseline(
         costs = static_edge_costs(swarm, net, model)
     tree = static_dijkstra(net, costs, request.source)
     if request.destination not in tree.dist:
-        return DeliveryPlan(request.id, "dijkstra", "unreachable",
-                            [request.source], [], [])
+        return DeliveryPlan(request.id, "dijkstra", "unreachable", request.source, [], [])
     path = tree.path_to_root(request.destination)[::-1]
     return _simulate_static_path(swarm, net, path, model, request.id, "dijkstra")
 
@@ -919,8 +921,7 @@ def floyd_warshall_baseline(
     index = {nid: i for i, nid in enumerate(ids)}
     si, di = index[request.source], index[request.destination]
     if not np.isfinite(dist[si, di]):
-        return DeliveryPlan(request.id, "floyd", "unreachable",
-                            [request.source], [], [])
+        return DeliveryPlan(request.id, "floyd", "unreachable", request.source, [], [])
     path = [request.source]
     at = si
     while at != di:

@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .energy import Drone
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -104,9 +106,12 @@ class ShareContext:
 @dataclass
 class ShareResult:
     plan: SharingPlan
-    batteries_after: dict[int, float]
     consumed: dict[int, float]  # drain only; transfers are tracked in the plan
     traces: dict[int, list[tuple[float, float]]]  # piecewise-linear (t, battery)
+
+    @property
+    def batteries_after(self) -> dict[int, float]:
+        return {i: points[-1][1] for i, points in self.traces.items()}
 
 
 class _LegState:
@@ -252,7 +257,7 @@ def pb_compose(
         given += amount
         free = end
     state.advance(tt)
-    return ShareResult(plan, state.b, state.consumed, state.traces)
+    return ShareResult(plan, state.consumed, state.traces)
 
 
 def fb_compose(
@@ -307,26 +312,16 @@ def fb_compose(
         if not progressed:
             break  # everyone full; nothing left to rotate over
     state.advance(tt)
-    return ShareResult(plan, state.b, state.consumed, state.traces)
+    return ShareResult(plan, state.consumed, state.traces)
 
 
-@dataclass(frozen=True)
-class SwapRecord:
-    """The slot exchange that would bring a consumer next to its provider."""
-
-    consumer_id: int
-    partner_id: int
-    consumer_slot: int
-    partner_slot: int
-
-
-def reorder_fixed(swarm, consumer_id: int, provider_id: int) -> SwapRecord | None:
+def reorder_fixed(swarm, consumer_id: int, provider_id: int) -> Drone | None:
     """Bring a consumer next to its provider without moving any support drone.
 
-    Returns None when they are already adjacent; otherwise the exchange
-    of the consumer's slot with that of the delivery drone in the
-    provider's lowest-numbered adjacent slot.  The swarm is left as it
-    is: the swap costs nothing and only lasts one transfer, so the
+    Returns None when they are already adjacent; otherwise the partner,
+    the delivery drone in the provider's lowest-numbered adjacent slot,
+    whose slot the consumer takes for a transfer.  The swarm is left as
+    it is: the swap costs nothing and only lasts one transfer, so the
     composers apply it through their ``swaps`` table.
     """
     by_id = {d.id: d for d in swarm.drones}
@@ -341,7 +336,7 @@ def reorder_fixed(swarm, consumer_id: int, provider_id: int) -> SwapRecord | Non
     for slot in sorted(swarm.formation.neighbors(provider.position)):
         partner = by_slot[slot]
         if partner.role == "delivery":
-            return SwapRecord(consumer_id, partner.id, consumer.position, slot)
+            return partner
     raise ValueError(
         f"provider {provider_id} has no delivery drone in an adjacent slot; "
         "positioning should never cluster support drones together"

@@ -331,7 +331,7 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
     strategy = share.strategy if share else "baseline"
     if tree is None or tree.root != request.destination:
         tree = shortest_path_tree(net, request.destination)
-    plan = planner.DeliveryPlan(request.id, strategy, "stuck", [request.source], [], [])
+    plan = planner.DeliveryPlan(request.id, strategy, "stuck", request.source, [], [])
     if tree.distance(request.source) == math.inf:
         plan.status = "unreachable"
         return plan
@@ -348,7 +348,6 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
                                         cache)
         if legs is not None:
             plan.legs.extend(legs)
-            plan.path.extend(remaining[1:])
             current = request.destination
             break
 
@@ -373,12 +372,10 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
             if best is None or cost < best[0]:
                 best = (cost, nb, leg, visit)
         if best is None:
-            plan.stuck_node = current
             return plan
 
         _, nb, leg, visit = best
         plan.legs.append(leg)
-        plan.path.append(nb)
         visit_count[nb] = visit_count.get(nb, 0) + 1
         if visit is not None:
             plan.visits.append(visit)

@@ -330,6 +330,17 @@ class TestRunExperiment:
         assert rows == []
         assert metrics.groups == {}
 
+    def test_given_spec_must_keep_the_fairness_turn_floor(self):
+        # fb flies the spec's share rate, not cfg.share_rate; an empty
+        # workload shows the sweep rejects it before planning anything
+        cfg = ExperimentConfig(quantum=MIN_FB_TURN * 4.0, share_rate=1.0)
+        run_experiment(corridor_net(), [], FLAT, cfg,
+                       spec=dataclasses.replace(SPEC, inflight_share_rate=4.0))
+        for rate in (math.nextafter(4.0, math.inf), 1e7):
+            with pytest.raises(ValueError, match="quantum: a fairness turn"):
+                run_experiment(corridor_net(), [], FLAT, cfg,
+                               spec=dataclasses.replace(SPEC, inflight_share_rate=rate))
+
     def test_spec_override_changes_feasibility(self):
         # 128 mAh over 4 min under the dyadic spec, not refillable enough
         # under a 100 mAh ceiling without pads mid-route

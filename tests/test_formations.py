@@ -177,6 +177,20 @@ class TestTableType:
         for cell in cells:
             assert loaded.coefficient(*cell) == table.coefficient(*cell)
 
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        # as load_network and load_requests skip them
+        table = default_table()
+        lines = [f"{kind},{slot},{sector},{table.coefficient(kind, slot, sector)!r}\n"
+                 for kind in FORMATION_KINDS for slot in range(TABLE_SLOTS)
+                 for sector in WIND_SECTORS]
+        path = tmp_path / "coeffs.csv"
+        path.write_text("".join(lines[:5]) + "  \t\n" + "".join(lines[5:]) + "   ")
+        loaded = load_coefficients(path)
+        assert loaded.coefficient("vee", 1, "head") == table.coefficient("vee", 1, "head")
+        path.write_text("   \nvee,zero,head,1.0\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_coefficients(path)
+
     def test_load_names_the_first_missing_coefficient(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text("".join(

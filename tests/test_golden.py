@@ -26,6 +26,8 @@ from swarmway.network import (
 from swarmway.planner import (
     ShareConfig,
     compose,
+    dijkstra_baseline,
+    floyd_warshall_baseline,
     floyd_warshall_tables,
     static_edge_costs,
 )
@@ -36,6 +38,7 @@ from swarmway.preflight import (
     route_average_wind,
 )
 
+from oracles import walk_every_round
 from test_acceptance import SWEEP_CFG, SWEEP_SPEC, world  # noqa: F401 (fixture)
 
 GOLDEN_REQUESTS = 30  # request 29 is the first whose fb plan swaps
@@ -149,3 +152,76 @@ def test_floyd_tables_match_golden_digests(floyd_inputs, network):
         _, dist, nxt = floyd_warshall_tables(net, static_edge_costs(swarm, net, model))
         got.append(hashlib.sha256(dist.tobytes() + nxt.tobytes()).hexdigest())
     assert got == FLOYD_DIGESTS[network]
+
+
+def every_planners_plans(net, requests, model, cfg):
+    """(request, swarm, plan) for every plan the planners return per request:
+    compose and walk_every_round for baseline, pb and fb under both
+    positionings, and both static routers."""
+    diameter = network_diameter(net)
+    shares = [ShareConfig(s, cfg.gamma, cfg.delta_frac, cfg.quantum) for s in ("pb", "fb")]
+    for req in requests:
+        tree = shortest_path_tree(net, req.destination)
+        path = tree.path_to_root(req.source)
+        kwargs = dict(route_wind=route_average_wind(net, path),
+                      route_heading=net.heading(req.source, req.destination),
+                      route_distance_m=tree.distance(req.source), diameter_m=diameter,
+                      failure_scale=cfg.failure_scale)
+        plain = build_swarm(req, model, positioning="location-aware",
+                            include_support=False, **kwargs)
+        flights = [(plain, None)] + [
+            (build_swarm(req, model, positioning=pos, **kwargs), share)
+            for pos in POSITIONING_SETTINGS for share in shares]
+        for swarm, share in flights:
+            for planner in (compose, walk_every_round):
+                yield req, swarm, planner(swarm, net, req, model, share=share, tree=tree)
+        costs = static_edge_costs(plain, net, model)
+        for router in (dijkstra_baseline, floyd_warshall_baseline):
+            yield req, plain, router(plain, net, req, model, costs=costs)
+
+
+def assert_legs_chain(cases):
+    """Legs join end to end from the source, and each starts on full
+    batteries or on the last one's end batteries, exactly; a plan
+    recharges before every leg after the first that starts full, and a
+    stuck one after every leg it flew.  Returns how many legs after the
+    first start (full, chained)."""
+    full_starts = chained = 0
+    for req, swarm, plan in cases:
+        caps = {d.id: d.capacity for d in swarm.drones}
+        before = None
+        fulls = 0
+        for k, leg in enumerate(plan.legs):
+            assert leg.u == (req.source if k == 0 else plan.legs[k - 1].v)
+            start = {i: points[0][1] for i, points in leg.traces.items()}
+            assert start == caps or (before is not None and start == before), (req.id, k)
+            if k and start == caps:
+                fulls += 1
+            elif k:
+                chained += 1
+            before = leg.batteries_after
+        full_starts += fulls
+        if plan.status == "success":
+            assert plan.legs[-1].v == req.destination
+            assert len(plan.visits) == fulls, (req.id, plan.strategy)
+        elif plan.status == "stuck":
+            assert len(plan.visits) == len(plan.legs), (req.id, plan.strategy)
+    return full_starts, chained
+
+
+def test_legs_chain_on_the_golden_slice(golden_world):
+    net, requests = golden_world
+    full_starts, chained = assert_legs_chain(every_planners_plans(
+        net, requests, EnergyModel(SWEEP_SPEC, default_table()), SWEEP_CFG))
+    assert full_starts > 0 and chained > 0
+
+
+def test_legs_chain_in_the_cli_world():
+    net = largest_connected_component(synthesize_network(276, 0))
+    cfg = ExperimentConfig()
+    base = DroneSpec()
+    spec = replace(base, inflight_share_rate=cfg.share_rate,
+                   pad_charge_rate=base.battery_capacity / cfg.pad_minutes)
+    full_starts, chained = assert_legs_chain(every_planners_plans(
+        net, synthesize_requests(net, 4, 0), EnergyModel(spec, default_table()), cfg))
+    assert full_starts > 0 and chained > 0

@@ -592,10 +592,9 @@ class TestReorder:
 
     def test_distant_consumer_swaps_with_providers_neighbor(self):
         swarm = self.column_swarm()
-        record = reorder_fixed(swarm, 0, 3)
-        assert record is not None
-        assert (record.consumer_id, record.partner_id) == (0, 2)
-        assert (record.consumer_slot, record.partner_slot) == (0, 2)
+        partner = reorder_fixed(swarm, 0, 3)
+        assert partner is swarm.drones[2]
+        assert (swarm.drones[0].position, partner.position) == (0, 2)
         # the swap is only described; the swarm keeps its standing slots
         assert [d.position for d in swarm.drones] == [0, 1, 2, 3]
 
