@@ -27,6 +27,7 @@ from .planner import (
     dijkstra_baseline,
     floyd_warshall_baseline,
     static_edge_costs,
+    static_edges,
 )
 from .preflight import (
     DEFAULT_FAILURE_SCALE,
@@ -177,7 +178,8 @@ def run_experiment(
     positioning) and their binned rollup.  The runtime column times the
     planner call alone; workload setup, swarm construction, and static
     cost tables shared between the two static routers stay outside the
-    timed region.
+    timed region.  The static edge grouping is built once per sweep, like
+    the diameter.
     """
     if spec is None:
         base = DroneSpec()
@@ -187,12 +189,13 @@ def run_experiment(
         cfg = replace(cfg, share_rate=spec.inflight_share_rate)
     model = EnergyModel(spec, table)
     diameter = network_diameter(net)
+    needs_static = any(s in cfg.strategies for s in ("dijkstra", "floyd"))
+    edges = static_edges(net, spec.cruise_speed) if needs_static else None
     combos = sweep_configurations(cfg)
     share_by = {
         s: ShareConfig(s, cfg.gamma, cfg.delta_frac, cfg.quantum)
         for s in SHARING_STRATEGIES if s in cfg.strategies
     }
-    needs_static = any(s in cfg.strategies for s in ("dijkstra", "floyd"))
 
     rows: list[dict] = []
     for done, req in enumerate(requests):
@@ -223,7 +226,7 @@ def run_experiment(
                                    **swarm_kwargs) for pos in cfg.positionings if share_by}
         swarms["none"] = build_swarm(req, model, positioning="location-aware",
                                      include_support=False, **swarm_kwargs)
-        static_costs = (static_edge_costs(swarms["none"], net, model)
+        static_costs = (static_edge_costs(swarms["none"], edges, model)
                         if needs_static else None)
 
         for strategy, pos in combos:

@@ -748,17 +748,38 @@ def compose(
     return plan
 
 
-def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel):
+def static_edges(net: SkywayNetwork, cruise_speed: float):
+    """Edge keys in segment order (u->v, then v->u), and the edges into
+    padded heads as ``groups[(wind sector, pads)] = (edges, tts array)``.
+    None of it depends on the swarm: one value prices a sweep's swarms."""
+    keys = []
+    groups: dict[tuple[str, int], tuple[list, list]] = {}
+    for seg in net.segments:
+        tt = travel_time(seg.distance_m, cruise_speed)
+        for a, b in ((seg.u, seg.v), (seg.v, seg.u)):
+            keys.append((a, b))
+            pads = net.nodes[b].pads
+            if pads >= 1:
+                edges, tts = groups.setdefault(
+                    (wind_sector(net.heading(a, b), seg.wind), pads), ([], []))
+                edges.append((a, b))
+                tts.append(tt)
+    return keys, {key: (edges, np.array(tts)) for key, (edges, tts) in groups.items()}
+
+
+def static_edge_costs(swarm: Swarm, edges, model: EnergyModel):
     """Directed cost tt + restore-time makespan at the head node.
 
-    The restore time assumes the leg started on full batteries, which is
+    ``edges`` is ``static_edges(net, model.spec.cruise_speed)``.  The
+    restore time assumes the leg started on full batteries, which is
     how the static routers then simulate their chosen path.
     """
+    keys, groups = edges
     cache = _RateCache(swarm, model)
     n = len(swarm.drones)
     # Drone d's restore time on an edge is rate_d(sector) * tt / pad rate,
     # so within one (sector, pad count) every edge scales the same rate
-    # vector: one pass groups the edges, and each group is priced as one
+    # vector: static_edges groups the edges, and each group is priced as one
     # array, an edge per row, from one search over the rates.  Each row
     # sums every queue's times in queue order from 0.0 and takes the
     # largest sum, then the least over the candidates: _makespan's and
@@ -778,18 +799,8 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel):
     # relative error of at most cap/s * 2**-53 more; with s >= cap * 1e-6
     # that is below 1.2e-10, and the 1e-9 band still holds every optimum.
     pad_rate = model.spec.pad_charge_rate
-    costs: dict[tuple[int, int], float] = {}
-    groups: dict[tuple[str, int], list] = {}  # (sector, pads) -> [(edge, tt)]
-    for seg in net.segments:
-        tt = travel_time(seg.distance_m, model.spec.cruise_speed)
-        for a, b in ((seg.u, seg.v), (seg.v, seg.u)):
-            costs[(a, b)] = math.inf  # padless heads keep it
-            pads = net.nodes[b].pads
-            if pads >= 1:
-                key = (wind_sector(net.heading(a, b), seg.wind), pads)
-                groups.setdefault(key, []).append(((a, b), tt))
-    for (sector, pads), edges in groups.items():
-        tts = np.array([tt for _, tt in edges])
+    costs = dict.fromkeys(keys, math.inf)  # padless heads keep it
+    for (sector, pads), (group, tts) in groups.items():
         rates = np.array(list(cache.rates(sector).values()))
         times = rates[None, :] * tts[:, None] / pad_rate
         if n > PAD_EXHAUSTIVE_CAP:
@@ -798,14 +809,14 @@ def static_edge_costs(swarm: Swarm, net: SkywayNetwork, model: EnergyModel):
         elif pads >= n:
             node_times = times.max(axis=1)
         else:
-            node_times = np.full(len(edges), np.inf)
+            node_times = np.full(len(tts), np.inf)
             for queues in cache.pad_candidates(sector, pads):
-                span = np.zeros(len(edges))
+                span = np.zeros(len(tts))
                 for queue in queues:
-                    clock = sum((times[:, d] for d in queue), np.zeros(len(edges)))
+                    clock = sum((times[:, d] for d in queue), np.zeros(len(tts)))
                     np.maximum(span, clock, out=span)
                 np.minimum(node_times, span, out=node_times)
-        for (edge, _), cost in zip(edges, (tts + node_times).tolist()):
+        for edge, cost in zip(group, (tts + node_times).tolist()):
             costs[edge] = cost
     return costs
 
@@ -898,7 +909,7 @@ def dijkstra_baseline(
 ) -> DeliveryPlan:
     """Route on static costs with Dijkstra, then fly that path as-is."""
     if costs is None:
-        costs = static_edge_costs(swarm, net, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed), model)
     tree = static_dijkstra(net, costs, request.source)
     if request.destination not in tree.dist:
         return DeliveryPlan(request.id, "dijkstra", "unreachable", request.source, [], [])
@@ -916,7 +927,7 @@ def floyd_warshall_baseline(
 ) -> DeliveryPlan:
     """Route on static costs with Floyd-Warshall, then fly that path as-is."""
     if costs is None:
-        costs = static_edge_costs(swarm, net, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed), model)
     ids, dist, nxt = floyd_warshall_tables(net, costs)
     index = {nid: i for i, nid in enumerate(ids)}
     si, di = index[request.source], index[request.destination]

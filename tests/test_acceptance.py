@@ -49,6 +49,7 @@ from swarmway.planner import (
     floyd_warshall_tables,
     static_dijkstra,
     static_edge_costs,
+    static_edges,
 )
 from swarmway.preflight import (
     POSITIONING_SETTINGS,
@@ -198,7 +199,8 @@ def test_criterion_3_route_math_matches_reference():
         for slot, d in enumerate(drones):
             d.position = slot
         swarm = Swarm(drones, make_formation("column", 2))
-        costs = static_edge_costs(swarm, net, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                  model)
         ids, dist, _ = floyd_warshall_tables(net, costs)
         index = {nid: i for i, nid in enumerate(ids)}
         for source in ids:
@@ -353,7 +355,7 @@ def test_criterion_6_walker_detours_where_statics_strand():
             Segment(1, 2, 7000.0, calm), Segment(2, 3, 7000.0, calm)]
     net = SkywayNetwork(nodes, segs)
     request = DeliveryRequest(3, 0, 3, [0.3, 0.6])
-    costs = static_edge_costs(swarm, net, model)
+    costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed), model)
     dij = dijkstra_baseline(swarm, net, request, model, costs=costs)
     fw = floyd_warshall_baseline(swarm, net, request, model, costs=costs)
     walked = compose(swarm, net, request, model)

@@ -19,7 +19,7 @@ from swarmway.bench import (
     write_results,
     write_summary,
 )
-from swarmway import cli
+from swarmway import bench, cli
 from swarmway.cli import main
 from swarmway.energy import DroneSpec
 from swarmway.formations import (
@@ -323,6 +323,32 @@ class TestRunExperiment:
                        ExperimentConfig(strategies=("baseline",)),
                        spec=SPEC, on_progress=lambda d, t: seen.append((d, t)))
         assert seen == [(1, 2), (2, 2)]
+
+    @pytest.mark.parametrize("strategies, built, priced", [
+        (("dijkstra", "floyd"), 1, 3),
+        (("baseline", "pb", "fb"), 0, 0),
+    ])
+    def test_static_edges_built_once_per_sweep(self, monkeypatch, strategies,
+                                               built, priced):
+        calls = {"static_edges": 0, "static_edge_costs": 0}
+
+        def counted(name):
+            real = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bench, name, counted(name))
+        requests = [DeliveryRequest(0, 0, 2, [0.35, 0.35]),
+                    DeliveryRequest(1, 2, 0, [0.35]),
+                    DeliveryRequest(2, 1, 0, [0.35, 0.35])]
+        rows, _ = run_experiment(corridor_net(), requests, FLAT,
+                                 ExperimentConfig(strategies=strategies), spec=SPEC)
+        assert {r["status"] for r in rows} == {"success"}
+        assert calls == {"static_edges": built, "static_edge_costs": priced}
 
     def test_empty_workload(self):
         rows, metrics = run_experiment(corridor_net(), [], FLAT,

@@ -30,6 +30,7 @@ from swarmway.planner import (
     floyd_warshall_baseline,
     floyd_warshall_tables,
     static_edge_costs,
+    static_edges,
 )
 from swarmway.preflight import (
     POSITIONING_SETTINGS,
@@ -147,9 +148,10 @@ def floyd_inputs():
 def test_floyd_tables_match_golden_digests(floyd_inputs, network):
     nets, swarms, model = floyd_inputs
     net = nets[network]
+    edges = static_edges(net, model.spec.cruise_speed)
     got = []
     for swarm in swarms:
-        _, dist, nxt = floyd_warshall_tables(net, static_edge_costs(swarm, net, model))
+        _, dist, nxt = floyd_warshall_tables(net, static_edge_costs(swarm, edges, model))
         got.append(hashlib.sha256(dist.tobytes() + nxt.tobytes()).hexdigest())
     assert got == FLOYD_DIGESTS[network]
 
@@ -159,6 +161,7 @@ def every_planners_plans(net, requests, model, cfg):
     compose and walk_every_round for baseline, pb and fb under both
     positionings, and both static routers."""
     diameter = network_diameter(net)
+    edges = static_edges(net, model.spec.cruise_speed)
     shares = [ShareConfig(s, cfg.gamma, cfg.delta_frac, cfg.quantum) for s in ("pb", "fb")]
     for req in requests:
         tree = shortest_path_tree(net, req.destination)
@@ -175,7 +178,7 @@ def every_planners_plans(net, requests, model, cfg):
         for swarm, share in flights:
             for planner in (compose, walk_every_round):
                 yield req, swarm, planner(swarm, net, req, model, share=share, tree=tree)
-        costs = static_edge_costs(plain, net, model)
+        costs = static_edge_costs(plain, edges, model)
         for router in (dijkstra_baseline, floyd_warshall_baseline):
             yield req, plain, router(plain, net, req, model, costs=costs)
 

@@ -30,7 +30,7 @@ from test_golden import rows_digest
 
 net = largest_connected_component(synthesize_network(276, NETWORK_SEED, pads=(0, 3)))
 requests = synthesize_requests(net, 10, seed=0)
-cfg = replace(SWEEP_CFG, strategies=("baseline", "pb", "fb"),
+cfg = replace(SWEEP_CFG, strategies=("baseline", "pb", "fb", "dijkstra", "floyd"),
               positionings=POSITIONING_SETTINGS)
 rows, _ = run_experiment(net, requests, default_table(), cfg, spec=SWEEP_SPEC)
 with tempfile.TemporaryDirectory() as tmp:
@@ -49,5 +49,6 @@ def slice_digest(hash_seed: str) -> str:
 
 def test_rows_match_across_hash_seeds():
     first = slice_digest("0")
-    assert first.startswith("50 ")  # 10 requests x (baseline + pb, fb x 2 positionings)
+    # 10 requests x (baseline, dijkstra, floyd + pb, fb x 2 positionings)
+    assert first.startswith("70 ")
     assert slice_digest("4242") == first

@@ -40,6 +40,7 @@ from swarmway.planner import (
     floyd_warshall_tables,
     static_dijkstra,
     static_edge_costs,
+    static_edges,
 )
 from swarmway import planner
 from swarmway.bench import ExperimentConfig, run_experiment
@@ -1183,7 +1184,8 @@ class TestStaticBaselines:
     def test_static_costs_cover_both_directions(self):
         swarm, model = self.stop_swarm()
         net = line_net(10)
-        costs = static_edge_costs(swarm, net, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                  model)
         # tt 10 plus one-pad restore of [60, 50] minutes
         assert costs[(0, 1)] == 10.0 + 110.0
         assert costs[(1, 0)] == 10.0 + 110.0
@@ -1191,7 +1193,8 @@ class TestStaticBaselines:
     def test_padless_head_gets_infinite_cost(self):
         swarm, model = self.stop_swarm()
         net = line_net(6, pads=[1, 0])
-        costs = static_edge_costs(swarm, net, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                  model)
         assert costs[(0, 1)] == math.inf
         # tt 6 plus single-pad restore of [36, 30] minutes back at node 0
         assert costs[(1, 0)] == 72.0
@@ -1228,7 +1231,8 @@ class TestStaticBaselines:
                 Segment(1, 2, 7000.0, CALM), Segment(2, 3, 7000.0, CALM)]
         net = SkywayNetwork(nodes, segs)
         request = DeliveryRequest(3, 0, 3, [0.3, 0.6])
-        costs = static_edge_costs(swarm, net, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                  model)
         assert costs[(0, 3)] < costs[(0, 1)] + costs[(1, 2)] + costs[(2, 3)]
         dij = dijkstra_baseline(swarm, net, request, model, costs=costs)
         fw = floyd_warshall_baseline(swarm, net, request, model, costs=costs)
@@ -1261,7 +1265,8 @@ class TestStaticBaselines:
         rng = random.Random(42)
         for _ in range(25):
             net, swarm, model = self.random_exact_world(rng)
-            costs = static_edge_costs(swarm, net, model)
+            costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                      model)
             ids, dist, nxt = floyd_warshall_tables(net, costs)
             index = {nid: i for i, nid in enumerate(ids)}
             for source in ids:
@@ -1273,7 +1278,8 @@ class TestStaticBaselines:
     def test_successor_table_reconstructs_optimal_paths(self):
         rng = random.Random(7)
         net, swarm, model = self.random_exact_world(rng)
-        costs = static_edge_costs(swarm, net, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                  model)
         ids, dist, nxt = floyd_warshall_tables(net, costs)
         index = {nid: i for i, nid in enumerate(ids)}
         for source in ids:
@@ -1296,7 +1302,8 @@ class TestStaticBaselines:
         segs = [Segment(i, i + 1, 4000.0, CALM) for i in range(5)]
         segs.append(Segment(0, 3, 9000.0, CALM))
         net = SkywayNetwork(nodes, segs)
-        costs = static_edge_costs(swarm, net, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                  model)
         ids, dist, _ = floyd_warshall_tables(net, costs)
         assert np.array_equal(dist, dist.T)
 
@@ -1340,8 +1347,10 @@ class TestStaticCostsMatchPadSchedule:
         drones += [make_support_drone(len(payloads) + k, spec) for k in range(supports)]
         return swarm_of(drones, kind)
 
-    def assert_identical(self, swarm, net, model):
-        got = static_edge_costs(swarm, net, model)
+    def assert_identical(self, swarm, net, model, edges=None):
+        if edges is None:
+            edges = static_edges(net, model.spec.cruise_speed)
+        got = static_edge_costs(swarm, edges, model)
         want = self.reference(swarm, net, model)
         assert list(got) == list(want)
         assert got == want
@@ -1359,6 +1368,21 @@ class TestStaticCostsMatchPadSchedule:
                     payloads = [rng.uniform(0.0, 1.4) for _ in range(n - supports)]
                     swarm = self.swarm(payloads, kind, supports)
                     self.assert_identical(swarm, self.random_world(rng), model)
+
+    def test_one_grouping_prices_many_swarms(self):
+        # a sweep builds the grouping once and prices every request's swarm
+        # from it: pricing one swarm must leave nothing behind for the next
+        rng = random.Random(31)
+        model = EnergyModel(DroneSpec(), default_table())
+        for _ in range(3):
+            net = self.random_world(rng)
+            edges = static_edges(net, model.spec.cruise_speed)
+            for kind in FORMATION_KINDS:
+                for n in range(1, 9):
+                    supports = n // 2 if n % 2 else 0  # 0-3 support drones
+                    payloads = [rng.uniform(0.0, 1.4) for _ in range(n - supports)]
+                    self.assert_identical(self.swarm(payloads, kind, supports), net,
+                                          model, edges)
 
     def test_identical_drones_tie_exactly(self):
         rng = random.Random(5)
@@ -1391,7 +1415,9 @@ class TestStaticCostsMatchPadSchedule:
         assert net.segments
         swarm = self.swarm([0.3, 0.9, 1.2])
         self.assert_identical(swarm, net, model)
-        assert set(static_edge_costs(swarm, net, model).values()) == {math.inf}
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                  model)
+        assert set(costs.values()) == {math.inf}
 
     def test_groups_of_a_single_edge(self):
         # one segment between heads of 2 and 3 pads: each (sector, pads)
