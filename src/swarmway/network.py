@@ -308,6 +308,9 @@ def synthesize_network(n_nodes: int, seed: int, *,
     """
     if n_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {n_nodes}")
+    if not (isinstance(pads, (tuple, list)) and len(pads) == 2
+            and all(isinstance(p, int) for p in pads) and 0 <= pads[0] <= pads[1]):
+        raise ValueError(f"pads must be two ints with 0 <= lo <= hi, got {pads!r}")
     rng = random.Random(seed)
     area = 30000.0
     centers = [(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(8)]
@@ -321,23 +324,17 @@ def synthesize_network(n_nodes: int, seed: int, *,
     def dist(a: Node, b: Node) -> float:
         return math.hypot(a.x - b.x, a.y - b.y)
 
-    pairs: set[tuple[int, int]] = set()
-    for node in nodes:
-        ranked = sorted(
-            (other for other in nodes if other.id != node.id),
-            key=lambda o: (dist(node, o), o.id),
-        )
-        taken = 0
-        for other in ranked:
-            if taken >= 3 or dist(node, other) > 6000.0:
-                break
-            pairs.add((min(node.id, other.id), max(node.id, other.id)))
-            taken += 1
+    pairs = _nearest_links(nodes, 6000.0, 3)
     # bridge each cluster toward its nearest distinct cluster so long
     # segments exist between dense regions
-    for ci, (cx, cy) in enumerate(centers):
-        members = [n for n in nodes if math.hypot(n.x - cx, n.y - cy) < 4000.0]
-        others = [n for n in nodes if math.hypot(n.x - cx, n.y - cy) >= 8000.0]
+    for cx, cy in centers:
+        members, others = [], []
+        for n in nodes:
+            r = math.hypot(n.x - cx, n.y - cy)
+            if r < 4000.0:
+                members.append(n)
+            elif r >= 8000.0:
+                others.append(n)
         if not members or not others:
             continue
         a = members[rng.randrange(len(members))]
@@ -355,6 +352,33 @@ def synthesize_network(n_nodes: int, seed: int, *,
                         wind_rng.uniform(0.0, 360.0))
             segments.append(Segment(u, v, d, wind))
     return SkywayNetwork(nodes, segments)
+
+
+def _nearest_links(nodes: list[Node], reach: float, k: int) -> set[tuple[int, int]]:
+    """Pairs joining each node to its ``k`` nearest others within ``reach``,
+    nearest first and ties to the smaller id, found through a grid of cells.
+
+    A cell is a hair wider than ``reach``, so a node two cells away is more
+    than ``reach`` off along one axis even after rounding in the subtraction
+    and the division, and ``hypot(dx, dy)`` is never below ``max(|dx|, |dy|)``.
+    """
+    cell = reach * (1 + 1e-9)
+    grid: dict[tuple[int, int], list[Node]] = {}
+    for node in nodes:
+        grid.setdefault((int(node.x // cell), int(node.y // cell)), []).append(node)
+    pairs: set[tuple[int, int]] = set()
+    for node in nodes:
+        gx, gy = int(node.x // cell), int(node.y // cell)
+        near = []
+        for cx in (gx - 1, gx, gx + 1):
+            for cy in (gy - 1, gy, gy + 1):
+                for other in grid.get((cx, cy), ()):
+                    d = math.hypot(node.x - other.x, node.y - other.y)
+                    if d <= reach and other.id != node.id:
+                        near.append((d, other.id))
+        for _, oid in heapq.nsmallest(k, near):
+            pairs.add((min(node.id, oid), max(node.id, oid)))
+    return pairs
 
 
 @dataclass

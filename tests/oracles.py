@@ -75,6 +75,32 @@ def diameter_every_root(net) -> float:
     return best
 
 
+def nearest_links_full_sort(nodes) -> set[tuple[int, int]]:
+    """Each node's links to its 3 nearest others within 6 km, ties by id.
+
+    ``synthesize_network``'s link step as it was before it looked only at
+    the grid cells around each node, kept as written: a sort of all n - 1
+    other nodes per node.
+    """
+
+    def dist(a, b) -> float:
+        return math.hypot(a.x - b.x, a.y - b.y)
+
+    pairs: set[tuple[int, int]] = set()
+    for node in nodes:
+        ranked = sorted(
+            (other for other in nodes if other.id != node.id),
+            key=lambda o: (dist(node, o), o.id),
+        )
+        taken = 0
+        for other in ranked:
+            if taken >= 3 or dist(node, other) > 6000.0:
+                break
+            pairs.add((min(node.id, other.id), max(node.id, other.id)))
+            taken += 1
+    return pairs
+
+
 def brute_pad_makespan(times, pads: int) -> float:
     """Minimal makespan over every pad assignment (tiny inputs only)."""
     if not times:

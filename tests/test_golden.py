@@ -19,6 +19,7 @@ from swarmway.energy import DroneSpec, EnergyModel
 from swarmway.formations import default_table
 from swarmway.network import (
     largest_connected_component,
+    save_network,
     shortest_path_tree,
     synthesize_network,
     synthesize_requests,
@@ -95,6 +96,28 @@ def test_slice_exercises_in_flight_swaps(golden_world, strategy):
             plan = compose(swarm, net, req, model, share=share, tree=tree)
             swapped += sum(1 for leg in plan.legs if leg.plan and leg.plan.swaps)
     assert swapped > 0
+
+
+# sha256 of save_network's text for the synthesized worlds, recorded
+# from the full-sort link step that the grid replaced
+WORLD_DIGESTS = {
+    "untrimmed": "f494de701dd5a859d6e06466867be43066cfe4c8c43598553d9d099c7a8397db",
+    "trimmed": "44e0ef61599e25766c3349d10c5ad600e51ba1deffc4a85776bdab79f7349086",
+    "acceptance": "f71bc8187bdee74d73272ed0d8e8af769e350d9ef8690dbefbaed678353eba63",
+}
+
+
+@pytest.mark.parametrize("world_name", sorted(WORLD_DIGESTS))
+def test_synthesized_worlds_match_golden_digests(world_name, tmp_path):
+    if world_name == "acceptance":
+        net = largest_connected_component(synthesize_network(276, 2118, pads=(0, 3)))
+    else:
+        net = synthesize_network(276, 0)
+        if world_name == "trimmed":
+            net = largest_connected_component(net)
+    path = tmp_path / "world.csv"
+    save_network(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WORLD_DIGESTS[world_name]
 
 
 # sha256 of dist.tobytes() + nxt.tobytes() for the Floyd tables of the

@@ -5,7 +5,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swarmway import network
 from swarmway.network import (
     MAX_WIND_SPEED,
     DeliveryRequest,
@@ -24,7 +26,7 @@ from swarmway.network import (
 )
 
 from instances import CALM, directed_cost_worlds
-from oracles import brute_shortest, static_dijkstra_reference
+from oracles import brute_shortest, nearest_links_full_sort, static_dijkstra_reference
 
 
 def line_net(*dists, pads=2, wind=CALM):
@@ -243,12 +245,116 @@ class TestSynthesis:
             for w in ra.package_weights:
                 assert 0.0 < w <= 1.4
 
+    @pytest.mark.parametrize("pads", [(-1, 3), (3, 1), (-2, -1), (1,), (1, 2, 3),
+                                      (1.0, 3), "13", None], ids=repr)
+    def test_bad_pads_rejected_before_any_draw(self, pads):
+        # (-1, 3) used to pass on the seeds whose nodes all drew pads >= 0,
+        # and (3, 1) failed inside random
+        for seed in range(6):
+            with pytest.raises(ValueError, match="pads"):
+                synthesize_network(2, seed, pads=pads)
+
+    @pytest.mark.parametrize("pads", [(0, 0), (2, 2), [0, 3]], ids=repr)
+    def test_pad_range_is_inclusive(self, pads):
+        net = synthesize_network(40, seed=3, pads=pads)
+        assert {n.pads for n in net.nodes.values()} <= set(range(pads[0], pads[1] + 1))
+
     def test_two_node_net_forces_the_only_pair(self):
         net = SkywayNetwork(
             [Node(3, 0, 0, 1), Node(8, 5, 0, 1)], [Segment(3, 8, 5.0, CALM)]
         )
         (req,) = synthesize_requests(net, 1, seed=0)
         assert {req.source, req.destination} == {3, 8}
+
+
+class TestLinkGrid:
+    """``synthesize_network``'s grid link step against the full sort it
+    replaced, on points placed where the grid could go wrong."""
+
+    CELL = 6000.0 * (1 + 1e-9)
+    # a 1.5 km lattice gives co-located points, distance ties, and pairs
+    # exactly 6,000.0 m apart, some across a cell edge (3000 and 9000)
+    COORDS = st.one_of(
+        st.integers(0, 20).map(lambda k: 1500.0 * k),
+        st.sampled_from([0.0, 30000.0, CELL, 2 * CELL, 4 * CELL,
+                         math.nextafter(CELL, 0.0), math.nextafter(2 * CELL, 0.0),
+                         CELL + 6000.0, 2 * CELL - 6000.0]),
+        st.floats(0.0, 30000.0),
+    )
+
+    @staticmethod
+    def links(points, ids=None):
+        ids = range(len(points)) if ids is None else ids
+        nodes = [Node(i, x, y, 1) for i, (x, y) in zip(ids, points)]
+        got = network._nearest_links(nodes, 6000.0, 3)
+        assert got == nearest_links_full_sort(nodes)
+        return got
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_grid_matches_the_full_sort(self, data):
+        points = data.draw(st.lists(st.tuples(self.COORDS, self.COORDS),
+                                    min_size=1, max_size=30))
+        self.links(points, data.draw(st.permutations(range(len(points)))))
+
+    def test_colocated_points_link(self):
+        assert self.links([(100.0, 100.0)] * 3 + [(0.0, 0.0)]) == {
+            (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)}
+
+    def test_exactly_reach_apart_links_across_a_cell_edge(self):
+        assert self.links([(3000.0, 0.0), (9000.0, 0.0)]) == {(0, 1)}
+        assert self.links([(0.0, 30000.0), (6000.0, 30000.0)]) == {(0, 1)}
+        assert self.links([(3000.0, 0.0), (math.nextafter(9000.0, 1e9), 0.0)]) == set()
+        assert self.links([(0.0, 0.0), (3600.0, 4800.0)]) == {(0, 1)}
+
+    def test_reach_apart_links_at_every_offset(self):
+        # one pair per row, its left end swept over two cells in 1 m steps:
+        # a grid whose cells were narrower than the reach would miss some
+        nodes = []
+        for i in range(12000):
+            nodes += [Node(2 * i, float(i), 10000.0 * i, 1),
+                      Node(2 * i + 1, i + 6000.0, 10000.0 * i, 1)]
+        got = network._nearest_links(nodes, 6000.0, 3)
+        assert got == {(2 * i, 2 * i + 1) for i in range(12000)}
+
+    def test_area_corners_and_cell_edges(self):
+        self.links([(0.0, 0.0), (30000.0, 30000.0), (0.0, 30000.0), (30000.0, 0.0),
+                    (0.0, 6000.0), (30000.0, 24000.0), (self.CELL, self.CELL),
+                    (2 * self.CELL, self.CELL), (self.CELL - 6000.0, 0.0)])
+
+    def test_distance_ties_break_by_id(self):
+        # node 0 has four neighbors 5 km off; each of those has three
+        # companions nearer than node 0, so only node 0's own pick links it
+        points, ids = [(15000.0, 15000.0)], [0]
+        nid = 10
+        for oid, (dx, dy) in zip((8, 3, 6, 1), ((5000, 0), (-5000, 0), (0, 5000), (0, -5000))):
+            x, y = 15000.0 + dx, 15000.0 + dy
+            points.append((x, y))
+            ids.append(oid)
+            for off in (50.0, 100.0, 150.0):
+                points.append((x + math.copysign(off, dx or 1), y + math.copysign(off, dy or 1)))
+                ids.append(nid)
+                nid += 1
+        got = self.links(points, ids)
+        assert {pair for pair in got if 0 in pair} == {(0, 1), (0, 3), (0, 6)}
+
+    @pytest.mark.parametrize("n_nodes, seeds, pads", [
+        *[pytest.param(n, (0, 1, 2), pads, id=f"{n}-pads{pads[0]}{pads[1]}")
+          for n in (2, 3, 40, 276, 1000) for pads in ((1, 3), (0, 3))],
+        pytest.param(276, (2118,), (0, 3), id="acceptance"),
+    ])
+    def test_networks_match_the_full_sort(self, monkeypatch, n_nodes, seeds, pads):
+        def full_sort(nodes, reach, k):
+            assert (reach, k) == (6000.0, 3)
+            return nearest_links_full_sort(nodes)
+
+        for seed in seeds:
+            got = synthesize_network(n_nodes, seed, pads=pads)
+            with monkeypatch.context() as patch:
+                patch.setattr(network, "_nearest_links", full_sort)
+                want = synthesize_network(n_nodes, seed, pads=pads)
+            assert repr(list(got.nodes.values())) == repr(list(want.nodes.values()))
+            assert repr(got.segments) == repr(want.segments)
 
 
 class TestShortestPaths:
