@@ -89,6 +89,10 @@ class ExperimentConfig:
         if turn < MIN_FB_TURN:
             raise ValueError(f"quantum: a fairness turn of quantum / share_rate = "
                              f"{turn:g} min is shorter than {MIN_FB_TURN:g} min")
+        if self.bin_width_km < 1e-3:  # a bin index, distance_m / 1000 / width, stays finite
+            raise ValueError(f"bin_width_km: {self.bin_width_km} km is under 1 m")
+        if not DroneSpec.battery_capacity / self.pad_minutes < math.inf:  # the sweep's pad rate
+            raise ValueError(f"pad_minutes: {self.pad_minutes} min makes the pad rate inf")
 
 
 def sweep_configurations(cfg: ExperimentConfig) -> list[tuple[str, str]]:

@@ -12,8 +12,9 @@ direction quantized relative to travel.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .formations import CoefficientTable, Formation
 
@@ -126,12 +127,13 @@ class PadSchedule:
 
 
 def _greedy_assignment(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
-    """Longest-processing-time heuristic: the search's first bound, and the
-    schedule above ``PAD_EXHAUSTIVE_CAP`` drones."""
+    """Longest-processing-time heuristic, ties to the first time and pad (a
+    reverse sort is stable): the search's first bound, and the schedule
+    above ``PAD_EXHAUSTIVE_CAP`` drones."""
     loads = [0.0] * pads
     assign = [0] * len(times)
-    for i in sorted(range(len(times)), key=lambda k: (-times[k], k)):
-        pad = min(range(pads), key=lambda p: (loads[p], p))
+    for i in sorted(range(len(times)), key=times.__getitem__, reverse=True):
+        pad = loads.index(min(loads))  # the least loaded, ties to the first
         assign[i] = pad
         loads[pad] += times[i]
     return tuple(assign)
@@ -190,14 +192,13 @@ def pad_candidates(times: tuple[float, ...],
     rest = [0.0] * (n + 1)  # rest[i]: total of times[i:]
     low = [math.inf] * (n + 1)  # low[i]: smallest of times[i:]
     # least[i][k - 1]: the k smallest of times[i:] summed, shrunk by 1 - 1e-12
-    least = [[] for _ in range(n)]
+    least = [None] * n
+    suffix = []  # times[i:], sorted
     for i in range(n - 1, -1, -1):
         rest[i] = times[i] + rest[i + 1]
         low[i] = min(times[i], low[i + 1])
-        total = 0.0
-        for t in sorted(times[i:]):
-            total += t
-            least[i].append(total * (1.0 - 1e-12))
+        insort(suffix, times[i])
+        least[i] = [total * (1.0 - 1e-12) for total in accumulate(suffix)]
     assign = [0] * n
     loads = [0.0] * pads
     found = []
@@ -205,20 +206,22 @@ def pad_candidates(times: tuple[float, ...],
     def recurse(i: int, used: int, cur_max: float):
         nonlocal limit
         room = limit * (1.0 + 1e-12)
-        spare = 0.0
-        fits = 0
+        smallest, sums = low[i], least[i]
+        spare, fits = 0.0, 0
         for load in loads:
-            if room - load >= low[i]:
-                spare += room - load
-                fits += bisect_right(least[i], room - load)
+            free = room - load
+            if free >= smallest:
+                spare += free
+                fits += bisect_right(sums, free)
         if spare < rest[i] or fits < n - i:
             return
-        for pad in range(min(used + 1, pads)):
+        t = times[i]
+        for pad in range(used + 1 if used < pads else pads):
             # save/restore instead of -=: float subtraction would not
             # exactly undo the addition and the drift corrupts pruning
             prev = loads[pad]
-            load = prev + times[i]
-            top = max(cur_max, load)
+            load = prev + t
+            top = load if load > cur_max else cur_max
             if top > limit:
                 continue
             assign[i] = pad
@@ -227,7 +230,7 @@ def pad_candidates(times: tuple[float, ...],
                 limit = min(limit, top * band)
                 continue
             loads[pad] = load
-            recurse(i + 1, max(used, pad + 1), top)
+            recurse(i + 1, used if used > pad else pad + 1, top)
             loads[pad] = prev
 
     recurse(0, 0, 0.0)

@@ -636,10 +636,22 @@ def _fly_through(swarm, net, path, model, batteries, share, cache):
     return legs
 
 
-def _full_recharge(swarm, node, sector, tt, model, cache):
-    """Pad schedule for topping everyone up at ``node`` after a leg of
-    ``tt`` minutes in ``sector`` that started full, priced without
-    building the leg.
+def _stop_drains(full, rates, tt):
+    """Each drone's drain cap - a, in swarm order, where a = cap - rate * tt
+    ends a leg flown from ``full``; None when ``_plain_fails`` fails the leg."""
+    drains = []
+    for cap, rate in zip(full.values(), rates.values()):
+        a = cap - rate * tt
+        if (cap + (a - cap) * tt / tt if tt else a) < -FLOOR_TOLERANCE:
+            return None
+        drains.append(cap - a)
+    return drains
+
+
+def _full_recharge(swarm, node, sector, drains, model, cache):
+    """Pad schedule for topping everyone up at ``node`` after a leg in
+    ``sector`` that started full, priced from the drones' ``drains`` (in
+    swarm order) without building the leg.
 
     Each drain is cap - (cap - rate * tt), the leg's own end battery
     taken back from full.  The sector's pad candidates hold
@@ -647,8 +659,6 @@ def _full_recharge(swarm, node, sector, tt, model, cache):
     above the exhaustive cap or for a drain under a millionth of a
     capacity, where pad_schedule searches.
     """
-    rates = cache.rates(sector)
-    drains = [d.capacity - (d.capacity - rates[d.id] * tt) for d in swarm.drones]
     times = [drain / model.spec.pad_charge_rate for drain in drains]
     if len(times) <= PAD_EXHAUSTIVE_CAP and all(
             drain >= d.capacity * 1e-6 for d, drain in zip(swarm.drones, drains)):
@@ -718,13 +728,14 @@ def compose(
                     continue
                 if nb != request.destination and net.nodes[nb].pads < 1:
                     continue
-                if _plain_fails(net, [current, nb], full, cache):
-                    continue
                 _, sector, tt = cache.leg(net, current, nb)
+                drains = _stop_drains(full, cache.rates(sector), tt)
+                if drains is None:
+                    continue
                 if nb == request.destination:
                     visit, nt = None, 0.0
                 else:
-                    visit = _full_recharge(swarm, net.nodes[nb], sector, tt, model, cache)
+                    visit = _full_recharge(swarm, net.nodes[nb], sector, drains, model, cache)
                     nt = visit.nt
                 stops.append((tt + nt, nb, visit))
 
@@ -893,7 +904,8 @@ def _simulate_static_path(swarm, net, path, model, request_id, strategy):
             return plan
         plan.legs.append(leg)
         if b != path[-1]:
-            plan.visits.append(_full_recharge(swarm, net.nodes[b], leg.sector, leg.tt,
+            drains = [d.capacity - after for d, after in zip(swarm.drones, leg.batteries_after.values())]
+            plan.visits.append(_full_recharge(swarm, net.nodes[b], leg.sector, drains,
                                               model, cache))
     plan.status = "success"
     return plan
@@ -905,11 +917,9 @@ def dijkstra_baseline(
     request: DeliveryRequest,
     model: EnergyModel,
     *,
-    costs=None,
+    costs,
 ) -> DeliveryPlan:
     """Route on static costs with Dijkstra, then fly that path as-is."""
-    if costs is None:
-        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed), model)
     tree = static_dijkstra(net, costs, request.source)
     if request.destination not in tree.dist:
         return DeliveryPlan(request.id, "dijkstra", "unreachable", request.source, [], [])
@@ -923,11 +933,9 @@ def floyd_warshall_baseline(
     request: DeliveryRequest,
     model: EnergyModel,
     *,
-    costs=None,
+    costs,
 ) -> DeliveryPlan:
     """Route on static costs with Floyd-Warshall, then fly that path as-is."""
-    if costs is None:
-        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed), model)
     ids, dist, nxt = floyd_warshall_tables(net, costs)
     index = {nid: i for i, nid in enumerate(ids)}
     si, di = index[request.source], index[request.destination]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_right
 
 
 def brute_shortest(net, a: int, b: int) -> float:
@@ -186,6 +187,82 @@ def near_optimal_queues_reference(times, pads: int):
     recurse(0, 0, 0.0)
     best = min(span for span, _ in found)
     return [_as_queues(a, pads) for span, a in found if span <= best * band]
+
+
+def lpt_assignment_as_written(times: tuple[float, ...], pads: int) -> tuple[int, ...]:
+    """``energy._greedy_assignment`` as it was, with its two lambdas."""
+    loads = [0.0] * pads
+    assign = [0] * len(times)
+    for i in sorted(range(len(times)), key=lambda k: (-times[k], k)):
+        pad = min(range(pads), key=lambda p: (loads[p], p))
+        assign[i] = pad
+        loads[pad] += times[i]
+    return tuple(assign)
+
+
+def pad_candidates_as_written(times, pads: int):
+    """``energy.pad_candidates`` before its LPT order, its table of least
+    sums and its branch loop were trimmed for speed, kept as written but
+    for ``_as_queues`` in place of ``energy._queues``, which agree.
+
+    Both searches cut the same branches, so their nested ``recurse`` runs
+    are counted against each other as well as their answers compared.
+    """
+    n = len(times)
+    if pads == 1 or not n:
+        return [_as_queues((0,) * n, pads)]
+    band = 1.0 + 1e-9
+    lpt = [0.0] * pads  # the LPT loads, summed in input order as _makespan does
+    for t, pad in zip(times, lpt_assignment_as_written(times, pads)):
+        lpt[pad] += t
+    limit = max(lpt) * band
+    rest = [0.0] * (n + 1)  # rest[i]: total of times[i:]
+    low = [math.inf] * (n + 1)  # low[i]: smallest of times[i:]
+    # least[i][k - 1]: the k smallest of times[i:] summed, shrunk by 1 - 1e-12
+    least = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        rest[i] = times[i] + rest[i + 1]
+        low[i] = min(times[i], low[i + 1])
+        total = 0.0
+        for t in sorted(times[i:]):
+            total += t
+            least[i].append(total * (1.0 - 1e-12))
+    assign = [0] * n
+    loads = [0.0] * pads
+    found = []
+
+    def recurse(i: int, used: int, cur_max: float):
+        nonlocal limit
+        room = limit * (1.0 + 1e-12)
+        spare = 0.0
+        fits = 0
+        for load in loads:
+            if room - load >= low[i]:
+                spare += room - load
+                fits += bisect_right(least[i], room - load)
+        if spare < rest[i] or fits < n - i:
+            return
+        for pad in range(min(used + 1, pads)):
+            # save/restore instead of -=: float subtraction would not
+            # exactly undo the addition and the drift corrupts pruning
+            prev = loads[pad]
+            load = prev + times[i]
+            top = max(cur_max, load)
+            if top > limit:
+                continue
+            assign[i] = pad
+            if i + 1 == n:
+                found.append((top, tuple(assign)))
+                limit = min(limit, top * band)
+                continue
+            loads[pad] = load
+            recurse(i + 1, max(used, pad + 1), top)
+            loads[pad] = prev
+
+    recurse(0, 0, 0.0)
+    best = min(node_time for node_time, _ in found)
+    return [_as_queues(assign, pads) for node_time, assign in found
+            if node_time <= best * band]
 
 
 class BatteryLedger:
@@ -391,7 +468,9 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
             if nb == request.destination:
                 visit, nt = None, 0.0
             else:
-                visit = planner._full_recharge(swarm, net.nodes[nb], leg.sector, leg.tt,
+                after = leg.batteries_after
+                drains = [d.capacity - after[d.id] for d in swarm.drones]
+                visit = planner._full_recharge(swarm, net.nodes[nb], leg.sector, drains,
                                                model, cache)
                 nt = visit.nt
             cost = leg.tt + nt

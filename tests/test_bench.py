@@ -34,7 +34,10 @@ from swarmway.network import (
     Segment,
     SkywayNetwork,
     Wind,
+    largest_connected_component,
     load_network,
+    save_network,
+    synthesize_network,
 )
 from swarmway.sharing import ShareContext, fb_compose
 
@@ -119,6 +122,8 @@ class TestExperimentConfig:
         ({"bin_width_km": math.nan}, "bin_width_km"),
         ({"positionings": ("location-aware", "location-aware")},
          "positionings: duplicates"),
+        ({"bin_width_km": 1e-320}, "bin_width_km: 1e-320 km is under 1 m"),
+        ({"pad_minutes": 1e-320}, "pad_minutes: 1e-320 min makes the pad rate inf"),
     ])
     def test_validation_names_the_field(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -542,6 +547,43 @@ class TestCli:
         assert main(["run", flag, value, "--requests", "1", "--synth-nodes", "20",
                      "--out", str(tmp_path / "exp"), "--quiet"]) == 2
         assert f"error: {field}: must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        # 1e-320 km puts a 1 km route in bin 1e317, past any float
+        ("--bin-width", "bin_width_km: 1e-320 km is under 1 m"),
+        # 4480 mAh over 1e-320 min is an infinite pad rate
+        ("--pad-minutes", "pad_minutes: 1e-320 min makes the pad rate inf"),
+    ])
+    def test_flag_whose_derived_value_overflows_exits_2_before_planning(
+            self, tmp_path, capsys, monkeypatch, flag, message):
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args, **kwargs: pytest.fail("planning started"))
+        assert main(["run", flag, "1e-320", "--requests", "1", "--synth-nodes", "20",
+                     "--out", str(tmp_path / "exp"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("strategy", ["fb", "baseline"])
+    def test_segment_that_takes_no_time_exits_3_before_planning(
+            self, tmp_path, capsys, monkeypatch, strategy):
+        # 1e-320 m loads, but flies in 0.0 minutes at 30 km/h: fb rejected
+        # the leg partway through the sweep, baseline flew it
+        net = tmp_path / "net.csv"
+        save_network(largest_connected_component(synthesize_network(40, 3)), net)
+        text = net.read_text()
+        assert "\n7,25,2254.7," in text
+        net.write_text(text.replace("\n7,25,2254.7,", "\n7,25,1e-320,"))
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args, **kwargs: pytest.fail("planning started"))
+        assert main(["run", "--network", str(net), "--requests", "6", "--seed", "1",
+                     "--strategies", strategy, "--out", str(tmp_path / "exp"),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "error: segment (7, 25): 1e-320 m takes 0.0 min at 30 km/h" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "exp").exists()
 
     def test_tiny_lambda_exits_2_before_planning(self, tmp_path, capsys):

@@ -32,7 +32,9 @@ from swarmway.preflight import Swarm
 from oracles import (
     brute_pad_assignment,
     brute_pad_makespan,
+    lpt_assignment_as_written,
     near_optimal_queues_reference,
+    pad_candidates_as_written,
 )
 
 
@@ -325,6 +327,38 @@ class TestPadSearch:
     def test_one_pad_or_no_times_open_no_branch(self, times, pads):
         assert search_nodes(pad_candidates, times, pads) == 0
         assert pad_candidates(times, pads) == near_optimal_queues_reference(times, pads)
+
+
+@st.composite
+def search_inputs(draw):
+    """``pad_inputs``, or up to ten times drawn from signed zeros, tied
+    values and free floats, on one to four pads."""
+    if draw(st.booleans()):
+        return draw(pad_inputs())
+    n = draw(st.integers(1, 10))
+    times = draw(st.lists(st.sampled_from((0.0, -0.0, 1.5, 3.0)) | st.floats(0.0, 10.0),
+                          min_size=n, max_size=n))
+    return tuple(times), draw(st.integers(1, 4))
+
+
+class TestPadSearchAsWritten:
+    """The search with its LPT order, least sums and branch loop trimmed
+    against the search as it was written before: the same answers from
+    the same branches."""
+
+    @given(search_inputs())
+    @example(BAND_EDGE_CASES[0])
+    @example(BAND_EDGE_CASES[1])
+    @example(((-0.0, 0.0, -0.0, 0.0), 2))
+    @example(((0.0, -0.0, 3.0, 3.0, 1.5), 3))
+    @example((tuple(20.0 - 0.75 * k for k in range(10)), 3))
+    @settings(max_examples=400, deadline=None)
+    def test_same_candidates_from_the_same_branches(self, case):
+        times, pads = case
+        assert _greedy_assignment(times, pads) == lpt_assignment_as_written(times, pads)
+        assert pad_candidates(times, pads) == pad_candidates_as_written(times, pads)
+        assert (search_nodes(pad_candidates, times, pads)
+                == search_nodes(pad_candidates_as_written, times, pads))
 
 
 class TestDroneTypes:

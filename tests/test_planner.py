@@ -465,8 +465,10 @@ class TestCompose:
                                share=ShareConfig(strategy, gamma=0.95))
                 assert any(leg.plan and leg.plan.swaps for leg in plan.legs), \
                     (setting, strategy)
-            dijkstra_baseline(swarm, net, request, model)
-            floyd_warshall_baseline(swarm, net, request, model)
+            costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                      model)
+            dijkstra_baseline(swarm, net, request, model, costs=costs)
+            floyd_warshall_baseline(swarm, net, request, model, costs=costs)
             assert [(d.id, d.position, d.capacity) for d in swarm.drones] == standing
 
     def test_sharing_stays_idle_when_batteries_suffice(self):
@@ -1064,6 +1066,71 @@ class TestSharedLegFromFull:
             assert leg.batteries_after == feasible_leg(swarm, net, u, v, model).batteries_after
 
 
+
+@st.composite
+def stop_legs(draw):
+    """A swarm with or without support drones and one leg from node 0 to a
+    padded node 1, in a random direction and wind: 1e-320 m (a travel time
+    of 0.0), legs whose drains fall either side of a millionth of a
+    capacity, and legs up to 60 km, which some drone cannot fly."""
+    spec = DroneSpec(battery_capacity=draw(st.floats(1000.0, 8000.0)),
+                     cruise_speed=60.0,
+                     base_consumption_rate=draw(st.floats(10.0, 300.0)))
+    model = EnergyModel(spec, default_table())
+    n_delivery = draw(st.integers(1, 5))
+    drones = [make_delivery_drone(i, draw(st.floats(0.0, 1.4)), spec)
+              for i in range(n_delivery)]
+    drones += [make_support_drone(n_delivery + j, spec)
+               for j in range(draw(st.integers(0, 2)))]
+    swarm = swarm_of(drones, draw(st.sampled_from(FORMATION_KINDS)))
+    assign_positions(swarm, draw(st.sampled_from(POSITIONING_SETTINGS)),
+                     draw(st.sampled_from(WIND_SECTORS)), model)
+    metres = draw(st.one_of(st.just(1e-320), st.floats(1e-3, 1.0),
+                            st.floats(1.0, 60000.0)))
+    heading = math.radians(draw(st.floats(0.0, 360.0)))
+    net = SkywayNetwork(
+        [Node(0, 0.0, 0.0, 1), Node(1, 1000.0 * math.cos(heading),
+                                    1000.0 * math.sin(heading), draw(st.integers(1, 4)))],
+        [Segment(0, 1, metres, Wind(draw(st.floats(0.0, 13.0)),
+                                    draw(st.floats(0.0, 360.0))))])
+    return swarm, net, model
+
+
+class TestStopDrains:
+    """The walker prices a stop from one drain pass per neighbor: the same
+    verdict as ``_plain_fails`` and the same floats as the drains it took
+    from the travel time, and the leg's own, before that pass."""
+
+    @given(stop_legs())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_prices_a_stop_as_the_probe_and_the_leg_did(self, case):
+        swarm, net, model = case
+        full = {d.id: d.capacity for d in swarm.drones}
+        cache = planner._RateCache(swarm, model)
+        _, sector, tt = cache.leg(net, 0, 1)
+        rates = cache.rates(sector)
+        drains = planner._stop_drains(full, rates, tt)
+        fails = planner._plain_fails(net, [0, 1], full, cache)
+        tiny = drains is not None and any(
+            drain < d.capacity * 1e-6 for d, drain in zip(swarm.drones, drains))
+        event(f"tt 0.0: {tt == 0.0}, fails: {fails}, a drain under 1e-6: {tiny}")
+        assert (drains is None) == fails
+        assert (feasible_leg(swarm, net, 0, 1, model) is None) == fails
+        if fails:
+            return
+        # the drains as the stop price took them from tt before the fused pass
+        from_tt = [d.capacity - (d.capacity - rates[d.id] * tt) for d in swarm.drones]
+        after = feasible_leg(swarm, net, 0, 1, model).batteries_after
+        from_leg = [d.capacity - after[d.id] for d in swarm.drones]
+        assert repr(drains) == repr(from_tt) == repr(from_leg)
+        node = net.nodes[1]
+        visit = planner._full_recharge(swarm, node, sector, drains, model, cache)
+        want = planner._full_recharge(swarm, node, sector, from_tt, model,
+                                      planner._RateCache(swarm, model))
+        sched = pad_schedule([d / model.spec.pad_charge_rate for d in from_tt], node.pads)
+        assert repr(visit) == repr(want) == repr(
+            planner.NodeVisit(node.id, sched.node_time, sched.queues))
+
 class TestSharedFlyThroughBoundOnWorlds:
     """On slices of both walker worlds every fly-through, plain or shared,
     equals its leg-by-leg composition, no compose flies the same one twice,
@@ -1199,7 +1266,7 @@ class TestStaticBaselines:
         # tt 6 plus single-pad restore of [36, 30] minutes back at node 0
         assert costs[(1, 0)] == 72.0
         plan = dijkstra_baseline(swarm, net, DeliveryRequest(1, 0, 1, [0.3, 0.3]),
-                                 model)
+                                 model, costs=costs)
         assert plan.status == "unreachable"
         # the walker does not need pads at the destination itself
         walked = compose(swarm, net, DeliveryRequest(1, 0, 1, [0.3, 0.3]), model)
@@ -1209,8 +1276,10 @@ class TestStaticBaselines:
         swarm, model = self.stop_swarm()
         net = line_net(10, 10)
         request = DeliveryRequest(2, 0, 2, [0.3, 0.3])
-        dij = dijkstra_baseline(swarm, net, request, model)
-        fw = floyd_warshall_baseline(swarm, net, request, model)
+        costs = static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed),
+                                  model)
+        dij = dijkstra_baseline(swarm, net, request, model, costs=costs)
+        fw = floyd_warshall_baseline(swarm, net, request, model, costs=costs)
         for plan in (dij, fw):
             assert plan.status == "success"
             assert plan.path == [0, 1, 2]
