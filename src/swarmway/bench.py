@@ -18,9 +18,9 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .energy import DroneSpec, EnergyModel
+from .energy import DroneSpec, EnergyModel, travel_time
 from .formations import CoefficientTable
-from .network import DeliveryRequest, SkywayNetwork, shortest_path_tree
+from .network import DeliveryRequest, NetworkFormatError, SkywayNetwork, shortest_path_tree
 from .planner import (
     ShareConfig,
     compose,
@@ -167,6 +167,15 @@ def bin_metrics(rows, bin_width_km: float = 0.5) -> MetricsTable:
     return MetricsTable(bin_width_km, groups)
 
 
+def check_segment_times(net: SkywayNetwork, cruise_speed: float) -> None:
+    """Raise NetworkFormatError naming the first segment that does not
+    take a finite time > 0 to fly at ``cruise_speed``."""
+    for seg in net.segments:
+        if not 0 < (tt := travel_time(seg.distance_m, cruise_speed)) < math.inf:
+            raise NetworkFormatError(f"segment ({seg.u}, {seg.v}): {seg.distance_m} m "
+                                     f"takes {tt} min at {cruise_speed:g} km/h; need > 0")
+
+
 def run_experiment(
     net: SkywayNetwork,
     requests: list[DeliveryRequest],
@@ -183,7 +192,8 @@ def run_experiment(
     planner call alone; workload setup, swarm construction, and static
     cost tables shared between the two static routers stay outside the
     timed region.  The static edge grouping is built once per sweep, like
-    the diameter.
+    the diameter.  A segment that flies in no time, or in no finite time,
+    fails the sweep before planning (``check_segment_times``).
     """
     if spec is None:
         base = DroneSpec()
@@ -191,6 +201,7 @@ def run_experiment(
                        pad_charge_rate=base.battery_capacity / cfg.pad_minutes)
     else:  # fb flies the spec's share rate: check the turn it gives
         cfg = replace(cfg, share_rate=spec.inflight_share_rate)
+    check_segment_times(net, spec.cruise_speed)
     model = EnergyModel(spec, table)
     diameter = network_diameter(net)
     needs_static = any(s in cfg.strategies for s in ("dijkstra", "floyd"))

@@ -19,12 +19,13 @@ import sys
 from .bench import (
     SHARING_STRATEGIES,
     ExperimentConfig,
+    check_segment_times,
     run_experiment,
     write_plot_data,
     write_results,
     write_summary,
 )
-from .energy import DroneSpec, travel_time
+from .energy import DroneSpec
 from .formations import FORMATION_KINDS, default_table, load_coefficients
 from .network import (
     NetworkFormatError,
@@ -156,11 +157,7 @@ def _cmd_run(args) -> None:
         bin_width_km=args.bin_width,
     )
     net = _load_or_synthesize(args.network, args.synth_nodes, args.seed)
-    speed = DroneSpec().cruise_speed
-    for seg in net.segments:  # each leg must take a finite time > 0 to fly
-        if not 0 < (tt := travel_time(seg.distance_m, speed)) < math.inf:
-            raise NetworkFormatError(f"segment ({seg.u}, {seg.v}): {seg.distance_m} m "
-                                     f"takes {tt} min at {speed:g} km/h; need > 0")
+    check_segment_times(net, DroneSpec().cruise_speed)  # before --out is made
     table = load_coefficients(args.coeffs) if args.coeffs else default_table()
     if args.coeffs and any(s in SHARING_STRATEGIES for s in strategies):
         try:

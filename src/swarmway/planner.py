@@ -140,32 +140,6 @@ class DeliveryPlan:
     def energy_shared(self) -> float:
         return sum(leg.shared for leg in self.legs)
 
-    def to_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "strategy": self.strategy,
-            "status": self.status,
-            "stuck_node": self.stuck_node,
-            "path": self.path,
-            "dt_min": self.dt,
-            "tt_min": self.tt_total,
-            "nt_min": self.nt_total,
-            "energy_shared_mAh": self.energy_shared,
-            "legs": [
-                {
-                    "u": leg.u,
-                    "v": leg.v,
-                    "distance_m": leg.distance_m,
-                    "tt_min": leg.tt,
-                    "sector": leg.sector,
-                    "consumed_mAh": leg.consumed,
-                    "shared_mAh": leg.shared,
-                }
-                for leg in self.legs
-            ],
-            "visits": [{"node": v.node, "nt_min": v.nt} for v in self.visits],
-        }
-
 
 @dataclass(frozen=True)
 class _Block:
@@ -399,15 +373,24 @@ def feasible_leg(
     holds beyond its own projected drain for the leg.  A block whose
     composer would grant nothing (and every drone when sharing is off)
     drains in closed form, exactly as the composer's trace would.
+
+    Each block is judged as soon as it is built, and the first that fails
+    ends the leg before the next is composed: a composed block by
+    ``_grid_feasible`` on its own traces, a draining drone by
+    ``_plain_fails``'s read of its two-point trace, which equals it.  A
+    leg that is not finite and > 0 minutes long, which the composers
+    reject, is judged whole once every block is built, so it raises
+    wherever judging every block at the end raised.
     """
     cache = rate_cache or _RateCache(swarm, model)
     seg, sector, tt = cache.leg(net, u, v)
     rates = cache.rates(sector)
-    before = dict(batteries) if batteries is not None else {d.id: d.capacity for d in swarm.drones}
+    before = batteries if batteries is not None else {d.id: d.capacity for d in swarm.drones}
 
     blocks = cache.blocks if share is not None else []
     plan = SharingPlan() if blocks else None
     swaps = cache.swaps(sector) if blocks else None
+    by_block = 0 < tt < math.inf  # else judge the whole leg at the end
     consumed, traces = {}, {}
     for block in blocks or [None]:
         result = None
@@ -415,16 +398,21 @@ def feasible_leg(
             result = _share_block(block, before, rates, tt, share, model, swaps)
         if result is None:
             for i in block.ids if block else rates:  # rates: every drone, in order
-                spent = rates[i] * tt
-                consumed[i] = spent
-                traces[i] = [(0.0, before[i]), (tt, before[i] - spent)]
+                b = before[i]
+                consumed[i] = spent = rates[i] * tt
+                a = b - spent
+                traces[i] = [(0.0, b), (tt, a)]
+                if by_block and b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
+                    return None
             continue
+        if by_block and not _grid_feasible(result.traces, tt):
+            return None
         consumed.update(result.consumed)
         traces.update(result.traces)
         plan.allocations.extend(result.plan.allocations)
         plan.swaps.extend(result.plan.swaps)
 
-    if not _grid_feasible(traces, tt):
+    if not by_block and not _grid_feasible(traces, tt):
         return None
     return LegOutcome(u, v, seg.distance_m, tt, sector, consumed, plan, traces)
 
@@ -519,6 +507,11 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
     errs by at most 2**-53 * scale; margin covers those and
     FLOOR_TOLERANCE.
 
+    A leg before the last with no ``deficit`` and a ``spare`` >= 0 is
+    not priced: there ``supply`` >= 0 and ``margin`` > 0, so the test
+    cannot fire.  The last leg always is, since ``lo`` starts from its
+    ``deficit`` and ``margin``.
+
     The legs are read up to the first one whose rates cannot be built
     (a ValueError from the coefficients or the swap table);
     ``feasible_leg`` raises there if the composition gets that far.
@@ -549,17 +542,20 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
         pool = _pool(batteries[p], rates1[p] * tt1, reserve, share)
         top = {c: max(block.capacities[c], batteries[c]) for c in block.consumers}
         held = sum(abs(batteries[i]) for i in block.ids) + sum(top.values())
-        need = dict.fromkeys(block.consumers, 0.0)
+        start = [batteries[c] for c in block.consumers]
+        need = [0.0] * n  # by consumer position, as ``start``
         elapsed = drained = 0.0
         for k, (tt, least, rates) in enumerate(legs, 1):
             elapsed += tt
             drained += rates[p] * tt
             deficit = 0.0
-            for c in block.consumers:
-                need[c] += least[c] * tt
-                if need[c] > batteries[c]:
-                    deficit += need[c] - batteries[c]
+            for j, c in enumerate(block.consumers):
+                need[j] = got = need[j] + least[c] * tt
+                if got > start[j]:
+                    deficit += got - start[j]
             spare = batteries[p] - drained + FLOOR_TOLERANCE
+            if not deficit and spare >= 0 and k < len(legs):
+                continue  # the test cannot fire here
             if fb:
                 supply = min(share_rate * elapsed + share.quantum * k, pool, spare)
                 steps = 2 * (elapsed / turn + k) + k

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .energy import Drone
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     provider: int
     consumer: int
     start: float
@@ -47,8 +47,7 @@ class Allocation:
     amount: float
 
 
-@dataclass(frozen=True)
-class SwapEvent:
+class SwapEvent(NamedTuple):
     """Two slots exchanged occupants at ``time`` (applied again to swap back)."""
 
     time: float

@@ -491,3 +491,113 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
 
     plan.status = "success"
     return plan
+
+
+def feasible_leg_as_written(swarm, net, u, v, model, *, batteries=None, share=None,
+                            rate_cache=None):
+    """``planner.feasible_leg`` before it judged each provider block as it
+    was built, as written: every block is built, then one grid check reads
+    every trace."""
+    from swarmway.planner import (
+        LegOutcome,
+        SharingPlan,
+        _grid_feasible,
+        _RateCache,
+        _share_block,
+    )
+
+    cache = rate_cache or _RateCache(swarm, model)
+    seg, sector, tt = cache.leg(net, u, v)
+    rates = cache.rates(sector)
+    before = dict(batteries) if batteries is not None else {d.id: d.capacity for d in swarm.drones}
+
+    blocks = cache.blocks if share is not None else []
+    plan = SharingPlan() if blocks else None
+    swaps = cache.swaps(sector) if blocks else None
+    consumed, traces = {}, {}
+    for block in blocks or [None]:
+        result = None
+        if block is not None:
+            result = _share_block(block, before, rates, tt, share, model, swaps)
+        if result is None:
+            for i in block.ids if block else rates:  # rates: every drone, in order
+                spent = rates[i] * tt
+                consumed[i] = spent
+                traces[i] = [(0.0, before[i]), (tt, before[i] - spent)]
+            continue
+        consumed.update(result.consumed)
+        traces.update(result.traces)
+        plan.allocations.extend(result.plan.allocations)
+        plan.swaps.extend(result.plan.swaps)
+
+    if not _grid_feasible(traces, tt):
+        return None
+    return LegOutcome(u, v, seg.distance_m, tt, sector, consumed, plan, traces)
+
+
+def sharing_cannot_save_as_written(net, path, model, batteries, share, cache) -> bool:
+    """``planner._sharing_cannot_save`` before it kept needs in lists and
+    skipped the supply arithmetic on legs without a deficit, as written."""
+    from swarmway.planner import FLOOR_TOLERANCE, LEAST_FILING, _pool
+
+    legs = []
+    for a, b in zip(path, path[1:]):
+        _, sector, tt = cache.leg(net, a, b)
+        try:
+            least = cache.least_rates(sector)
+        except ValueError:
+            break
+        legs.append((tt, least, cache.rates(sector)))
+    if not legs:
+        return False
+    share_rate = model.spec.inflight_share_rate
+    fb = share.strategy == "fb"
+    turn = share.quantum / share_rate
+    tt1, _, rates1 = legs[0]
+    for block in cache.blocks:
+        if not block.consumers:
+            continue
+        least_transfer = LEAST_FILING * min(block.capacities[c] for c in block.consumers)
+        if not fb and least_transfer == 0:
+            continue  # zero capacities bound no transfer count
+        p, n = block.provider, len(block.consumers)
+        reserve = share.delta_frac * block.capacities[p]
+        pool = _pool(batteries[p], rates1[p] * tt1, reserve, share)
+        top = {c: max(block.capacities[c], batteries[c]) for c in block.consumers}
+        held = sum(abs(batteries[i]) for i in block.ids) + sum(top.values())
+        need = dict.fromkeys(block.consumers, 0.0)
+        elapsed = drained = 0.0
+        for k, (tt, least, rates) in enumerate(legs, 1):
+            elapsed += tt
+            drained += rates[p] * tt
+            deficit = 0.0
+            for c in block.consumers:
+                need[c] += least[c] * tt
+                if need[c] > batteries[c]:
+                    deficit += need[c] - batteries[c]
+            spare = batteries[p] - drained + FLOOR_TOLERANCE
+            if fb:
+                supply = min(share_rate * elapsed + share.quantum * k, pool, spare)
+                steps = 2 * (elapsed / turn + k) + k
+            else:
+                supply = min(share_rate * elapsed, pool, spare)
+                steps = max(supply, 0.0) / least_transfer + 2 * k
+            scale = held + pool + deficit + abs(supply) + drained
+            margin = (n * FLOOR_TOLERANCE + 1e-6
+                      + ((n + 2) * (steps + 1) * 2.0 ** -50 + 1e-9) * scale)
+            if deficit > supply + margin:
+                return True
+        # lo: the least leg after which every consumer could fly the rest
+        # unaided; ``drained`` becomes p's drain over legs 1..lo
+        lo, tail = len(legs), dict.fromkeys(block.consumers, 0.0)
+        while lo > 1 and deficit > margin:
+            tt, least, rates = legs[lo - 1]
+            if any(tail[c] + least[c] * tt > top[c] + margin for c in tail):
+                break
+            for c in tail:
+                tail[c] += least[c] * tt
+            drained -= rates[p] * tt
+            lo -= 1
+        if deficit > _pool(batteries[p], drained, reserve, share) + margin:
+            return True
+    return False

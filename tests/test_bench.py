@@ -30,6 +30,7 @@ from swarmway.formations import (
 )
 from swarmway.network import (
     DeliveryRequest,
+    NetworkFormatError,
     Node,
     Segment,
     SkywayNetwork,
@@ -38,6 +39,7 @@ from swarmway.network import (
     load_network,
     save_network,
     synthesize_network,
+    synthesize_requests,
 )
 from swarmway.sharing import ShareContext, fb_compose
 
@@ -382,6 +384,23 @@ class TestRunExperiment:
         rows, _ = run_experiment(corridor_net(), workload()[:1], FLAT, cfg,
                                  spec=feeble)
         assert rows[0]["status"] == "stuck"
+
+    @pytest.mark.parametrize("strategy", ["fb", "baseline"])
+    def test_segment_that_takes_no_time_fails_before_planning(self, monkeypatch,
+                                                              strategy):
+        # 1e-320 m flies in 0.0 minutes at 30 km/h: fb rejected the leg
+        # partway through the sweep, baseline flew it
+        net = largest_connected_component(synthesize_network(40, 3))
+        segments = [dataclasses.replace(seg, distance_m=1e-320)
+                    if (seg.u, seg.v) == (7, 25) else seg for seg in net.segments]
+        assert segments != net.segments
+        net = SkywayNetwork(list(net.nodes.values()), segments)
+        monkeypatch.setattr(bench, "compose",
+                            lambda *args, **kwargs: pytest.fail("planning started"))
+        with pytest.raises(NetworkFormatError,
+                           match=r"segment \(7, 25\): 1e-320 m takes 0.0 min at 30 km/h"):
+            run_experiment(net, synthesize_requests(net, 6, 1), default_table(),
+                           ExperimentConfig(strategies=(strategy,)))
 
 
 class TestWriters:

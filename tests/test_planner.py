@@ -55,9 +55,11 @@ from swarmway.sharing import SharingPlan
 
 from instances import transfer_sums
 from oracles import (
+    feasible_leg_as_written,
     grid_scan_feasible,
     leg_grid_feasible,
     near_optimal_queues_reference,
+    sharing_cannot_save_as_written,
     walk_every_round,
 )
 
@@ -488,17 +490,16 @@ class TestCompose:
         b = compose(swarm, net, request, model, tree=tree)
         c = compose(swarm, net, request, model,
                     tree=shortest_path_tree(net, 0))  # wrong root: rebuilt
-        assert a.to_dict() == b.to_dict() == c.to_dict()
+        assert repr(a) == repr(b) == repr(c)
 
-    def test_plan_serialization(self):
+    def test_plan_values(self):
         swarm, model = self.stop_swarm()
         plan = compose(swarm, line_net(10, 10), DeliveryRequest(10, 0, 2, [0.3, 0.3]),
                        model)
-        data = plan.to_dict()
-        assert data["status"] == "success"
-        assert data["dt_min"] == 130.0
-        assert [leg["tt_min"] for leg in data["legs"]] == [10.0, 10.0]
-        assert data["visits"] == [{"node": 1, "nt_min": 110.0}]
+        assert plan.status == "success"
+        assert plan.dt == 130.0
+        assert [leg.tt for leg in plan.legs] == [10.0, 10.0]
+        assert [(v.node, v.nt) for v in plan.visits] == [(1, 110.0)]
 
 
 def fly_leg_by_leg(swarm, net, path, model, batteries, share):
@@ -1130,6 +1131,146 @@ class TestStopDrains:
         sched = pad_schedule([d / model.spec.pad_charge_rate for d in from_tt], node.pads)
         assert repr(visit) == repr(want) == repr(
             planner.NodeVisit(node.id, sched.node_time, sched.queues))
+
+
+def judged(check, *args, **kwargs):
+    """What ``check`` gives, by ``repr`` and with a leg's traces, or the
+    ValueError it raises, with its message; and what it gave."""
+    try:
+        got = check(*args, **kwargs)
+    except ValueError as exc:
+        return ("raises", type(exc).__name__, str(exc)), None
+    return (repr(got), repr(getattr(got, "traces", None))), got
+
+
+SHARE_CONFIGS = st.builds(
+    ShareConfig, st.sampled_from(("pb", "fb")),
+    gamma=st.one_of(st.sampled_from((0.0, 0.8, 0.95, 1.0)), st.floats(0.0, 1.0)),
+    delta_frac=st.one_of(st.sampled_from((0.0, 0.2, 0.65)), st.floats(0.0, 0.99)),
+    quantum=st.one_of(st.sampled_from((28.0, 2240.0)), st.floats(1.0, 4000.0)))
+
+
+@st.composite
+def blocks_on_legs(draw, shares=st.one_of(st.none(), SHARE_CONFIGS)):
+    """One to three provider blocks, some with no consumer, on a path of
+    one to four legs that take whole minutes, fractions, less than a
+    minute or 0.0 minutes (1e-320 m), under a ``shares`` config.  Each
+    drone starts full, anywhere, a little above its capacity, within
+    3 ulps of the floor, or within 3 ulps of where the grid's read at a
+    leg's end meets the floor; a block's consumers may all start full."""
+    spec = DroneSpec(battery_capacity=draw(st.floats(1000.0, 8000.0)),
+                     cruise_speed=60.0,
+                     inflight_share_rate=draw(st.floats(1.0, 300.0)),
+                     base_consumption_rate=draw(st.floats(10.0, 300.0)))
+    model = EnergyModel(spec, default_table())
+    n_delivery, n_support = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    drones = [make_delivery_drone(i, draw(st.floats(0.0, 1.4)), spec)
+              for i in range(n_delivery)]
+    drones += [make_support_drone(n_delivery + j, spec) for j in range(n_support)]
+    swarm = swarm_of(drones, draw(st.sampled_from(FORMATION_KINDS)))
+    assign_positions(swarm, draw(st.sampled_from(POSITIONING_SETTINGS)),
+                     draw(st.sampled_from(WIND_SECTORS)), model)
+    degrees = st.floats(0.0, 360.0)
+    km = st.one_of(st.integers(1, 12).map(float), st.floats(0.2, 12.0),
+                   st.floats(1e-3, 0.999), st.just(1e-323))
+    net, path = path_net(draw(st.lists(st.tuples(degrees, km, st.floats(0.0, 13.0),
+                                                  degrees), min_size=1, max_size=4)))
+    cache = planner._RateCache(swarm, model)
+    steps = [cache.leg(net, a, b) for a, b in zip(path, path[1:])]
+    k = draw(st.integers(1, len(steps)))
+    tts = [tt for _, _, tt in steps[:k]]
+    batteries = {}
+    for d in drones:
+        choices = [st.just(d.capacity), st.floats(0.0, d.capacity),
+                   st.floats(1.0, 1.05).map(lambda f, cap=d.capacity: f * cap),
+                   st.sampled_from(NEAR_FLOOR)]
+        if all(tts):  # the grid's read is 0/0 on a leg of no time
+            near = starts_near_the_floor(
+                [cache.rates(sector)[d.id] for _, sector, _ in steps[:k]], tts, d.capacity)
+            if near:  # where the grid's read and a fall either side, one of those
+                choices.append(st.sampled_from([start for start, split in near if split]
+                                               or [start for start, _ in near]))
+        if d.role == "support":  # full half the time, so that blocks compose
+            choices = [st.just(d.capacity), st.one_of(*choices)]
+        batteries[d.id] = draw(st.one_of(*choices))
+    for block in cache.blocks:
+        if draw(st.booleans()):
+            batteries.update({c: block.capacities[c] for c in block.consumers})
+    return swarm, net, path, model, batteries, draw(shares)
+
+
+class TestSharedLegsAsWritten:
+    """``feasible_leg`` judges each provider block as it is built and
+    ``_sharing_cannot_save`` skips the supply arithmetic where it cannot
+    fire: the same legs, traces, verdicts and errors as both as written."""
+
+    @given(blocks_on_legs())
+    @settings(max_examples=400, deadline=None)
+    def test_every_leg_of_a_fly_through_as_written(self, case):
+        swarm, net, path, model, batteries, share = case
+        built = []  # per block: whether it was composed
+        share_block = planner._share_block
+
+        def counted(*args):
+            result = share_block(*args)
+            built.append(result is not None)
+            return result
+
+        cache, old_cache = planner._RateCache(swarm, model), planner._RateCache(swarm, model)
+        state = batteries
+        for a, b in zip(path, path[1:]):
+            built.clear()
+            with mock.patch.object(planner, "_share_block", counted):
+                got, _ = judged(feasible_leg, swarm, net, a, b, model, batteries=state,
+                                share=share, rate_cache=cache)
+            want, leg = judged(feasible_leg_as_written, swarm, net, a, b, model,
+                               batteries=state, share=share, rate_cache=old_cache)
+            assert got == want
+            verdict = "raises" if want[0] == "raises" else "passes" if leg else "fails"
+            event(f"{share.strategy if share else 'no sharing'}, "
+                  f"tt 0.0: {cache.leg(net, a, b)[2] == 0.0}, {verdict}")
+            if share is not None:
+                event(f"{verdict} after {len(built)} of {len(cache.blocks)} blocks, "
+                      f"{sum(built)} composed")
+            if leg is None:
+                break
+            state = leg.batteries_after
+
+    @pytest.mark.parametrize("share", [None, ShareConfig("pb", gamma=0.4),
+                                       ShareConfig("fb", delta_frac=0.99)])
+    def test_the_grid_read_not_the_leg_end_decides_at_the_float_edge(self, share):
+        # the drone's a = b - rate * tt clears the floor, the grid's read
+        # b + (a - b) * tt / tt does not.  Its block is idle: the drone
+        # holds 41% of its capacity, and its support drone offers less
+        # than a reserve of 99% of its own capacity
+        b, rate, tt = 3290.936686566305, 287.98143383683094, 11.427600184920031
+        spec = DroneSpec(battery_capacity=8000.0, cruise_speed=60.0,
+                         base_consumption_rate=rate)
+        swarm = swarm_of([make_delivery_drone(0, 0.0, spec), make_support_drone(1, spec)])
+        model, net = EnergyModel(spec, FLAT, 0.0), line_net(tt)
+        batteries = {0: b, 1: swarm.drones[1].capacity}
+        if share is not None:
+            cache = planner._RateCache(swarm, model)
+            _, sector, _ = cache.leg(net, 0, 1)
+            assert planner._share_block(cache.blocks[0], batteries, cache.rates(sector),
+                                        tt, share, model, cache.swaps(sector)) is None
+        got = judged(feasible_leg, swarm, net, 0, 1, model, batteries=batteries,
+                     share=share)
+        assert got == judged(feasible_leg_as_written, swarm, net, 0, 1, model,
+                             batteries=batteries, share=share)
+        assert got[1] is None
+
+    @given(blocks_on_legs(shares=SHARE_CONFIGS))
+    @settings(max_examples=400, deadline=None)
+    def test_the_certificate_as_written(self, case):
+        swarm, net, path, model, batteries, share = case
+        got, ruled_out = judged(planner._sharing_cannot_save, net, path, model,
+                                batteries, share, planner._RateCache(swarm, model))
+        want, _ = judged(sharing_cannot_save_as_written, net, path, model, batteries,
+                         share, planner._RateCache(swarm, model))
+        event(f"{share.strategy} rules out: {ruled_out}")
+        assert got == want
+
 
 class TestSharedFlyThroughBoundOnWorlds:
     """On slices of both walker worlds every fly-through, plain or shared,

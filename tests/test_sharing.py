@@ -653,3 +653,23 @@ class TestSwapAccounting:
         assert res.plan.swaps == [SwapEvent(0.0, 0, 2), SwapEvent(16.0, 0, 2)]
         assert res.consumed[1] == 32.0 * 16.0 + 16.0 * 48.0
         assert res.consumed[2] == 16.0 * 64.0
+
+
+class TestPlanRecords:
+    """Allocations and swap events are small immutable records: named
+    fields in a fixed order, equal when their fields are, and hashable."""
+
+    def test_fields_equality_and_immutability(self):
+        a = Allocation(9, 1, 0.0, 1.5, 3.0)
+        swap = SwapEvent(1.5, 0, 2)
+        assert repr(a) == ("Allocation(provider=9, consumer=1, start=0.0, "
+                           "duration=1.5, amount=3.0)")
+        assert repr(swap) == "SwapEvent(time=1.5, slot_a=0, slot_b=2)"
+        assert (a.provider, a.consumer, a.start, a.duration, a.amount) == \
+            (9, 1, 0.0, 1.5, 3.0)
+        assert a == Allocation(9, 1, 0.0, 1.5, 3.0) != Allocation(9, 1, 0.0, 1.5, 3.5)
+        assert swap == SwapEvent(1.5, 0, 2) != SwapEvent(1.5, 2, 0)
+        assert len({a, Allocation(9, 1, 0.0, 1.5, 3.0), swap}) == 2
+        for record, name in ((a, "amount"), (swap, "time")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
