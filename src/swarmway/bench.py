@@ -45,6 +45,10 @@ RESULT_COLUMNS = (
 )
 NAN_SENTINEL = "NaN"
 MIN_FB_TURN = 1e-3  # minutes: the shortest fairness turn a sweep accepts
+# minutes: the longest full charge a sweep accepts; plans and static edge
+# costs sum one charge time per drone and stop, and 1e308-minute charges
+# overflow those sums
+MAX_PAD_MINUTES = 1e9
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,9 @@ class ExperimentConfig:
             raise ValueError(f"bin_width_km: {self.bin_width_km} km is under 1 m")
         if not DroneSpec.battery_capacity / self.pad_minutes < math.inf:  # the sweep's pad rate
             raise ValueError(f"pad_minutes: {self.pad_minutes} min makes the pad rate inf")
+        if self.pad_minutes > MAX_PAD_MINUTES:
+            raise ValueError(f"pad_minutes: {self.pad_minutes} min is over "
+                             f"{MAX_PAD_MINUTES:g} min")
 
 
 def sweep_configurations(cfg: ExperimentConfig) -> list[tuple[str, str]]:

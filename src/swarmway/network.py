@@ -277,6 +277,8 @@ def synthesize_requests(net: SkywayNetwork, n: int, seed: int) -> list[DeliveryR
 
     Weights are uniform in (0, 1.4] kg; package counts uniform over 2..5.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n (the request count) must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"request count must be >= 0, got {n}")
     if len(net.nodes) < 2:
@@ -298,14 +300,19 @@ def synthesize_network(n_nodes: int, seed: int, *,
     """Generate a clustered geometric skyway network.
 
     Nodes scatter around 8 randomly placed cluster centers in a 30 km
-    square and link to their 3 nearest neighbors within 6 km, so segment
-    lengths stay mostly short while cluster-to-cluster bridges come out
-    long.  Pad counts are uniform over the inclusive ``pads`` range.
+    square and link to their 3 nearest neighbors within 6 km (ties to the
+    smaller id), so segment lengths stay mostly short while
+    cluster-to-cluster bridges come out long.  The links come from a ring
+    search over cells sized to the nodes' density (``_nearest_links``), so
+    that step grows about as n, not n**2, in the fixed square.  Pad counts
+    are uniform over the inclusive ``pads`` range.
     Each segment's wind is drawn from its own ``random.Random(seed)`` in
     (u, v) order: speed uniform in [0, 13.8) m/s, then direction uniform in
     [0, 360).  The result is usually disconnected; pass it through
     ``largest_connected_component``.
     """
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, int):
+        raise ValueError(f"n_nodes must be an int, got {n_nodes!r}")
     if n_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {n_nodes}")
     if not (isinstance(pads, (tuple, list)) and len(pads) == 2
@@ -356,27 +363,68 @@ def synthesize_network(n_nodes: int, seed: int, *,
 
 def _nearest_links(nodes: list[Node], reach: float, k: int) -> set[tuple[int, int]]:
     """Pairs joining each node to its ``k`` nearest others within ``reach``,
-    nearest first and ties to the smaller id, found through a grid of cells.
+    nearest first and ties to the smaller id, found by a ring search.
 
-    A cell is a hair wider than ``reach``, so a node two cells away is more
-    than ``reach`` off along one axis even after rounding in the subtraction
-    and the division, and ``hypot(dx, dy)`` is never below ``max(|dx|, |dy|)``.
+    The nodes go into square cells of side about span / sqrt(n), one node a
+    cell over their bounding square, clamped to [floor, reach].  The floor
+    is reach / 16, or max |coordinate| * 2**-53 where that is larger (and
+    then it wins over the reach).  Each node scans the Chebyshev rings of
+    cells 0, 1, 2, ... around its own, keeping the (distance, id) pairs
+    within reach, and stops after ring r once ``limit < r * cell - margin``:
+    ``limit`` is the k-th smallest distance held, or ``reach`` while fewer
+    than k are held, and ``margin`` is max(|x|, |y|) * 2**-47 for the node
+    at (x, y).
+
+    The stop is exact.  ``x // cell`` is exact while |x| < 2**50 * cell, and
+    beyond that puts x at most |x| * 2**-50 outside its cell.  A node b in
+    ring r + 1 or beyond is thus at least r * cell off node a along one axis,
+    less (|a| + |b|) * 2**-50 on that axis when either index is inexact; then
+    |a| > 2**49 * cell, and |b| <= |a| + reach for any b that could be
+    picked, so the margin covers both errors and the rounding of
+    ``r * cell - margin`` with room to spare.  Rounding is monotone, so the
+    computed difference is at least that float bound, and ``hypot(dx, dy)``
+    is never below max(|dx|, |dy|): b is strictly farther than every pair
+    held, or out of reach, and cannot displace a pair.
+
+    Without the floor, co-located nodes, or a node with fewer than k others
+    in reach, would scan about (reach / cell)**2 cells.  With it the reach
+    is at most 16 cells and the margin at most 64, so no node scans past
+    ring 81.
     """
-    cell = reach * (1 + 1e-9)
+    pairs: set[tuple[int, int]] = set()
+    if not nodes:
+        return pairs
+    xs = [node.x for node in nodes]
+    ys = [node.y for node in nodes]
+    span = max(max(xs) - min(xs), max(ys) - min(ys))
+    top = max(max(map(abs, xs)), max(map(abs, ys)))
+    cell = max(min(span / math.sqrt(len(nodes)), reach), reach / 16, top * 2**-53)
     grid: dict[tuple[int, int], list[Node]] = {}
     for node in nodes:
         grid.setdefault((int(node.x // cell), int(node.y // cell)), []).append(node)
-    pairs: set[tuple[int, int]] = set()
+    rings: list[list[tuple[int, int]]] = []
     for node in nodes:
-        gx, gy = int(node.x // cell), int(node.y // cell)
+        x, y = node.x, node.y
+        gx, gy = int(x // cell), int(y // cell)
+        margin = max(abs(x), abs(y)) * 2**-47
         near = []
-        for cx in (gx - 1, gx, gx + 1):
-            for cy in (gy - 1, gy, gy + 1):
-                for other in grid.get((cx, cy), ()):
-                    d = math.hypot(node.x - other.x, node.y - other.y)
+        r = 0
+        while True:
+            if r == len(rings):
+                side, edge = range(-r, r + 1), ((-r, r) if r else (0,))
+                rings.append([(dx, dy) for dx in side for dy in edge]
+                             + [(dx, dy) for dy in side[1:-1] for dx in edge])
+            for dx, dy in rings[r]:
+                for other in grid.get((gx + dx, gy + dy), ()):
+                    d = math.hypot(x - other.x, y - other.y)
                     if d <= reach and other.id != node.id:
                         near.append((d, other.id))
-        for _, oid in heapq.nsmallest(k, near):
+            near.sort()
+            limit = near[k - 1][0] if len(near) >= k else reach
+            if limit < r * cell - margin:
+                break
+            r += 1
+        for _, oid in near[:k]:
             pairs.add((min(node.id, oid), max(node.id, oid)))
     return pairs
 

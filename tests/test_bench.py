@@ -126,6 +126,7 @@ class TestExperimentConfig:
          "positionings: duplicates"),
         ({"bin_width_km": 1e-320}, "bin_width_km: 1e-320 km is under 1 m"),
         ({"pad_minutes": 1e-320}, "pad_minutes: 1e-320 min makes the pad rate inf"),
+        ({"pad_minutes": 1e308}, r"pad_minutes: 1e\+308 min is over 1e\+09 min"),
     ])
     def test_validation_names_the_field(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):

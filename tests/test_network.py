@@ -1,7 +1,10 @@
 """Network model, file formats, synthesis, and shortest paths."""
 
 import math
+import os
 import random
+import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,12 @@ from swarmway.network import (
 )
 
 from instances import CALM, directed_cost_worlds
-from oracles import brute_shortest, nearest_links_full_sort, static_dijkstra_reference
+from oracles import (
+    brute_shortest,
+    nearest_links_full_sort,
+    nearest_links_grid_as_written,
+    static_dijkstra_reference,
+)
 
 
 def line_net(*dists, pads=2, wind=CALM):
@@ -254,6 +262,17 @@ class TestSynthesis:
             with pytest.raises(ValueError, match="pads"):
                 synthesize_network(2, seed, pads=pads)
 
+    @pytest.mark.parametrize("count", [2.5, 40.0, True, False, "40", None], ids=repr)
+    def test_non_int_counts_rejected_before_any_draw(self, monkeypatch, count):
+        # 2.5 and 40.0 used to fail inside random after the cluster centers
+        # were drawn, and True drew one request
+        net = synthesize_network(30, seed=0)
+        monkeypatch.setattr(network.random, "Random", lambda *args: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="n_nodes"):
+            synthesize_network(count, 0)
+        with pytest.raises(ValueError, match=r"\bn\b"):
+            synthesize_requests(net, count, 0)
+
     @pytest.mark.parametrize("pads", [(0, 0), (2, 2), [0, 3]], ids=repr)
     def test_pad_range_is_inclusive(self, pads):
         net = synthesize_network(40, seed=3, pads=pads)
@@ -268,17 +287,25 @@ class TestSynthesis:
 
 
 class TestLinkGrid:
-    """``synthesize_network``'s grid link step against the full sort it
-    replaced, on points placed where the grid could go wrong."""
+    """``synthesize_network``'s link step, a ring search over cells sized to
+    the nodes' density, against the full sort and the 3x3 grid it replaced,
+    on points placed where a search could go wrong."""
 
+    # the 3x3 grid's cell edge, a hair over 6 km; the ring search's cells
+    # are span / sqrt(n) clamped to [375 m, 6 km], so multiples of 375 m,
+    # 6 km and points just below them are its edges at the clamps
     CELL = 6000.0 * (1 + 1e-9)
     # a 1.5 km lattice gives co-located points, distance ties, and pairs
-    # exactly 6,000.0 m apart, some across a cell edge (3000 and 9000)
+    # exactly 6,000.0 m apart, some across a 6 km cell edge (3000 and 9000)
     COORDS = st.one_of(
         st.integers(0, 20).map(lambda k: 1500.0 * k),
         st.sampled_from([0.0, 30000.0, CELL, 2 * CELL, 4 * CELL,
                          math.nextafter(CELL, 0.0), math.nextafter(2 * CELL, 0.0),
-                         CELL + 6000.0, 2 * CELL - 6000.0]),
+                         CELL + 6000.0, 2 * CELL - 6000.0,
+                         375.0, 750.0, 6375.0, math.nextafter(375.0, 0.0),
+                         math.nextafter(750.0, 0.0), math.nextafter(6000.0, 0.0),
+                         math.nextafter(12000.0, 0.0), 5e-324]),
+        st.integers(0, 80).map(lambda k: 375.0 * k),
         st.floats(0.0, 30000.0),
     )
 
@@ -308,8 +335,9 @@ class TestLinkGrid:
         assert self.links([(0.0, 0.0), (3600.0, 4800.0)]) == {(0, 1)}
 
     def test_reach_apart_links_at_every_offset(self):
-        # one pair per row, its left end swept over two cells in 1 m steps:
-        # a grid whose cells were narrower than the reach would miss some
+        # one pair per row, its left end swept over two 6 km cells in 1 m
+        # steps: a search whose cells or rings fell short of the reach
+        # would miss some
         nodes = []
         for i in range(12000):
             nodes += [Node(2 * i, float(i), 10000.0 * i, 1),
@@ -355,6 +383,143 @@ class TestLinkGrid:
                 want = synthesize_network(n_nodes, seed, pads=pads)
             assert repr(list(got.nodes.values())) == repr(list(want.nodes.values()))
             assert repr(got.segments) == repr(want.segments)
+
+
+    @staticmethod
+    def search_cell(points):
+        """The ring search's cell side for these points, at 6 km reach."""
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        span = max(max(xs) - min(xs), max(ys) - min(ys))
+        top = max(max(map(abs, xs)), max(map(abs, ys)))
+        return max(min(span / math.sqrt(len(points)), 6000.0), 375.0, top * 2**-53)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_points_on_the_search_cells_edges(self, data):
+        # two corners fix the span and n fixes the cell; the rest sit on
+        # its multiples, a hair either side, or a reach off one
+        n = data.draw(st.integers(3, 30))
+        span = data.draw(st.sampled_from([1000.0, 6000.0, 20000.0, 30000.0]))
+        cell = max(min(span / math.sqrt(n), 6000.0), 375.0)
+        edge = st.integers(0, int(span // cell)).flatmap(lambda k: st.sampled_from([
+            k * cell, math.nextafter(k * cell, 0.0), math.nextafter(k * cell, math.inf),
+            min(k * cell + 6000.0, span), max(k * cell - 6000.0, 0.0)]))
+        points = [(0.0, 0.0), (span, span)] + data.draw(st.lists(
+            st.tuples(edge, edge).map(lambda p: (min(p[0], span), min(p[1], span))),
+            min_size=n - 2, max_size=n - 2))
+        assert self.search_cell(points) == cell
+        self.links(points, data.draw(st.permutations(range(n))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_far_from_the_origin(self, data):
+        # near 1e12 the indices are large but exact; from about 2**51 cells
+        # out (4e18 m at 1.8 km cells) x // cell can be off by one cell,
+        # and the floats are 512-2048 m apart
+        base = data.draw(st.sampled_from([1e12, -1e12, 1e18, -1e18, 6e18, 8e18, -1e19]))
+        step = data.draw(st.sampled_from([128.0, 1024.0, 1500.0, 2048.0]))
+        coord = st.integers(-40, 40).map(lambda k: base + step * k)
+        points = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+        self.links(points, data.draw(st.permutations(range(len(points)))))
+
+    def test_an_index_off_by_one_cell(self):
+        # at 1,831.8 m cells, 8e18 // cell rounds node 0 into the cell left
+        # of its own, so from node 4 it looks a ring further off than it
+        # is; only the margin makes node 4 scan that ring and keep its
+        # 4,579 m link to node 0 over the 5,120 m one to node 3
+        offsets = [(0.0, -2048.0), (4096.0, -4096.0), (3072.0, -3072.0), (1024.0, -4096.0),
+                   (4096.0, 0.0)]
+        points = [(8e18 + dx, 8e18 + dy) for dx, dy in offsets]
+        cell = self.search_cell(points)
+        assert int(8e18 // cell) == math.floor(Fraction(8e18) / Fraction(cell)) - 1
+        assert self.links(points) == {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3),
+                                      (1, 4), (2, 3), (2, 4)}
+
+    def test_third_neighbor_exactly_r_cells_away(self):
+        # the span pins the cell at 6 km.  Node 5 sits a denormal left of
+        # x = 0, in cell -1, where its margin is 0: nodes 6, 7 and 8 lie
+        # 6000.0 m off in rings 0 and 1, and node 1 lies 6000.0 m off in
+        # ring 2, so after ring 1 the third distance equals 1 * cell.  Only a
+        # strict stop scans ring 2 and lets node 1 win the tie by id.  Each
+        # of 1, 6, 7 and 8 has three companions nearer than node 5.
+        points, ids = [(-5e-324, 0.0), (40000.0, 40000.0), (-40000.0, -40000.0)], [5, 2, 3]
+        nid = 10
+        for oid, (x, y) in ((6, (-6000.0, 0.0)), (7, (0.0, 6000.0)), (8, (0.0, -6000.0)),
+                            (1, (6000.0, 0.0))):
+            points.append((x, y))
+            ids.append(oid)
+            for off in (50.0, 100.0, 150.0):
+                points.append((x + math.copysign(off, x), y + math.copysign(off, y)))
+                ids.append(nid)
+                nid += 1
+        assert self.search_cell(points) == 6000.0
+        got = self.links(points, ids)
+        assert {pair for pair in got if 5 in pair} == {(1, 5), (5, 6), (5, 7)}
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_distance_ties_across_a_ring_boundary(self, reverse):
+        # twelve nodes exactly 1 km from node 0 (3-4-5 triangles and the
+        # axes); 13 points over a 2 km span make 555 m cells, so the ties
+        # fall in rings 1 and 2 of node 0's cell and the smallest ids lie
+        # either in the outer ring or the inner one
+        offsets = [(-1000, 0), (0, -1000), (-600, -800), (-800, -600), (600, -800),
+                   (-800, 600), (1000, 0), (0, 1000), (600, 800), (800, 600),
+                   (-600, 800), (800, -600)]
+        points = [(1000.0, 1000.0)] + [(1000.0 + dx, 1000.0 + dy) for dx, dy in offsets]
+        ids = [0, *(range(12, 0, -1) if reverse else range(1, 13))]
+        cell = self.search_cell(points)
+        rings = {max(abs(int(x // cell) - 1), abs(int(y // cell) - 1)) for x, y in points[1:]}
+        assert rings == {1, 2}
+        self.links(points, ids)
+
+    @pytest.mark.parametrize("where", [(0.0, 0.0), (100.0, 100.0), (30000.0, 0.0),
+                                       (1e12, -1e12), (-5e-324, 5e-324)], ids=repr)
+    def test_all_colocated(self, where):
+        # a zero span puts the cell at its floor; each node takes the three
+        # smallest other ids
+        for n in (1, 2, 4, 5, 9):
+            got = self.links([where] * n)
+            assert got == {(a, b) for a in range(n) for b in range(a + 1, n) if b < 4 or a < 3}
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-324, 1.0, 375.0, 5999.0, 6000.0,
+                                     math.nextafter(6000.0, math.inf), 1e6], ids=repr)
+    def test_two_points(self, gap):
+        for x0, y0 in ((0.0, 0.0), (-3000.0, 15000.0), (1e12, 1e12)):
+            for dx, dy in ((gap, 0.0), (0.0, -gap), (gap * 0.6, gap * 0.8)):
+                x1, y1 = x0 + dx, y0 + dy
+                got = self.links([(x0, y0), (x1, y1)])
+                assert got == ({(0, 1)} if math.hypot(x1 - x0, y1 - y0) <= 6000.0 else set())
+
+    def test_fewer_than_three_in_reach(self):
+        # 1,100 co-located nodes pin the cell at its 375 m floor, so the
+        # others, with two or no nodes within reach, scan out to the reach
+        points = [(12000.0, 12000.0)] * 1100 + [(0.0, 0.0), (0.0, 4000.0), (4000.0, 0.0),
+                                                (12000.0, 0.0), (0.0, 12000.0)]
+        nodes = [Node(i, x, y, 1) for i, (x, y) in enumerate(points)]
+        assert self.search_cell(points) == 375.0
+        got = network._nearest_links(nodes, 6000.0, 3)
+        assert got == nearest_links_grid_as_written(nodes, 6000.0, 3)
+        assert {pair for pair in got if max(pair) >= 1100} == {
+            (1100, 1101), (1100, 1102), (1101, 1102)}
+
+    @pytest.mark.parametrize("n_nodes, seed", [(5000, 0), (10000, 1)])
+    def test_large_networks_match_the_grid_as_written(self, monkeypatch, n_nodes, seed):
+        got = synthesize_network(n_nodes, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_nearest_links", nearest_links_grid_as_written)
+            want = synthesize_network(n_nodes, seed)
+        assert repr(got.segments) == repr(want.segments)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 400), st.integers(0, 2**32 - 1),
+           st.sampled_from([(1, 3), (0, 3), (0, 0), (2, 5)]))
+    def test_reruns_are_bit_identical(self, n_nodes, seed, pads):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, f"{i}.csv") for i in range(2)]
+            for path in paths:
+                save_network(synthesize_network(n_nodes, seed, pads=pads), path)
+            texts = [open(path).read() for path in paths]
+        assert texts[0] == texts[1]
 
 
 class TestShortestPaths:
