@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .energy import DroneSpec, EnergyModel, travel_time
+from .energy import DroneSpec, EnergyModel
 from .formations import CoefficientTable
 from .network import DeliveryRequest, NetworkFormatError, SkywayNetwork, shortest_path_tree
 from .planner import (
@@ -26,6 +26,7 @@ from .planner import (
     compose,
     dijkstra_baseline,
     floyd_warshall_baseline,
+    segment_time,
     static_edge_costs,
     static_edges,
 )
@@ -178,9 +179,10 @@ def check_segment_times(net: SkywayNetwork, cruise_speed: float) -> None:
     """Raise NetworkFormatError naming the first segment that does not
     take a finite time > 0 to fly at ``cruise_speed``."""
     for seg in net.segments:
-        if not 0 < (tt := travel_time(seg.distance_m, cruise_speed)) < math.inf:
-            raise NetworkFormatError(f"segment ({seg.u}, {seg.v}): {seg.distance_m} m "
-                                     f"takes {tt} min at {cruise_speed:g} km/h; need > 0")
+        try:
+            segment_time(seg, cruise_speed)
+        except ValueError as exc:
+            raise NetworkFormatError(str(exc)) from None
 
 
 def run_experiment(

@@ -39,7 +39,6 @@ from .network import (
 )
 from .planner import check_support_spacing
 from .preflight import (
-    DEFAULT_FAILURE_SCALE,
     failure_probability,
     network_diameter,
     redundancy_count,
@@ -48,6 +47,17 @@ from .preflight import (
 )
 
 log = logging.getLogger("swarmway")
+
+# run's float flags: (flag, ExperimentConfig field, help)
+RUN_FLOATS = (
+    ("--gamma", "gamma", "request threshold, fraction of capacity"),
+    ("--delta-frac", "delta_frac", "provider reserve, fraction of capacity"),
+    ("--lambda", "quantum", "fairness quantum, mAh per turn"),
+    ("--share-rate", "share_rate", "in-flight transfer rate, mAh/min"),
+    ("--pad-minutes", "pad_minutes", "minutes a pad needs for one full charge"),
+    ("--failure-scale", "failure_scale", "failure probability scale factor"),
+    ("--bin-width", "bin_width_km", "summary distance bin width, km"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,26 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--requests-file", metavar="F",
                      help="load requests from CSV instead of synthesizing")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--strategies", default="baseline,pb,fb,dijkstra,floyd",
-                     help="comma list from: baseline,pb,fb,dijkstra,floyd")
-    run.add_argument("--positioning", default="location-aware,energy-aware",
-                     help="comma list from: location-aware,energy-aware")
-    run.add_argument("--gamma", type=float, default=0.8,
-                     help="request threshold, fraction of capacity (default 0.8)")
-    run.add_argument("--delta-frac", type=float, default=0.2,
-                     help="provider reserve, fraction of capacity (default 0.2)")
-    run.add_argument("--lambda", dest="quantum", type=float, default=2240.0,
-                     help="fairness quantum, mAh per turn (default 2240)")
-    run.add_argument("--share-rate", type=float, default=5.88,
-                     help="in-flight transfer rate, mAh/min (default 5.88)")
-    run.add_argument("--pad-minutes", type=float, default=60.0,
-                     help="minutes a pad needs for one full charge (default 60)")
+    cfg = ExperimentConfig()
+    run.add_argument("--strategies", default=",".join(cfg.strategies),
+                     help="comma list (default %(default)s)")
+    run.add_argument("--positioning", default=",".join(cfg.positionings),
+                     help="comma list (default %(default)s)")
+    for flag, name, about in RUN_FLOATS:
+        run.add_argument(flag, dest=name, type=float, default=getattr(cfg, name),
+                         help=f"{about} (default %(default)s)")
     run.add_argument("--coeffs", metavar="F",
                      help="coefficient CSV; omitted -> built-in table")
     run.add_argument("--out", default=".", metavar="DIR")
-    run.add_argument("--failure-scale", type=float, default=DEFAULT_FAILURE_SCALE)
-    run.add_argument("--bin-width", type=float, default=0.5,
-                     help="summary distance bin width, km (default 0.5)")
     run.add_argument("--synth-nodes", type=int, default=276,
                      help="node count before trimming when synthesizing")
     run.add_argument("--plot-data", action="store_true",
@@ -145,17 +146,8 @@ def _check_swarm_sizes(requests, table, strategies) -> None:
 def _cmd_run(args) -> None:
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     positionings = tuple(s.strip() for s in args.positioning.split(",") if s.strip())
-    cfg = ExperimentConfig(
-        strategies=strategies,
-        positionings=positionings,
-        gamma=args.gamma,
-        delta_frac=args.delta_frac,
-        quantum=args.quantum,
-        share_rate=args.share_rate,
-        pad_minutes=args.pad_minutes,
-        failure_scale=args.failure_scale,
-        bin_width_km=args.bin_width,
-    )
+    cfg = ExperimentConfig(strategies, positionings,
+                           **{name: getattr(args, name) for _, name, _ in RUN_FLOATS})
     net = _load_or_synthesize(args.network, args.synth_nodes, args.seed)
     check_segment_times(net, DroneSpec().cruise_speed)  # before --out is made
     table = load_coefficients(args.coeffs) if args.coeffs else default_table()

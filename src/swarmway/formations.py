@@ -21,11 +21,10 @@ synthetic but deliberately structured:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
-from .network import NetworkFormatError, Wind
+from .network import NetworkFormatError, Wind, read_rows
 
 FORMATION_KINDS = ("column", "front", "echelon", "vee", "diamond")
 WIND_SECTORS = ("head", "tail", "left", "right")
@@ -192,16 +191,15 @@ def load_coefficients(path) -> CoefficientTable:
     below its ``max_slots``; the first gap is named.
     """
     values = {}
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()) or row[0] == "formation":
-                continue
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                values[(row[0], int(row[1]), row[2])] = float(row[3])
-            except ValueError as exc:
-                raise NetworkFormatError(f"line {lineno}: {exc}") from None
+
+    def parse(row, lineno):
+        if row[0] == "formation":
+            return
+        if len(row) != 4:
+            raise ValueError(f"expected 4 fields, got {len(row)}")
+        values[(row[0], int(row[1]), row[2])] = float(row[3])
+
+    read_rows(path, parse)
     try:
         table = CoefficientTable(values)
         for kind in FORMATION_KINDS:

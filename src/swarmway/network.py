@@ -146,6 +146,19 @@ class SkywayNetwork:
         return heading
 
 
+def read_rows(path, parse) -> None:
+    """Call ``parse(row, lineno)`` on each row of the CSV file at ``path``
+    that is not blank; a ValueError it raises is re-raised as a
+    NetworkFormatError that starts with the 1-based line number."""
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if row and (len(row) > 1 or row[0].strip()):
+                try:
+                    parse(row, lineno)
+                except ValueError as exc:
+                    raise NetworkFormatError(f"line {lineno}: {exc}") from None
+
+
 def load_network(path) -> SkywayNetwork:
     """Parse the two-section ``nodes``/``segments`` CSV format.
 
@@ -156,37 +169,30 @@ def load_network(path) -> SkywayNetwork:
     nodes: list[Node] = []
     segments: list[Segment] = []
     section = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            head = row[0].strip().lower()
-            if head in ("nodes", "segments") and len(row) == 1:
-                section = head
-                continue
-            if section is None:
-                raise NetworkFormatError(
-                    f"line {lineno}: expected a 'nodes' section header first"
-                )
-            try:
-                if section == "nodes":
-                    if len(row) != 4:
-                        raise ValueError(f"expected 4 fields, got {len(row)}")
-                    nodes.append(
-                        Node(int(row[0]), float(row[1]), float(row[2]), int(row[3]))
-                    )
-                else:
-                    if len(row) == 3:
-                        raise ValueError(
-                            f"segment ({int(row[0])}, {int(row[1])}) has no wind data; "
-                            "planning needs wind speed and direction on every segment"
-                        )
-                    if len(row) != 5:
-                        raise ValueError(f"expected 5 fields, got {len(row)}")
-                    segments.append(Segment(int(row[0]), int(row[1]), float(row[2]),
-                                            Wind(float(row[3]), float(row[4]))))
-            except ValueError as exc:
-                raise NetworkFormatError(f"line {lineno}: {exc}") from None
+
+    def parse(row, lineno):
+        nonlocal section
+        head = row[0].strip().lower()
+        if head in ("nodes", "segments") and len(row) == 1:
+            section = head
+        elif section is None:
+            raise ValueError("expected a 'nodes' section header first")
+        elif section == "nodes":
+            if len(row) != 4:
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            nodes.append(Node(int(row[0]), float(row[1]), float(row[2]), int(row[3])))
+        elif len(row) == 3:
+            raise ValueError(
+                f"segment ({int(row[0])}, {int(row[1])}) has no wind data; "
+                "planning needs wind speed and direction on every segment"
+            )
+        elif len(row) != 5:
+            raise ValueError(f"expected 5 fields, got {len(row)}")
+        else:
+            segments.append(Segment(int(row[0]), int(row[1]), float(row[2]),
+                                    Wind(float(row[3]), float(row[4]))))
+
+    read_rows(path, parse)
     try:
         return SkywayNetwork(nodes, segments)
     except ValueError as exc:
@@ -214,32 +220,25 @@ def load_requests(path, max_weight: float | None = None,
     when those are given."""
     requests = []
     first_line: dict[int, int] = {}  # request id -> line that defined it
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                weights = [float(w) for w in row[3].split(";") if w]
-                req = DeliveryRequest(int(row[0]), int(row[1]), int(row[2]), weights)
-                if max_weight is not None:
-                    for w in weights:
-                        if w > max_weight:
-                            raise ValueError(
-                                f"request {req.id}: weight {w} exceeds {max_weight}"
-                            )
-                for nid in (req.source, req.destination):
-                    if nodes is not None and nid not in nodes:
-                        raise ValueError(f"request {req.id}: unknown node {nid}")
-                if req.id in first_line:
-                    raise ValueError(
-                        f"request id {req.id} repeats line {first_line[req.id]}"
-                    )
-            except ValueError as exc:
-                raise NetworkFormatError(f"line {lineno}: {exc}") from None
-            first_line[req.id] = lineno
-            requests.append(req)
+
+    def parse(row, lineno):
+        if len(row) != 4:
+            raise ValueError(f"expected 4 fields, got {len(row)}")
+        weights = [float(w) for w in row[3].split(";") if w]
+        req = DeliveryRequest(int(row[0]), int(row[1]), int(row[2]), weights)
+        if max_weight is not None:
+            for w in weights:
+                if w > max_weight:
+                    raise ValueError(f"request {req.id}: weight {w} exceeds {max_weight}")
+        for nid in (req.source, req.destination):
+            if nodes is not None and nid not in nodes:
+                raise ValueError(f"request {req.id}: unknown node {nid}")
+        if req.id in first_line:
+            raise ValueError(f"request id {req.id} repeats line {first_line[req.id]}")
+        first_line[req.id] = lineno
+        requests.append(req)
+
+    read_rows(path, parse)
     return requests
 
 

@@ -151,6 +151,16 @@ class _Block:
     capacities: dict[int, float]
 
 
+def segment_time(seg, cruise_speed: float) -> float:
+    """Minutes to fly ``seg`` at ``cruise_speed``; ValueError naming the
+    segment unless that is finite and > 0."""
+    tt = travel_time(seg.distance_m, cruise_speed)
+    if not 0 < tt < math.inf:
+        raise ValueError(f"segment ({seg.u}, {seg.v}): {seg.distance_m} m "
+                         f"takes {tt} min at {cruise_speed:g} km/h; need > 0")
+    return tt
+
+
 class _RateCache:
     """Per-sector drain rates, swap tables and pad candidates at the swarm's
     standing slots, each directed leg's segment, sector and travel time, and
@@ -178,7 +188,7 @@ class _RateCache:
             seg = net.segment(u, v)
             hit = self._legs[(u, v)] = (
                 seg, wind_sector(net.heading(u, v), seg.wind),
-                travel_time(seg.distance_m, self.model.spec.cruise_speed))
+                segment_time(seg, self.model.spec.cruise_speed))
         return hit
 
     def rates(self, sector: str) -> dict[int, float]:
@@ -330,6 +340,22 @@ def _grid_feasible(traces: dict[int, list[tuple[float, float]]], tt: float) -> b
     return True
 
 
+def _plain_drain(before, rates, tt, ids):
+    """End batteries a = b - rate * tt by id, in ``ids`` order, of drones
+    that drain over a leg; None at the first that fails it.  On the trace
+    (0, b) -> (tt, a) ``_grid_feasible`` reads b, and at tt its piece
+    formula, at most b as rates are positive.  So the tt read, as below,
+    decides alone; a does not: at some legs that end at the floor the two
+    differ by an ulp."""
+    after = {}
+    for i in ids:
+        b = before[i]
+        after[i] = a = b - rates[i] * tt
+        if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
+            return None
+    return after
+
+
 def _share_block(block, before, rates, tt, share, model, swaps):
     """Compose one provider block over a leg; None if the composer would
     grant nothing, in which case the block just drains."""
@@ -377,10 +403,7 @@ def feasible_leg(
     Each block is judged as soon as it is built, and the first that fails
     ends the leg before the next is composed: a composed block by
     ``_grid_feasible`` on its own traces, a draining drone by
-    ``_plain_fails``'s read of its two-point trace, which equals it.  A
-    leg that is not finite and > 0 minutes long, which the composers
-    reject, is judged whole once every block is built, so it raises
-    wherever judging every block at the end raised.
+    ``_plain_drain``'s read of its two-point trace, which equals it.
     """
     cache = rate_cache or _RateCache(swarm, model)
     seg, sector, tt = cache.leg(net, u, v)
@@ -390,30 +413,25 @@ def feasible_leg(
     blocks = cache.blocks if share is not None else []
     plan = SharingPlan() if blocks else None
     swaps = cache.swaps(sector) if blocks else None
-    by_block = 0 < tt < math.inf  # else judge the whole leg at the end
     consumed, traces = {}, {}
     for block in blocks or [None]:
         result = None
         if block is not None:
             result = _share_block(block, before, rates, tt, share, model, swaps)
         if result is None:
-            for i in block.ids if block else rates:  # rates: every drone, in order
-                b = before[i]
-                consumed[i] = spent = rates[i] * tt
-                a = b - spent
-                traces[i] = [(0.0, b), (tt, a)]
-                if by_block and b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
-                    return None
+            after = _plain_drain(before, rates, tt, block.ids if block else rates)
+            if after is None:
+                return None
+            for i, a in after.items():
+                consumed[i] = rates[i] * tt
+                traces[i] = [(0.0, before[i]), (tt, a)]
             continue
-        if by_block and not _grid_feasible(result.traces, tt):
+        if not _grid_feasible(result.traces, tt):
             return None
         consumed.update(result.consumed)
         traces.update(result.traces)
         plan.allocations.extend(result.plan.allocations)
         plan.swaps.extend(result.plan.swaps)
-
-    if not by_block and not _grid_feasible(traces, tt):
-        return None
     return LegOutcome(u, v, seg.distance_m, tt, sector, consumed, plan, traces)
 
 
@@ -587,26 +605,18 @@ def _plain_fails(net, path, batteries, cache) -> bool:
     """True when flying ``path`` from ``batteries`` without sharing fails,
     decided without building a leg.
 
-    Without sharing, drone i's trace over a leg is (0, b) -> (tt, a) with
-    a = b - rate_i * tt, as ``feasible_leg`` builds it.  On that trace
-    ``_grid_feasible`` reads b and b + (a - b) * tt / tt, or a alone when
-    tt == 0.0.  Every rate is positive, so a - b <= 0 and the second read
-    is at most b: b never decides, and the second read is tested alone.
-    It, not a, decides: the two differ by an ulp at some legs that end at
-    the floor.  Legs are read in order, so a leg whose rates cannot be
-    built raises its ValueError only after every leg before it passed,
-    where ``feasible_leg`` raises it too.
+    Each leg is ``_plain_drain``'s read, as ``feasible_leg`` makes it.
+    Legs are read in order, so a leg whose rates cannot be built raises
+    its ValueError only after every leg before it passed, where
+    ``feasible_leg`` raises it too.
     """
     state = batteries
     for u, v in zip(path, path[1:]):
         _, sector, tt = cache.leg(net, u, v)
-        after = {}
-        for i, rate in cache.rates(sector).items():
-            b = state[i]
-            after[i] = a = b - rate * tt
-            if (b + (a - b) * tt / tt if tt else a) < -FLOOR_TOLERANCE:
-                return True
-        state = after
+        rates = cache.rates(sector)
+        state = _plain_drain(state, rates, tt, rates)
+        if state is None:
+            return True
     return False
 
 
@@ -632,16 +642,22 @@ def _fly_through(swarm, net, path, model, batteries, share, cache):
     return legs
 
 
-def _stop_drains(full, rates, tt):
-    """Each drone's drain cap - a, in swarm order, where a = cap - rate * tt
-    ends a leg flown from ``full``; None when ``_plain_fails`` fails the leg."""
-    drains = []
-    for cap, rate in zip(full.values(), rates.values()):
-        a = cap - rate * tt
-        if (cap + (a - cap) * tt / tt if tt else a) < -FLOOR_TOLERANCE:
-            return None
-        drains.append(cap - a)
-    return drains
+def _price_stop(swarm, net, u, v, destination, full, model, cache):
+    """(tt + nt, visit) of flying u -> v from ``full`` batteries and
+    recharging everyone at v, or (tt, None) at the ``destination``; None
+    when a drone cannot fly the leg.  From full both composers are idle on
+    one leg, so it drains as ``_plain_drain`` reads it, with sharing or
+    without, and no leg is built."""
+    _, sector, tt = cache.leg(net, u, v)
+    rates = cache.rates(sector)
+    after = _plain_drain(full, rates, tt, rates)
+    if after is None:
+        return None
+    if v == destination:
+        return tt, None
+    visit = _full_recharge(swarm, net.nodes[v], sector,
+                           [full[i] - a for i, a in after.items()], model, cache)
+    return tt + visit.nt, visit
 
 
 def _full_recharge(swarm, node, sector, drains, model, cache):
@@ -683,9 +699,8 @@ def compose(
     strands the plan as "stuck".
 
     Every round starts on full batteries: at the source and after each
-    recharge.  From full both composers are idle on a single leg, so a
-    neighbor is feasible exactly when ``_plain_fails`` passes its leg, and
-    its price tt + nt needs no leg built; only the stop taken builds one.
+    recharge, so ``_price_stop`` judges and prices each neighbor without
+    building its leg; only the stop taken builds one.
     A round is then a pure function of its node, so the first round at a
     node keeps its feasible stops, in neighbor order, and a later round
     there picks from them, less the neighbors that have since reached
@@ -720,20 +735,13 @@ def compose(
 
             stops = stops_at[current] = []
             for nb in net.neighbors(current):
-                if visit_count.get(nb, 0) >= MAX_NODE_VISITS:
+                if visit_count.get(nb, 0) >= MAX_NODE_VISITS or (
+                        nb != request.destination and net.nodes[nb].pads < 1):
                     continue
-                if nb != request.destination and net.nodes[nb].pads < 1:
-                    continue
-                _, sector, tt = cache.leg(net, current, nb)
-                drains = _stop_drains(full, cache.rates(sector), tt)
-                if drains is None:
-                    continue
-                if nb == request.destination:
-                    visit, nt = None, 0.0
-                else:
-                    visit = _full_recharge(swarm, net.nodes[nb], sector, drains, model, cache)
-                    nt = visit.nt
-                stops.append((tt + nt, nb, visit))
+                stop = _price_stop(swarm, net, current, nb, request.destination, full,
+                                   model, cache)
+                if stop is not None:
+                    stops.append((stop[0], nb, stop[1]))
 
         best = None
         for stop in stops:
@@ -762,7 +770,7 @@ def static_edges(net: SkywayNetwork, cruise_speed: float):
     keys = []
     groups: dict[tuple[str, int], tuple[list, list]] = {}
     for seg in net.segments:
-        tt = travel_time(seg.distance_m, cruise_speed)
+        tt = segment_time(seg, cruise_speed)
         for a, b in ((seg.u, seg.v), (seg.v, seg.u)):
             keys.append((a, b))
             pads = net.nodes[b].pads
@@ -891,18 +899,18 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
 
 
 def _simulate_static_path(swarm, net, path, model, request_id, strategy):
-    """Fly a fixed path with full recharges at the intermediate stops."""
+    """Fly a fixed path with full recharges at the intermediate stops, each
+    judged and priced as ``compose`` prices a stop."""
     plan = DeliveryPlan(request_id, strategy, "stuck", path[0], [], [])
     cache = _RateCache(swarm, model)
+    full = {d.id: d.capacity for d in swarm.drones}
     for a, b in zip(path, path[1:]):
-        leg = feasible_leg(swarm, net, a, b, model, rate_cache=cache)
-        if leg is None:
+        stop = _price_stop(swarm, net, a, b, path[-1], full, model, cache)
+        if stop is None:
             return plan
-        plan.legs.append(leg)
-        if b != path[-1]:
-            drains = [d.capacity - after for d, after in zip(swarm.drones, leg.batteries_after.values())]
-            plan.visits.append(_full_recharge(swarm, net.nodes[b], leg.sector, drains,
-                                              model, cache))
+        plan.legs.append(feasible_leg(swarm, net, a, b, model, rate_cache=cache))
+        if stop[1] is not None:
+            plan.visits.append(stop[1])
     plan.status = "success"
     return plan
 

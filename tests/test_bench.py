@@ -633,6 +633,18 @@ class TestCli:
         for f in dataclasses.fields(ExperimentConfig):
             assert getattr(cfg, f.name) != getattr(default, f.name), f.name
 
+    def test_no_sweep_flag_gives_the_default_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(net, requests, table, cfg, **kwargs):
+            seen.append(cfg)
+            return [], bin_metrics([], cfg.bin_width_km)
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        assert main(["run", "--synth-nodes", "20", "--requests", "1",
+                     "--out", str(tmp_path / "exp"), "--quiet"]) == 0
+        assert seen == [ExperimentConfig()]
+
     def test_missing_network_exits_3(self, tmp_path):
         assert main(["run", "--network", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path), "--quiet"]) == 3

@@ -329,6 +329,43 @@ class TestGridCheck:
                                                                 FLOOR_TOLERANCE)
 
 
+def static_costs(swarm, net, model):
+    return static_edge_costs(swarm, static_edges(net, model.spec.cruise_speed), model)
+
+
+LEG_READERS = {
+    "baseline": lambda swarm, net, req, model: compose(swarm, net, req, model),
+    "pb": lambda swarm, net, req, model: compose(swarm, net, req, model,
+                                                 share=ShareConfig("pb")),
+    "fb": lambda swarm, net, req, model: compose(swarm, net, req, model,
+                                                 share=ShareConfig("fb")),
+    "feasible_leg": lambda swarm, net, req, model: feasible_leg(
+        swarm, net, req.source, req.destination, model),
+    "dijkstra": lambda swarm, net, req, model: dijkstra_baseline(
+        swarm, net, req, model, costs=static_costs(swarm, net, model)),
+    "floyd": lambda swarm, net, req, model: floyd_warshall_baseline(
+        swarm, net, req, model, costs=static_costs(swarm, net, model)),
+}
+
+
+@pytest.mark.parametrize("reader", LEG_READERS)
+@pytest.mark.parametrize("metres, speed, minutes", [
+    (1e-320, 30.0, "0.0"),  # rounds to 0.0 minutes
+    (1e10, 1e-300, "inf"),  # 6e308 minutes overflows
+], ids=["no time", "no finite time"])
+def test_a_leg_that_takes_no_time_or_no_finite_time_is_rejected(reader, metres, speed,
+                                                                 minutes):
+    spec = DroneSpec(cruise_speed=speed)
+    swarm = swarm_of([make_delivery_drone(0, 0.5, spec), make_support_drone(1, spec)])
+    net = SkywayNetwork([Node(0, 0.0, 0.0, 2), Node(1, 1000.0, 0.0, 2)],
+                        [Segment(0, 1, metres, CALM)])
+    with pytest.raises(ValueError) as info:
+        LEG_READERS[reader](swarm, net, DeliveryRequest(0, 0, 1, [0.5]),
+                            EnergyModel(spec, default_table()))
+    assert str(info.value) == (f"segment (0, 1): {metres} m takes {minutes} min "
+                               f"at {speed:g} km/h; need > 0")
+
+
 class TestCompose:
     def stop_spec(self):
         return DroneSpec(battery_capacity=700.0, cruise_speed=60.0,
@@ -1009,11 +1046,15 @@ class TestPlainFlyThrough:
 
     @pytest.mark.parametrize("battery, fails", [(-2e-9, True), (-FLOOR_TOLERANCE, False)])
     def test_a_leg_of_no_time_reads_its_start(self, battery, fails):
-        # a subnormal distance takes 0.0 minutes, where the grid reads the
-        # leg end alone: b - rate * 0.0 == b
+        # a subnormal distance takes 0.0 minutes: the leg is rejected before
+        # any battery is read, whether the start is below the floor or not
         case = self.one_drone(50.0, battery, 1e-323)
-        assert travel_time(case[1].segments[0].distance_m, 60.0) == 0.0
-        self.assert_agrees(case, fails)
+        message = no_time_message(case[1], 0, 1, case[3])
+        assert message.startswith("segment (0, 1): ")
+        for check in (plain_fails, lambda *c: fly_leg_by_leg(*c, None)):
+            with pytest.raises(ValueError) as info:
+                check(*case)
+            assert str(info.value) == message
 
     def test_a_start_below_the_floor_fails_the_first_leg(self):
         self.assert_agrees(self.one_drone(50.0, -2e-9, 1e-6), True)
@@ -1098,39 +1139,67 @@ def stop_legs(draw):
 
 
 class TestStopDrains:
-    """The walker prices a stop from one drain pass per neighbor: the same
-    verdict as ``_plain_fails`` and the same floats as the drains it took
-    from the travel time, and the leg's own, before that pass."""
+    """The walker and the static routers price a stop from one drain pass,
+    ``_price_stop``: the same verdict as ``_plain_fails`` and the leg
+    ``feasible_leg`` builds, and the same drains as those taken from the
+    travel time and from that leg, read by drone id."""
 
-    @given(stop_legs())
+    @given(stop_legs(), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_one_pass_prices_a_stop_as_the_probe_and_the_leg_did(self, case):
+    def test_one_pass_prices_a_stop_as_the_probe_and_the_leg_did(self, case, at_end):
         swarm, net, model = case
-        full = {d.id: d.capacity for d in swarm.drones}
+        # full batteries in reverse swarm order: the pass reads them by id
+        full = {d.id: d.capacity for d in reversed(swarm.drones)}
         cache = planner._RateCache(swarm, model)
-        _, sector, tt = cache.leg(net, 0, 1)
-        rates = cache.rates(sector)
-        drains = planner._stop_drains(full, rates, tt)
-        fails = planner._plain_fails(net, [0, 1], full, cache)
-        tiny = drains is not None and any(
-            drain < d.capacity * 1e-6 for d, drain in zip(swarm.drones, drains))
-        event(f"tt 0.0: {tt == 0.0}, fails: {fails}, a drain under 1e-6: {tiny}")
-        assert (drains is None) == fails
-        assert (feasible_leg(swarm, net, 0, 1, model) is None) == fails
-        if fails:
+        destination = 1 if at_end else None
+        message = no_time_message(net, 0, 1, model)
+        if message:
+            event("tt 0.0")
+            for check in (lambda: planner._price_stop(swarm, net, 0, 1, destination, full,
+                                                      model, cache),
+                          lambda: planner._plain_fails(net, [0, 1], full, cache),
+                          lambda: feasible_leg(swarm, net, 0, 1, model)):
+                with pytest.raises(ValueError) as info:
+                    check()
+                assert str(info.value) == message
             return
-        # the drains as the stop price took them from tt before the fused pass
+        with mock.patch.object(planner, "_full_recharge",
+                               wraps=planner._full_recharge) as spy:
+            stop = planner._price_stop(swarm, net, 0, 1, destination, full, model, cache)
+        fails = planner._plain_fails(net, [0, 1], full, cache)
+        leg = feasible_leg(swarm, net, 0, 1, model)
+        assert (stop is None) == fails == (leg is None)
+        _, sector, tt = cache.leg(net, 0, 1)
+        if fails:
+            event("fails")
+            return
+        if at_end:
+            assert stop == (tt, None) and not spy.called
+            return
+        # the drains the stop was priced from, as taken from tt and from the leg
+        rates = cache.rates(sector)
+        drains = spy.call_args.args[3]
         from_tt = [d.capacity - (d.capacity - rates[d.id] * tt) for d in swarm.drones]
-        after = feasible_leg(swarm, net, 0, 1, model).batteries_after
-        from_leg = [d.capacity - after[d.id] for d in swarm.drones]
+        from_leg = [d.capacity - leg.batteries_after[d.id] for d in swarm.drones]
+        event(f"a drain under 1e-6: "
+              f"{any(drain < d.capacity * 1e-6 for d, drain in zip(swarm.drones, drains))}")
         assert repr(drains) == repr(from_tt) == repr(from_leg)
         node = net.nodes[1]
-        visit = planner._full_recharge(swarm, node, sector, drains, model, cache)
         want = planner._full_recharge(swarm, node, sector, from_tt, model,
                                       planner._RateCache(swarm, model))
         sched = pad_schedule([d / model.spec.pad_charge_rate for d in from_tt], node.pads)
-        assert repr(visit) == repr(want) == repr(
-            planner.NodeVisit(node.id, sched.node_time, sched.queues))
+        assert repr(stop) == repr((tt + want.nt, want))
+        assert repr(want) == repr(planner.NodeVisit(node.id, sched.node_time, sched.queues))
+
+
+def no_time_message(net, a, b, model):
+    """The error that rejects the leg a -> b if it flies in 0.0 minutes,
+    else the empty string."""
+    seg = net.segment(a, b)
+    if travel_time(seg.distance_m, model.spec.cruise_speed) != 0.0:
+        return ""
+    return (f"segment ({seg.u}, {seg.v}): {seg.distance_m} m takes 0.0 min "
+            f"at {model.spec.cruise_speed:g} km/h; need > 0")
 
 
 def judged(check, *args, **kwargs):
@@ -1176,9 +1245,13 @@ def blocks_on_legs(draw, shares=st.one_of(st.none(), SHARE_CONFIGS)):
     net, path = path_net(draw(st.lists(st.tuples(degrees, km, st.floats(0.0, 13.0),
                                                   degrees), min_size=1, max_size=4)))
     cache = planner._RateCache(swarm, model)
-    steps = [cache.leg(net, a, b) for a, b in zip(path, path[1:])]
+    # each leg's sector and travel time, read without cache.leg, which
+    # rejects a leg of no time
+    steps = [(wind_sector(net.heading(a, b), seg.wind),
+              travel_time(seg.distance_m, spec.cruise_speed))
+             for a, b in zip(path, path[1:]) for seg in [net.segment(a, b)]]
     k = draw(st.integers(1, len(steps)))
-    tts = [tt for _, _, tt in steps[:k]]
+    tts = [tt for _, tt in steps[:k]]
     batteries = {}
     for d in drones:
         choices = [st.just(d.capacity), st.floats(0.0, d.capacity),
@@ -1186,7 +1259,7 @@ def blocks_on_legs(draw, shares=st.one_of(st.none(), SHARE_CONFIGS)):
                    st.sampled_from(NEAR_FLOOR)]
         if all(tts):  # the grid's read is 0/0 on a leg of no time
             near = starts_near_the_floor(
-                [cache.rates(sector)[d.id] for _, sector, _ in steps[:k]], tts, d.capacity)
+                [cache.rates(sector)[d.id] for sector, _ in steps[:k]], tts, d.capacity)
             if near:  # where the grid's read and a fall either side, one of those
                 choices.append(st.sampled_from([start for start, split in near if split]
                                                or [start for start, _ in near]))
@@ -1227,8 +1300,11 @@ class TestSharedLegsAsWritten:
                                batteries=state, share=share, rate_cache=old_cache)
             assert got == want
             verdict = "raises" if want[0] == "raises" else "passes" if leg else "fails"
+            no_time = no_time_message(net, a, b, model)
+            if no_time:
+                assert got == ("raises", "ValueError", no_time)
             event(f"{share.strategy if share else 'no sharing'}, "
-                  f"tt 0.0: {cache.leg(net, a, b)[2] == 0.0}, {verdict}")
+                  f"tt 0.0: {bool(no_time)}, {verdict}")
             if share is not None:
                 event(f"{verdict} after {len(built)} of {len(cache.blocks)} blocks, "
                       f"{sum(built)} composed")
@@ -1270,6 +1346,10 @@ class TestSharedLegsAsWritten:
                          share, planner._RateCache(swarm, model))
         event(f"{share.strategy} rules out: {ruled_out}")
         assert got == want
+        # every leg is read before any is judged: the first of no time raises
+        no_time = [m for a, b in zip(path, path[1:]) if (m := no_time_message(net, a, b, model))]
+        if no_time:
+            assert got == ("raises", "ValueError", no_time[0])
 
 
 class TestSharedFlyThroughBoundOnWorlds:
