@@ -163,14 +163,22 @@ def segment_time(seg, cruise_speed: float) -> float:
 
 class _RateCache:
     """Per-sector drain rates, swap tables and pad candidates at the swarm's
-    standing slots, each directed leg's segment, sector and travel time, and
-    the swarm's provider blocks.  One lives for one compose: sharing it
-    would move work between the timed regions of pb and fb."""
+    standing slots, each directed leg's segment, sector and travel time and
+    its rates, and the swarm's provider blocks.  One lives for one compose:
+    sharing it would move work between the timed regions of pb and fb.
+
+    ``failed`` is the swarm index of the drone that failed the last
+    ``_plain_fails`` check, which the next check judges first."""
 
     def __init__(self, swarm: Swarm, model: EnergyModel):
         self.swarm = swarm
         self.model = model
+        self.ids = tuple(d.id for d in swarm.drones)
+        self.caps = tuple(d.capacity for d in swarm.drones)
+        self.floors = tuple(cap * 1e-6 for cap in self.caps)
+        self.failed = 0
         self._legs: dict[tuple[int, int], tuple] = {}
+        self._rows: dict[tuple[int, int], tuple] = {}
         self._by_sector: dict[str, dict[int, float]] = {}
         self._swaps_by_sector: dict[str, dict[int, SwapPlan | None]] = {}
         self._least_by_sector: dict[str, dict[int, float]] = {}
@@ -189,6 +197,16 @@ class _RateCache:
             hit = self._legs[(u, v)] = (
                 seg, wind_sector(net.heading(u, v), seg.wind),
                 segment_time(seg, self.model.spec.cruise_speed))
+        return hit
+
+    def row(self, net: SkywayNetwork, u: int, v: int):
+        """(segment, wind sector, travel time, rates by id, the same rates
+        in swarm order) of the leg u -> v."""
+        hit = self._rows.get((u, v))
+        if hit is None:
+            seg, sector, tt = self.leg(net, u, v)
+            rates = self.rates(sector)
+            hit = self._rows[(u, v)] = (seg, sector, tt, rates, tuple(rates.values()))
         return hit
 
     def rates(self, sector: str) -> dict[int, float]:
@@ -346,7 +364,8 @@ def _plain_drain(before, rates, tt, ids):
     (0, b) -> (tt, a) ``_grid_feasible`` reads b, and at tt its piece
     formula, at most b as rates are positive.  So the tt read, as below,
     decides alone; a does not: at some legs that end at the floor the two
-    differ by an ulp."""
+    differ by an ulp.  ``_plain_fails`` and ``_price_stop`` make the same
+    read inline, a drone at a time."""
     after = {}
     for i in ids:
         b = before[i]
@@ -406,8 +425,7 @@ def feasible_leg(
     ``_plain_drain``'s read of its two-point trace, which equals it.
     """
     cache = rate_cache or _RateCache(swarm, model)
-    seg, sector, tt = cache.leg(net, u, v)
-    rates = cache.rates(sector)
+    seg, sector, tt, rates, _ = cache.row(net, u, v)
     before = batteries if batteries is not None else {d.id: d.capacity for d in swarm.drones}
 
     blocks = cache.blocks if share is not None else []
@@ -605,18 +623,37 @@ def _plain_fails(net, path, batteries, cache) -> bool:
     """True when flying ``path`` from ``batteries`` without sharing fails,
     decided without building a leg.
 
-    Each leg is ``_plain_drain``'s read, as ``feasible_leg`` makes it.
-    Legs are read in order, so a leg whose rates cannot be built raises
-    its ValueError only after every leg before it passed, where
-    ``feasible_leg`` raises it too.
+    Without sharing each drone drains on its own at its standing rate, so
+    the check judges one drone at a time down the path, each leg by
+    ``_plain_drain``'s read, and reads a leg's row only once a drone
+    reaches it.  The order cannot change the verdict; it starts with the
+    drone that failed the last check (``cache.failed``), which most often
+    fails this one too.  A leg whose rates cannot be built ends the legs
+    that later drones read, and raises its ValueError only if no drone
+    fails a leg before it, where ``feasible_leg`` raises it too.
     """
-    state = batteries
-    for u, v in zip(path, path[1:]):
-        _, sector, tt = cache.leg(net, u, v)
-        rates = cache.rates(sector)
-        state = _plain_drain(state, rates, tt, rates)
-        if state is None:
-            return True
+    ids, first = cache.ids, cache.failed
+    tts, rows = [], []  # of the legs read so far, in path order
+    end, error = len(path) - 1, None
+    for i in (first, *range(first), *range(first + 1, len(ids))):
+        b = batteries[ids[i]]
+        for j in range(end):
+            if j == len(rows):
+                try:
+                    _, _, tt, _, row = cache.row(net, path[j], path[j + 1])
+                except ValueError as exc:
+                    end, error = j, exc
+                    break
+                tts.append(tt)
+                rows.append(row)
+            tt = tts[j]
+            a = b - rows[j][i] * tt
+            if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
+                cache.failed = i
+                return True
+            b = a
+    if error is not None:
+        raise error
     return False
 
 
@@ -642,42 +679,41 @@ def _fly_through(swarm, net, path, model, batteries, share, cache):
     return legs
 
 
-def _price_stop(swarm, net, u, v, destination, full, model, cache):
-    """(tt + nt, visit) of flying u -> v from ``full`` batteries and
-    recharging everyone at v, or (tt, None) at the ``destination``; None
-    when a drone cannot fly the leg.  From full both composers are idle on
-    one leg, so it drains as ``_plain_drain`` reads it, with sharing or
-    without, and no leg is built."""
-    _, sector, tt = cache.leg(net, u, v)
-    rates = cache.rates(sector)
-    after = _plain_drain(full, rates, tt, rates)
-    if after is None:
-        return None
-    if v == destination:
-        return tt, None
-    visit = _full_recharge(swarm, net.nodes[v], sector,
-                           [full[i] - a for i, a in after.items()], model, cache)
-    return tt + visit.nt, visit
+def _price_stop(net, u, v, destination, cache):
+    """(tt + nt, visit) of flying u -> v from full batteries and recharging
+    everyone at v, or (tt, None) at the ``destination``; None when a drone
+    cannot fly the leg.  From full both composers are idle on one leg, so it
+    drains as ``_plain_drain`` reads it, with sharing or without, and no leg
+    is built.
 
-
-def _full_recharge(swarm, node, sector, drains, model, cache):
-    """Pad schedule for topping everyone up at ``node`` after a leg in
-    ``sector`` that started full, priced from the drones' ``drains`` (in
-    swarm order) without building the leg.
-
-    Each drain is cap - (cap - rate * tt), the leg's own end battery
-    taken back from full.  The sector's pad candidates hold
+    One pass over the leg's rates judges each drone and takes its drain
+    cap - (cap - rate * tt), the leg's own end battery taken back from
+    full, and its restore time.  The sector's pad candidates hold
     pad_schedule's optimum on these times (see static_edge_costs), except
     above the exhaustive cap or for a drain under a millionth of a
     capacity, where pad_schedule searches.
     """
-    times = [drain / model.spec.pad_charge_rate for drain in drains]
-    if len(times) <= PAD_EXHAUSTIVE_CAP and all(
-            drain >= d.capacity * 1e-6 for d, drain in zip(swarm.drones, drains)):
-        return NodeVisit(node.id, *_first_optimum(
-            cache.pad_candidates(sector, node.pads), times))
-    sched = pad_schedule(times, node.pads)
-    return NodeVisit(node.id, sched.node_time, sched.queues)
+    _, sector, tt, _, row = cache.row(net, u, v)
+    pad_rate = cache.model.spec.pad_charge_rate
+    times, search = [], len(row) > PAD_EXHAUSTIVE_CAP
+    for cap, floor, rate in zip(cache.caps, cache.floors, row):
+        a = cap - rate * tt
+        if cap + (a - cap) * tt / tt < -FLOOR_TOLERANCE:
+            return None
+        drain = cap - a
+        if drain < floor:
+            search = True
+        times.append(drain / pad_rate)
+    if v == destination:
+        return tt, None
+    node = net.nodes[v]
+    if search:
+        sched = pad_schedule(times, node.pads)
+        visit = NodeVisit(node.id, sched.node_time, sched.queues)
+    else:
+        visit = NodeVisit(node.id, *_first_optimum(cache.pad_candidates(sector, node.pads),
+                                                   times))
+    return tt + visit.nt, visit
 
 
 def compose(
@@ -738,8 +774,7 @@ def compose(
                 if visit_count.get(nb, 0) >= MAX_NODE_VISITS or (
                         nb != request.destination and net.nodes[nb].pads < 1):
                     continue
-                stop = _price_stop(swarm, net, current, nb, request.destination, full,
-                                   model, cache)
+                stop = _price_stop(net, current, nb, request.destination, cache)
                 if stop is not None:
                     stops.append((stop[0], nb, stop[1]))
 
@@ -903,9 +938,8 @@ def _simulate_static_path(swarm, net, path, model, request_id, strategy):
     judged and priced as ``compose`` prices a stop."""
     plan = DeliveryPlan(request_id, strategy, "stuck", path[0], [], [])
     cache = _RateCache(swarm, model)
-    full = {d.id: d.capacity for d in swarm.drones}
     for a, b in zip(path, path[1:]):
-        stop = _price_stop(swarm, net, a, b, path[-1], full, model, cache)
+        stop = _price_stop(net, a, b, path[-1], cache)
         if stop is None:
             return plan
         plan.legs.append(feasible_leg(swarm, net, a, b, model, rate_cache=cache))

@@ -503,8 +503,8 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
             else:
                 after = leg.batteries_after
                 drains = [d.capacity - after[d.id] for d in swarm.drones]
-                visit = planner._full_recharge(swarm, net.nodes[nb], leg.sector, drains,
-                                               model, cache)
+                visit = full_recharge_as_written(swarm, net.nodes[nb], leg.sector, drains,
+                                                 model, cache)
                 nt = visit.nt
             cost = leg.tt + nt
             if best is None or cost < best[0]:
@@ -634,3 +634,51 @@ def sharing_cannot_save_as_written(net, path, model, batteries, share, cache) ->
         if deficit > _pool(batteries[p], drained, reserve, share) + margin:
             return True
     return False
+
+
+def plain_fails_as_written(net, path, batteries, cache) -> bool:
+    """``planner._plain_fails`` before it judged one drone at a time, as
+    written: every drone leg by leg through ``_plain_drain``."""
+    from swarmway.planner import _plain_drain
+
+    state = batteries
+    for u, v in zip(path, path[1:]):
+        _, sector, tt = cache.leg(net, u, v)
+        rates = cache.rates(sector)
+        state = _plain_drain(state, rates, tt, rates)
+        if state is None:
+            return True
+    return False
+
+
+def price_stop_as_written(swarm, net, u, v, destination, full, model, cache):
+    """``planner._price_stop`` before it read the leg's rates in one pass
+    with no dict of end batteries, as written."""
+    from swarmway.planner import _plain_drain
+
+    _, sector, tt = cache.leg(net, u, v)
+    rates = cache.rates(sector)
+    after = _plain_drain(full, rates, tt, rates)
+    if after is None:
+        return None
+    if v == destination:
+        return tt, None
+    visit = full_recharge_as_written(swarm, net.nodes[v], sector,
+                                     [full[i] - a for i, a in after.items()], model, cache)
+    return tt + visit.nt, visit
+
+
+def full_recharge_as_written(swarm, node, sector, drains, model, cache):
+    """``planner._full_recharge``, the stop's pad schedule from the drones'
+    ``drains`` in swarm order, before ``_price_stop`` took it in, as
+    written."""
+    from swarmway.energy import PAD_EXHAUSTIVE_CAP, _first_optimum, pad_schedule
+    from swarmway.planner import NodeVisit
+
+    times = [drain / model.spec.pad_charge_rate for drain in drains]
+    if len(times) <= PAD_EXHAUSTIVE_CAP and all(
+            drain >= d.capacity * 1e-6 for d, drain in zip(swarm.drones, drains)):
+        return NodeVisit(node.id, *_first_optimum(
+            cache.pad_candidates(sector, node.pads), times))
+    sched = pad_schedule(times, node.pads)
+    return NodeVisit(node.id, sched.node_time, sched.queues)

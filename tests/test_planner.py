@@ -56,9 +56,12 @@ from swarmway.sharing import SharingPlan
 from instances import transfer_sums
 from oracles import (
     feasible_leg_as_written,
+    full_recharge_as_written,
     grid_scan_feasible,
     leg_grid_feasible,
     near_optimal_queues_reference,
+    plain_fails_as_written,
+    price_stop_as_written,
     sharing_cannot_save_as_written,
     walk_every_round,
 )
@@ -912,6 +915,14 @@ def plain_fails(swarm, net, path, model, batteries):
     return planner._plain_fails(net, path, batteries, planner._RateCache(swarm, model))
 
 
+def hinted_cache(swarm, model, first):
+    """A fresh cache whose next plain check judges drone ``first`` (its
+    index in the swarm) first."""
+    cache = planner._RateCache(swarm, model)
+    cache.failed = first
+    return cache
+
+
 def a_leg_ends_below_the_floor(swarm, net, path, model, batteries):
     """Whether some drone's b - rate * tt falls below the floor at a leg
     end, legs in order: the plain check if it read a in place of the
@@ -1017,14 +1028,17 @@ class TestPlainFlyThrough:
         event(f"plain fails: {fails}; decided by {decided}")
         assert fails == (fly_leg_by_leg(*case, None) is None)
 
-    def one_drone(self, rate, battery, *km, wind=CALM, coeffs=FLAT):
-        """One drone that drains ``rate`` a minute on a line of ``km``
-        legs, at 1 km a minute."""
+    def drones(self, rate, batteries, *km, wind=CALM, coeffs=FLAT):
+        """Drones that each drain ``rate`` a minute, from ``batteries``, on
+        a line of ``km`` legs, at 1 km a minute."""
         spec = DroneSpec(battery_capacity=8000.0, cruise_speed=60.0,
                          base_consumption_rate=rate)
-        swarm = swarm_of([make_delivery_drone(0, 0.0, spec)])
+        swarm = swarm_of([make_delivery_drone(i, 0.0, spec) for i in range(len(batteries))])
         return swarm, line_net(*km, wind=wind), list(range(len(km) + 1)), \
-            EnergyModel(spec, coeffs, 0.0), {0: battery}
+            EnergyModel(spec, coeffs, 0.0), dict(enumerate(batteries))
+
+    def one_drone(self, rate, battery, *km, wind=CALM, coeffs=FLAT):
+        return self.drones(rate, [battery], *km, wind=wind, coeffs=coeffs)
 
     def assert_agrees(self, case, fails):
         assert plain_fails(*case) is fails
@@ -1072,13 +1086,26 @@ class TestPlainFlyThrough:
         tail_only = CoefficientTable({(kind, slot, "tail"): 1.0
                                       for kind in FORMATION_KINDS for slot in range(12)})
         wind = [CALM, CALM, Wind(5.0, TOWARD["head"])]
-        case = self.one_drone(50.0, 8000.0, 1.0, 1.0, 1.0, wind=wind, coeffs=tail_only)
-        for check in (plain_fails, lambda *c: fly_leg_by_leg(*c, None)):
+        for batteries in ([8000.0], [8000.0, 8000.0, 8000.0]):
+            case = self.drones(50.0, batteries, 1.0, 1.0, 1.0, wind=wind, coeffs=tail_only)
+            # whichever drone is judged first
+            for first in range(len(batteries)):
+                with pytest.raises(ValueError, match="no coefficient .* sector 'head'"):
+                    planner._plain_fails(case[1], case[2], case[4],
+                                         hinted_cache(case[0], case[3], first))
             with pytest.raises(ValueError, match="no coefficient .* sector 'head'"):
-                check(*case)
-        # and is never reached after one that fails
+                fly_leg_by_leg(*case, None)
+        # and is never reached after one that fails: drone 1 runs dry on leg
+        # 2, after drone 0, judged first, has reached leg 3
         self.assert_agrees(self.one_drone(50.0, 60.0, 1.0, 1.0, 1.0, wind=wind,
                                           coeffs=tail_only), True)
+        case = self.drones(50.0, [8000.0, 60.0, 8000.0], 1.0, 1.0, 1.0, wind=wind,
+                           coeffs=tail_only)
+        assert fly_leg_by_leg(*case, None) is None
+        for first in range(3):
+            cache = hinted_cache(case[0], case[3], first)
+            assert planner._plain_fails(case[1], case[2], case[4], cache) is True
+            assert cache.failed == 1
 
 
 class TestSharedLegFromFull:
@@ -1110,10 +1137,10 @@ class TestSharedLegFromFull:
 
 
 @st.composite
-def stop_legs(draw):
-    """A swarm with or without support drones and one leg from node 0 to a
-    padded node 1, in a random direction and wind: 1e-320 m (a travel time
-    of 0.0), legs whose drains fall either side of a millionth of a
+def stop_legs(draw, metres=st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 60000.0))):
+    """A swarm with or without support drones and one leg of ``metres``
+    from node 0 to a padded node 1, in a random direction and wind: by
+    default legs whose drains fall either side of a millionth of a
     capacity, and legs up to 60 km, which some drone cannot fly."""
     spec = DroneSpec(battery_capacity=draw(st.floats(1000.0, 8000.0)),
                      cruise_speed=60.0,
@@ -1127,69 +1154,156 @@ def stop_legs(draw):
     swarm = swarm_of(drones, draw(st.sampled_from(FORMATION_KINDS)))
     assign_positions(swarm, draw(st.sampled_from(POSITIONING_SETTINGS)),
                      draw(st.sampled_from(WIND_SECTORS)), model)
-    metres = draw(st.one_of(st.just(1e-320), st.floats(1e-3, 1.0),
-                            st.floats(1.0, 60000.0)))
     heading = math.radians(draw(st.floats(0.0, 360.0)))
     net = SkywayNetwork(
         [Node(0, 0.0, 0.0, 1), Node(1, 1000.0 * math.cos(heading),
                                     1000.0 * math.sin(heading), draw(st.integers(1, 4)))],
-        [Segment(0, 1, metres, Wind(draw(st.floats(0.0, 13.0)),
-                                    draw(st.floats(0.0, 360.0))))])
+        [Segment(0, 1, draw(metres), Wind(draw(st.floats(0.0, 13.0)),
+                                          draw(st.floats(0.0, 360.0))))])
     return swarm, net, model
 
 
 class TestStopDrains:
-    """The walker and the static routers price a stop from one drain pass,
-    ``_price_stop``: the same verdict as ``_plain_fails`` and the leg
-    ``feasible_leg`` builds, and the same drains as those taken from the
-    travel time and from that leg, read by drone id."""
+    """The walker and the static routers price a stop from one pass over
+    the leg's rates, ``_price_stop``: the same verdict as ``_plain_fails``
+    and the leg ``feasible_leg`` builds, and restore times from the same
+    drains as those taken from the travel time and from that leg."""
 
     @given(stop_legs(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_one_pass_prices_a_stop_as_the_probe_and_the_leg_did(self, case, at_end):
         swarm, net, model = case
-        # full batteries in reverse swarm order: the pass reads them by id
+        # full batteries in reverse swarm order: the checks read them by id
         full = {d.id: d.capacity for d in reversed(swarm.drones)}
         cache = planner._RateCache(swarm, model)
         destination = 1 if at_end else None
-        message = no_time_message(net, 0, 1, model)
-        if message:
-            event("tt 0.0")
-            for check in (lambda: planner._price_stop(swarm, net, 0, 1, destination, full,
-                                                      model, cache),
-                          lambda: planner._plain_fails(net, [0, 1], full, cache),
-                          lambda: feasible_leg(swarm, net, 0, 1, model)):
-                with pytest.raises(ValueError) as info:
-                    check()
-                assert str(info.value) == message
-            return
-        with mock.patch.object(planner, "_full_recharge",
-                               wraps=planner._full_recharge) as spy:
-            stop = planner._price_stop(swarm, net, 0, 1, destination, full, model, cache)
+        assert not no_time_message(net, 0, 1, model)
+        with mock.patch.object(planner, "_first_optimum",
+                               wraps=planner._first_optimum) as candidates, \
+                mock.patch.object(planner, "pad_schedule",
+                                  wraps=planner.pad_schedule) as search:
+            stop = planner._price_stop(net, 0, 1, destination, cache)
         fails = planner._plain_fails(net, [0, 1], full, cache)
         leg = feasible_leg(swarm, net, 0, 1, model)
         assert (stop is None) == fails == (leg is None)
+        assert repr(stop) == repr(price_stop_as_written(
+            swarm, net, 0, 1, destination, full, model, planner._RateCache(swarm, model)))
         _, sector, tt = cache.leg(net, 0, 1)
         if fails:
             event("fails")
             return
         if at_end:
-            assert stop == (tt, None) and not spy.called
+            assert stop == (tt, None) and not candidates.called and not search.called
             return
         # the drains the stop was priced from, as taken from tt and from the leg
         rates = cache.rates(sector)
-        drains = spy.call_args.args[3]
         from_tt = [d.capacity - (d.capacity - rates[d.id] * tt) for d in swarm.drones]
         from_leg = [d.capacity - leg.batteries_after[d.id] for d in swarm.drones]
-        event(f"a drain under 1e-6: "
-              f"{any(drain < d.capacity * 1e-6 for d, drain in zip(swarm.drones, drains))}")
-        assert repr(drains) == repr(from_tt) == repr(from_leg)
+        small = any(drain < d.capacity * 1e-6 for d, drain in zip(swarm.drones, from_tt))
+        event(f"a drain under 1e-6: {small}")
+        assert repr(from_tt) == repr(from_leg)
+        assert (candidates.called, search.called) == (not small, small)
+        times = (search.call_args.args[0] if small else candidates.call_args.args[1])
+        assert repr(times) == repr([d / model.spec.pad_charge_rate for d in from_tt])
         node = net.nodes[1]
-        want = planner._full_recharge(swarm, node, sector, from_tt, model,
-                                      planner._RateCache(swarm, model))
+        want = full_recharge_as_written(swarm, node, sector, from_tt, model,
+                                        planner._RateCache(swarm, model))
         sched = pad_schedule([d / model.spec.pad_charge_rate for d in from_tt], node.pads)
         assert repr(stop) == repr((tt + want.nt, want))
         assert repr(want) == repr(planner.NodeVisit(node.id, sched.node_time, sched.queues))
+
+    @given(stop_legs(st.just(1e-320)), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_a_stop_on_a_leg_of_no_time_raises(self, case, at_end):
+        # a 1e-320 m leg takes 0.0 minutes: the stop, the probe and the leg
+        # raise the same message before any battery is read
+        swarm, net, model = case
+        full = {d.id: d.capacity for d in swarm.drones}
+        cache = planner._RateCache(swarm, model)
+        message = no_time_message(net, 0, 1, model)
+        assert message.startswith("segment (0, 1): ")
+        for check in (lambda: planner._price_stop(net, 0, 1, 1 if at_end else None, cache),
+                      lambda: planner._plain_fails(net, [0, 1], full, cache),
+                      lambda: feasible_leg(swarm, net, 0, 1, model)):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == message
+
+
+def drone_fails_alone(net, path, batteries, cache, i):
+    """Whether drone ``i`` (by id) fails a leg of ``path`` by
+    ``_plain_drain``'s read, legs in order, before any leg whose rates
+    cannot be built."""
+    state = batteries
+    for u, v in zip(path, path[1:]):
+        _, sector, tt = cache.leg(net, u, v)
+        try:
+            rates = cache.rates(sector)
+        except ValueError:
+            return False
+        state = planner._plain_drain(state, rates, tt, [i])
+        if state is None:
+            return True
+    return False
+
+
+def table_without(sector):
+    """The default table with no coefficient for ``sector``; None keeps all."""
+    table = default_table()
+    return CoefficientTable({(kind, slot, s): table.coefficient(kind, slot, s)
+                             for kind in FORMATION_KINDS for slot in range(12)
+                             for s in WIND_SECTORS if s != sector})
+
+
+class TestPlainChecksAsWritten:
+    """``_plain_fails`` judges one drone at a time, from the drone that
+    failed the last check, and ``_price_stop`` reads a leg's rates in one
+    pass: the same verdicts, errors, prices and visits as both as written
+    (every drone leg by leg through ``_plain_drain``, and a dict of end
+    batteries priced by ``_full_recharge``)."""
+
+    @given(plain_fly_throughs(), st.sampled_from((None, *WIND_SECTORS)))
+    @settings(max_examples=300, deadline=None)
+    def test_the_verdict_whichever_drone_is_judged_first(self, case, missing):
+        swarm, net, path, model, batteries = case
+        # legs in the ``missing`` sector cannot build their rates
+        model = EnergyModel(model.spec, table_without(missing))
+        want, _ = judged(plain_fails_as_written, net, path, batteries,
+                         planner._RateCache(swarm, model))
+        for first in range(len(swarm.drones)):
+            cache = hinted_cache(swarm, model, first)
+            got, verdict = judged(planner._plain_fails, net, path, batteries, cache)
+            assert got == want
+            if verdict:  # the drone left as the hint fails alone, the hinted one first
+                hint = cache.ids[cache.failed]
+                assert drone_fails_alone(net, path, batteries, cache, hint)
+                if drone_fails_alone(net, path, batteries, cache, cache.ids[first]):
+                    assert cache.failed == first
+        event(f"as written: {want[0]}")
+        # one cache over every suffix of the path, each hint left by the last
+        cache = planner._RateCache(swarm, model)
+        for k in range(len(path) - 1):
+            assert judged(planner._plain_fails, net, path[k:], batteries, cache)[0] == \
+                judged(plain_fails_as_written, net, path[k:], batteries,
+                       planner._RateCache(swarm, model))[0]
+
+    @given(plain_fly_throughs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_stop_price_and_visit(self, case, data):
+        swarm, net, path, model, _ = case
+        # the same path with one to four pads at each node
+        net = SkywayNetwork([Node(node.id, node.x, node.y, data.draw(st.integers(1, 4)))
+                             for node in net.nodes.values()], net.segments)
+        full = {d.id: d.capacity for d in swarm.drones}
+        cache, old_cache = planner._RateCache(swarm, model), planner._RateCache(swarm, model)
+        for a, b in zip(path, path[1:]):
+            for u, v in ((a, b), (b, a)):
+                destination = data.draw(st.sampled_from((None, v)))
+                got, _ = judged(planner._price_stop, net, u, v, destination, cache)
+                want, _ = judged(price_stop_as_written, swarm, net, u, v, destination,
+                                 full, model, old_cache)
+                assert got == want
+                event("a visit" if "NodeVisit" in got[0] else "no visit")
 
 
 def no_time_message(net, a, b, model):
@@ -1460,6 +1574,47 @@ class TestRevisitedStops:
         assert len(plans) == 15 * 5
         # some plans plan again from a node they left: the memo is exercised
         assert any(len(set(plan.path[:-1])) < len(plan.path) - 1 for plan in plans)
+
+
+class TestNoStateAcrossComposes:
+    """A compose leaves nothing for the next one (its leg records and its
+    failing-drone hint live and die with it): fb composed after pb on the
+    same swarm, as a sweep composes them, gives the plan fb gives on its
+    own, and a rerun gives it bit for bit."""
+
+    def fb_plans(self, strategies, monkeypatch):
+        from swarmway import bench
+
+        net = largest_connected_component(synthesize_network(276, 0, pads=(1, 3)))
+        requests = synthesize_requests(net, 15, 0)
+        plans = []  # fb's, with whether pb had flown the same swarm before
+        flown = []  # the swarms pb flew
+
+        def recorded(swarm, net, request, model, **kwargs):
+            plan = compose(swarm, net, request, model, **kwargs)
+            if kwargs["share"] is not None:
+                if kwargs["share"].strategy == "pb":
+                    flown.append(swarm)
+                else:
+                    plans.append((any(s is swarm for s in flown), repr(plan)))
+            return plan
+
+        monkeypatch.setattr(bench, "compose", recorded)
+        run_experiment(net, requests, default_table(),
+                       ExperimentConfig(strategies=strategies))
+        return plans
+
+    def test_fb_after_pb_equals_fb_alone_and_reruns_bit_for_bit(self, monkeypatch):
+        after_pb = self.fb_plans(("pb", "fb"), monkeypatch)
+        alone = self.fb_plans(("fb",), monkeypatch)
+        assert len(after_pb) == len(alone) == 15 * 2
+        assert all(flown for flown, _ in after_pb)
+        assert not any(flown for flown, _ in alone)
+        assert [plan for _, plan in after_pb] == [plan for _, plan in alone]
+        assert self.fb_plans(("fb",), monkeypatch) == alone
+        # the slice has plans that stop on the way and plans that get stuck
+        assert any("NodeVisit" in plan for _, plan in alone)
+        assert any("status='stuck'" in plan for _, plan in alone)
 
 
 class TestStaticBaselines:
