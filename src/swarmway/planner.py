@@ -358,23 +358,6 @@ def _grid_feasible(traces: dict[int, list[tuple[float, float]]], tt: float) -> b
     return True
 
 
-def _plain_drain(before, rates, tt, ids):
-    """End batteries a = b - rate * tt by id, in ``ids`` order, of drones
-    that drain over a leg; None at the first that fails it.  On the trace
-    (0, b) -> (tt, a) ``_grid_feasible`` reads b, and at tt its piece
-    formula, at most b as rates are positive.  So the tt read, as below,
-    decides alone; a does not: at some legs that end at the floor the two
-    differ by an ulp.  ``_plain_fails`` and ``_price_stop`` make the same
-    read inline, a drone at a time."""
-    after = {}
-    for i in ids:
-        b = before[i]
-        after[i] = a = b - rates[i] * tt
-        if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
-            return None
-    return after
-
-
 def _share_block(block, before, rates, tt, share, model, swaps):
     """Compose one provider block over a leg; None if the composer would
     grant nothing, in which case the block just drains."""
@@ -421,8 +404,12 @@ def feasible_leg(
 
     Each block is judged as soon as it is built, and the first that fails
     ends the leg before the next is composed: a composed block by
-    ``_grid_feasible`` on its own traces, a draining drone by
-    ``_plain_drain``'s read of its two-point trace, which equals it.
+    ``_grid_feasible`` on its own traces, and a draining drone, in id
+    order, by b + (a - b) * tt / tt < -FLOOR_TOLERANCE on its trace
+    (0, b) -> (tt, a), a = b - rate * tt.  That is ``_grid_feasible``'s
+    read at tt, and its reads run monotone from b at 0 to it, at most b as
+    rates are positive; so it decides alone.  a does not: at some legs
+    that end at the floor the two differ by an ulp.
     """
     cache = rate_cache or _RateCache(swarm, model)
     seg, sector, tt, rates, _ = cache.row(net, u, v)
@@ -437,12 +424,13 @@ def feasible_leg(
         if block is not None:
             result = _share_block(block, before, rates, tt, share, model, swaps)
         if result is None:
-            after = _plain_drain(before, rates, tt, block.ids if block else rates)
-            if after is None:
-                return None
-            for i, a in after.items():
-                consumed[i] = rates[i] * tt
-                traces[i] = [(0.0, before[i]), (tt, a)]
+            for i in block.ids if block else rates:  # rates: every drone, in order
+                b = before[i]
+                consumed[i] = spent = rates[i] * tt
+                a = b - spent
+                if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
+                    return None
+                traces[i] = [(0.0, b), (tt, a)]
             continue
         if not _grid_feasible(result.traces, tt):
             return None
@@ -625,7 +613,7 @@ def _plain_fails(net, path, batteries, cache) -> bool:
 
     Without sharing each drone drains on its own at its standing rate, so
     the check judges one drone at a time down the path, each leg by
-    ``_plain_drain``'s read, and reads a leg's row only once a drone
+    ``feasible_leg``'s read, and reads a leg's row only once a drone
     reaches it.  The order cannot change the verdict; it starts with the
     drone that failed the last check (``cache.failed``), which most often
     fails this one too.  A leg whose rates cannot be built ends the legs
@@ -683,8 +671,8 @@ def _price_stop(net, u, v, destination, cache):
     """(tt + nt, visit) of flying u -> v from full batteries and recharging
     everyone at v, or (tt, None) at the ``destination``; None when a drone
     cannot fly the leg.  From full both composers are idle on one leg, so it
-    drains as ``_plain_drain`` reads it, with sharing or without, and no leg
-    is built.
+    drains as ``feasible_leg`` reads a draining drone, with sharing or
+    without, and no leg is built.
 
     One pass over the leg's rates judges each drone and takes its drain
     cap - (cap - rate * tt), the leg's own end battery taken back from
@@ -716,6 +704,29 @@ def _price_stop(net, u, v, destination, cache):
     return tt + visit.nt, visit
 
 
+def _moves(swarm, net, node, destination, tree, model, share, cache, full, closed):
+    """The walker's moves from ``node`` on full batteries, (cost, next
+    node, step): the rest of ``tree``'s path flown through, plain and then
+    shared, alone when that works, its cost its legs' tt and its step the
+    legs; else each feasible stop in neighbor order, its cost tt + nt and
+    its step the visit (None at the ``destination``).  Neighbors in
+    ``closed``, and padless ones but the destination, are not priced."""
+    remaining = tree.path_to_root(node)
+    legs = _fly_through(swarm, net, remaining, model, full, None, cache)
+    if legs is None and share is not None:
+        legs = _fly_through(swarm, net, remaining, model, full, share, cache)
+    if legs is not None:
+        return [(sum(leg.tt for leg in legs), destination, legs)]
+    moves = []
+    for nb in net.neighbors(node):
+        if nb in closed or (nb != destination and net.nodes[nb].pads < 1):
+            continue
+        stop = _price_stop(net, node, nb, destination, cache)
+        if stop is not None:
+            moves.append((stop[0], nb, stop[1]))
+    return moves
+
+
 def compose(
     swarm: Swarm,
     net: SkywayNetwork,
@@ -727,22 +738,19 @@ def compose(
 ) -> DeliveryPlan:
     """Walk the swarm toward the destination, recharging only when forced.
 
-    Each round first tries to fly the remaining shortest path outright,
-    then the same with in-flight sharing, and finally falls back to the
-    feasible neighbor stop minimizing travel plus recharge time (ties to
-    the smaller node id; arriving at the destination costs no recharge).
-    A node accepts at most two visits per plan; running out of moves
-    strands the plan as "stuck".
+    Each round greedily takes the cheapest of ``_moves``, ties to the
+    first: the remaining shortest path flown outright, plainly or else
+    with in-flight sharing, when that works; otherwise the neighbor stop
+    minimizing travel plus recharge time (none at the destination).  A
+    node accepts at most two visits per plan, then is closed; running out
+    of moves strands the plan as "stuck".
 
     Every round starts on full batteries: at the source and after each
     recharge, so ``_price_stop`` judges and prices each neighbor without
-    building its leg; only the stop taken builds one.
-    A round is then a pure function of its node, so the first round at a
-    node keeps its feasible stops, in neighbor order, and a later round
-    there picks from them, less the neighbors that have since reached
-    their visit cap, without flying or probing again: both fly-throughs
-    failed there, and visit counts only rise.  A plan that repeats a stop
-    holds the same visit object twice.
+    building its leg; only the stop taken builds one.  A round's moves are
+    then a pure function of its node, so the first round at a node keeps
+    them and a later one picks from them, less the nodes closed since.
+    A plan that repeats a stop holds the same visit object twice.
     """
     strategy = share.strategy if share else "baseline"
     if tree is None or tree.root != request.destination:
@@ -755,43 +763,32 @@ def compose(
     full = {d.id: d.capacity for d in swarm.drones}
     current = request.source
     visit_count = {current: 1}
-    stops_at: dict[int, list] = {}  # node -> its stops (cost, nb, visit)
+    closed: set[int] = set()  # nodes at their visit cap
+    moves_at: dict[int, list] = {}  # node -> its moves
 
     while current != request.destination:
-        stops = stops_at.get(current)
-        if stops is None:
-            remaining = tree.path_to_root(current)
-            legs = _fly_through(swarm, net, remaining, model, full, None, cache)
-            if legs is None and share is not None:
-                legs = _fly_through(swarm, net, remaining, model, full, share, cache)
-            if legs is not None:
-                plan.legs.extend(legs)
-                current = request.destination
-                break
-
-            stops = stops_at[current] = []
-            for nb in net.neighbors(current):
-                if visit_count.get(nb, 0) >= MAX_NODE_VISITS or (
-                        nb != request.destination and net.nodes[nb].pads < 1):
-                    continue
-                stop = _price_stop(net, current, nb, request.destination, cache)
-                if stop is not None:
-                    stops.append((stop[0], nb, stop[1]))
-
+        moves = moves_at.get(current)
+        if moves is None:
+            moves = moves_at[current] = _moves(swarm, net, current, request.destination,
+                                               tree, model, share, cache, full, closed)
         best = None
-        for stop in stops:
-            if visit_count.get(stop[1], 0) < MAX_NODE_VISITS and (
-                    best is None or stop[0] < best[0]):
-                best = stop
+        for move in moves:
+            if move[1] not in closed and (best is None or move[0] < best[0]):
+                best = move
         if best is None:
             return plan
 
-        _, nb, visit = best
-        plan.legs.append(feasible_leg(swarm, net, current, nb, model, batteries=full,
-                                      share=share, rate_cache=cache))
-        visit_count[nb] = visit_count.get(nb, 0) + 1
-        if visit is not None:
-            plan.visits.append(visit)
+        _, nb, step = best
+        if isinstance(step, list):  # the fly-through's legs
+            plan.legs.extend(step)
+        else:
+            plan.legs.append(feasible_leg(swarm, net, current, nb, model, batteries=full,
+                                          share=share, rate_cache=cache))
+            if step is not None:
+                plan.visits.append(step)
+        visit_count[nb] = count = visit_count.get(nb, 0) + 1
+        if count >= MAX_NODE_VISITS:
+            closed.add(nb)
         current = nb
 
     plan.status = "success"

@@ -526,6 +526,68 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
     return plan
 
 
+def best_walk(swarm, net, request, model, *, share=None, tree=None):
+    """The best plan the walker's own moves make: Dijkstra over nodes on
+    ``planner._moves``, where ``compose`` takes the cheapest next move.
+
+    Every move starts on full batteries, so a node is the whole state, and
+    move costs are >= 0, so a settled node is never worth revisiting: the
+    settled set is ``_moves``' closed set, and no visit cap is needed.
+    Heap ties go by (cost, node id), and a node keeps the first move that
+    reaches it at its least cost.  The plan is rebuilt as ``compose``
+    builds one: a fly-through's legs, or the leg of each stop taken and
+    its visit.  A request the moves cannot deliver is "stuck" with no
+    legs.
+    """
+    from swarmway import planner
+    from swarmway.network import shortest_path_tree
+
+    strategy = share.strategy if share else "baseline"
+    if tree is None or tree.root != request.destination:
+        tree = shortest_path_tree(net, request.destination)
+    plan = planner.DeliveryPlan(request.id, strategy, "stuck", request.source, [], [])
+    if tree.distance(request.source) == math.inf:
+        plan.status = "unreachable"
+        return plan
+    cache = planner._RateCache(swarm, model)
+    full = {d.id: d.capacity for d in swarm.drones}
+    cost = {request.source: 0.0}
+    came = {}  # node -> (node before it, the step taken)
+    settled = set()
+    heap = [(0.0, request.source)]
+    while heap:
+        at, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == request.destination:
+            break
+        for move_cost, nb, step in planner._moves(swarm, net, node, request.destination,
+                                                  tree, model, share, cache, full, settled):
+            if nb not in cost or at + move_cost < cost[nb]:
+                cost[nb] = at + move_cost
+                came[nb] = (node, step)
+                heapq.heappush(heap, (at + move_cost, nb))
+    if request.destination not in settled:
+        return plan
+
+    hops = []
+    node = request.destination
+    while node != request.source:
+        hops.append((came[node][0], node, came[node][1]))
+        node = came[node][0]
+    for u, v, step in reversed(hops):
+        if isinstance(step, list):
+            plan.legs.extend(step)
+            continue
+        plan.legs.append(planner.feasible_leg(swarm, net, u, v, model, batteries=full,
+                                              share=share, rate_cache=cache))
+        if step is not None:
+            plan.visits.append(step)
+    plan.status = "success"
+    return plan
+
+
 def feasible_leg_as_written(swarm, net, u, v, model, *, batteries=None, share=None,
                             rate_cache=None):
     """``planner.feasible_leg`` before it judged each provider block as it
@@ -636,16 +698,29 @@ def sharing_cannot_save_as_written(net, path, model, batteries, share, cache) ->
     return False
 
 
+def plain_drain_as_written(before, rates, tt, ids):
+    """``planner._plain_drain`` before ``feasible_leg`` took it in, as
+    written: end batteries a = b - rate * tt by id, in ``ids`` order, of
+    drones that drain over a leg; None at the first that fails it."""
+    from swarmway.planner import FLOOR_TOLERANCE
+
+    after = {}
+    for i in ids:
+        b = before[i]
+        after[i] = a = b - rates[i] * tt
+        if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
+            return None
+    return after
+
+
 def plain_fails_as_written(net, path, batteries, cache) -> bool:
     """``planner._plain_fails`` before it judged one drone at a time, as
-    written: every drone leg by leg through ``_plain_drain``."""
-    from swarmway.planner import _plain_drain
-
+    written: every drone leg by leg through ``plain_drain_as_written``."""
     state = batteries
     for u, v in zip(path, path[1:]):
         _, sector, tt = cache.leg(net, u, v)
         rates = cache.rates(sector)
-        state = _plain_drain(state, rates, tt, rates)
+        state = plain_drain_as_written(state, rates, tt, rates)
         if state is None:
             return True
     return False
@@ -654,11 +729,9 @@ def plain_fails_as_written(net, path, batteries, cache) -> bool:
 def price_stop_as_written(swarm, net, u, v, destination, full, model, cache):
     """``planner._price_stop`` before it read the leg's rates in one pass
     with no dict of end batteries, as written."""
-    from swarmway.planner import _plain_drain
-
     _, sector, tt = cache.leg(net, u, v)
     rates = cache.rates(sector)
-    after = _plain_drain(full, rates, tt, rates)
+    after = plain_drain_as_written(full, rates, tt, rates)
     if after is None:
         return None
     if v == destination:

@@ -55,11 +55,13 @@ from swarmway.sharing import SharingPlan
 
 from instances import transfer_sums
 from oracles import (
+    best_walk,
     feasible_leg_as_written,
     full_recharge_as_written,
     grid_scan_feasible,
     leg_grid_feasible,
     near_optimal_queues_reference,
+    plain_drain_as_written,
     plain_fails_as_written,
     price_stop_as_written,
     sharing_cannot_save_as_written,
@@ -1232,8 +1234,8 @@ class TestStopDrains:
 
 def drone_fails_alone(net, path, batteries, cache, i):
     """Whether drone ``i`` (by id) fails a leg of ``path`` by
-    ``_plain_drain``'s read, legs in order, before any leg whose rates
-    cannot be built."""
+    ``plain_drain_as_written``'s read, legs in order, before any leg whose
+    rates cannot be built."""
     state = batteries
     for u, v in zip(path, path[1:]):
         _, sector, tt = cache.leg(net, u, v)
@@ -1241,7 +1243,7 @@ def drone_fails_alone(net, path, batteries, cache, i):
             rates = cache.rates(sector)
         except ValueError:
             return False
-        state = planner._plain_drain(state, rates, tt, [i])
+        state = plain_drain_as_written(state, rates, tt, [i])
         if state is None:
             return True
     return False
@@ -1259,8 +1261,8 @@ class TestPlainChecksAsWritten:
     """``_plain_fails`` judges one drone at a time, from the drone that
     failed the last check, and ``_price_stop`` reads a leg's rates in one
     pass: the same verdicts, errors, prices and visits as both as written
-    (every drone leg by leg through ``_plain_drain``, and a dict of end
-    batteries priced by ``_full_recharge``)."""
+    (every drone leg by leg through ``plain_drain_as_written``, and a dict
+    of end batteries priced by ``_full_recharge``)."""
 
     @given(plain_fly_throughs(), st.sampled_from((None, *WIND_SECTORS)))
     @settings(max_examples=300, deadline=None)
@@ -1540,8 +1542,15 @@ class TestRevisitedStops:
         plans = []
         # feasible_leg calls made outside a fly-through, and the legs of
         # the fly-throughs that succeeded, in the current compose
-        seen = {"depth": 0, "stops": 0, "flown": 0}
+        seen = {"depth": 0, "stops": 0, "flown": 0, "priced": 0}
+        priced = set()  # the directed stops priced in the current compose
         feasible, fly_through = planner.feasible_leg, planner._fly_through
+        price_stop = planner._price_stop
+
+        def counted_price(net, u, v, destination, cache):
+            assert (u, v) not in priced, (u, v)
+            priced.add((u, v))
+            return price_stop(net, u, v, destination, cache)
 
         def counted_leg(*args, **kwargs):
             seen["stops"] += not seen["depth"]
@@ -1558,9 +1567,11 @@ class TestRevisitedStops:
 
         def checked(swarm, net, request, model, **kwargs):
             seen.update(stops=0, flown=0)
+            priced.clear()
             got = compose(swarm, net, request, model, **kwargs)
-            # one leg built per stop taken
+            # one leg built per stop taken, and each stop priced once
             assert seen["stops"] == len(got.legs) - seen["flown"]
+            seen["priced"] += len(priced)
             assert repr(got) == repr(walk_every_round(swarm, net, request, model,
                                                       **kwargs))
             plans.append(got)
@@ -1568,12 +1579,100 @@ class TestRevisitedStops:
 
         monkeypatch.setattr(planner, "feasible_leg", counted_leg)
         monkeypatch.setattr(planner, "_fly_through", counted_fly_through)
+        monkeypatch.setattr(planner, "_price_stop", counted_price)
         monkeypatch.setattr(bench, "compose", checked)
         run_experiment(net, requests, default_table(),
                        replace(cfg, strategies=("baseline", "pb", "fb")), spec=spec)
         assert len(plans) == 15 * 5
         # some plans plan again from a node they left: the memo is exercised
         assert any(len(set(plan.path[:-1])) < len(plan.path) - 1 for plan in plans)
+        assert seen["priced"] > len(plans)
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_the_best_walk_delivers_every_walker_success_no_later(self, world,
+                                                                  monkeypatch):
+        """``best_walk`` searches the walker's own moves, so a request the
+        walker delivers is one it delivers too, with a dt no larger."""
+        from test_acceptance import SWEEP_CFG, SWEEP_SPEC
+        from swarmway import bench
+
+        net_seed, pads, _ = self.WORLDS[world]
+        net = largest_connected_component(synthesize_network(276, net_seed, pads=pads))
+        requests = synthesize_requests(net, 15, 0)
+        if world == "acceptance":
+            cfg, spec = SWEEP_CFG, SWEEP_SPEC
+        else:
+            cfg, spec = ExperimentConfig(), None
+        delivered = {"walker": 0, "search": 0, "shorter": 0}
+
+        def checked(swarm, net, request, model, **kwargs):
+            got = compose(swarm, net, request, model, **kwargs)
+            best = best_walk(swarm, net, request, model, **kwargs)
+            assert best.path[0] == request.source
+            if best.status == "success":
+                assert best.path[-1] == request.destination
+                delivered["search"] += 1
+            if got.status == "success":
+                assert best.status == "success"
+                assert best.dt <= got.dt
+                delivered["walker"] += 1
+                delivered["shorter"] += best.dt < got.dt
+            else:
+                assert (best.status == "unreachable") == (got.status == "unreachable")
+            return got
+
+        monkeypatch.setattr(bench, "compose", checked)
+        run_experiment(net, requests, default_table(),
+                       replace(cfg, strategies=("baseline", "pb", "fb")), spec=spec)
+        # the search delivers requests the walker strands
+        assert delivered["search"] > delivered["walker"] > 0, delivered
+
+    def test_the_best_walk_is_the_least_simple_sequence_of_moves(self, monkeypatch):
+        """On small worlds ``best_walk`` delivers exactly when some simple
+        sequence of ``_moves`` reaches the destination, at the least sum of
+        move costs: settling a node for good loses nothing."""
+        from swarmway import bench
+
+        def least_sequence(swarm, net, request, model, share):
+            tree = shortest_path_tree(net, request.destination)
+            cache = planner._RateCache(swarm, model)
+            full = {d.id: d.capacity for d in swarm.drones}
+            moves_at, best = {}, [math.inf]
+
+            def walk(node, on, cost):
+                if node == request.destination:
+                    best[0] = min(best[0], cost)
+                    return
+                if node not in moves_at:
+                    moves_at[node] = planner._moves(swarm, net, node, request.destination,
+                                                    tree, model, share, cache, full, set())
+                for move_cost, nb, _ in moves_at[node]:
+                    assert move_cost >= 0  # so no longer sequence can do better
+                    if nb not in on and cost + move_cost < best[0]:
+                        walk(nb, on | {nb}, cost + move_cost)
+
+            walk(request.source, {request.source}, 0.0)
+            return best[0]
+
+        delivered = {"walker": 0, "search": 0}
+
+        def checked(swarm, net, request, model, **kwargs):
+            got = compose(swarm, net, request, model, **kwargs)
+            best = best_walk(swarm, net, request, model, **kwargs)
+            least = least_sequence(swarm, net, request, model, kwargs["share"])
+            assert (best.status == "success") == (least < math.inf)
+            if least < math.inf:
+                assert best.dt == pytest.approx(least, rel=1e-9, abs=0)
+            delivered["walker"] += got.status == "success"
+            delivered["search"] += best.status == "success"
+            return got
+
+        monkeypatch.setattr(bench, "compose", checked)
+        for seed in range(6):  # 14 to 24 nodes each
+            net = largest_connected_component(synthesize_network(24, seed))
+            run_experiment(net, synthesize_requests(net, 5, 0), default_table(),
+                           ExperimentConfig(strategies=("baseline", "pb", "fb")))
+        assert delivered["search"] > delivered["walker"] > 0, delivered
 
 
 class TestNoStateAcrossComposes:
