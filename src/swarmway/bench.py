@@ -58,10 +58,12 @@ class ExperimentConfig:
 
     strategies: tuple[str, ...] = STRATEGIES
     positionings: tuple[str, ...] = POSITIONING_SETTINGS
-    gamma: float = 0.8
-    delta_frac: float = 0.2
-    quantum: float = 2240.0
-    share_rate: float = 5.88
+    gamma: float = ShareConfig.gamma
+    delta_frac: float = ShareConfig.delta_frac
+    quantum: float = ShareConfig.quantum
+    share_rate: float = DroneSpec.inflight_share_rate
+    # a literal: the capacity over DroneSpec's pad rate, 4480 / (4480 / 60),
+    # is 59.99999999999999
     pad_minutes: float = 60.0
     failure_scale: float = DEFAULT_FAILURE_SCALE
     bin_width_km: float = 0.5

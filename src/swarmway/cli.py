@@ -126,16 +126,17 @@ def _load_or_synthesize(network_path, synth_nodes, seed):
 def _check_swarm_sizes(requests, table, strategies) -> None:
     """Reject requests whose largest possible swarm overflows the table's slots.
 
-    With pb or fb in the sweep, ``redundancy_count`` adds at most
-    max(n, 4) support drones to n delivery drones.  Every formation kind
-    is costed for every swarm, so the smallest kind bounds the size.
+    With pb or fb in the sweep, n delivery drones take up to the most
+    support drones ``redundancy_count`` gives over the probabilities
+    ``check_support_spacing`` scans.  Every formation kind is costed for
+    every swarm, so the smallest kind bounds the size.
     """
     sharing = any(s in SHARING_STRATEGIES for s in strategies)
     kind = min(FORMATION_KINDS, key=table.max_slots)
     slots = table.max_slots(kind)
     for req in requests:
         n = len(req.package_weights)
-        size = n + max(n, 4) if sharing else n
+        size = n + max(redundancy_count(float(p), n) for p in range(101)) if sharing else n
         if size > slots:
             raise NetworkFormatError(
                 f"request {req.id}: {n} packages need up to {size} drones, "
@@ -184,7 +185,7 @@ def _cmd_synth(args) -> None:
     if not args.keep_all:
         net = largest_connected_component(net)
     save_network(net, args.out)
-    print(f"wrote {len(net.nodes)} nodes, {len(net.segments)} segments to {args.out}")
+    log.info("wrote %d nodes, %d segments to %s", len(net.nodes), len(net.segments), args.out)
 
 
 def _cmd_calibrate(args) -> None:
@@ -219,7 +220,8 @@ def _cmd_calibrate(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # run's progress and summary; --quiet silences them
+    # run's progress and summary and synth's status line; run's --quiet
+    # silences them
     log.setLevel(logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
     handler = logging.StreamHandler()  # the current sys.stderr
     log.addHandler(handler)

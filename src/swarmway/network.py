@@ -243,7 +243,8 @@ def load_requests(path, max_weight: float | None = None,
 
 
 def largest_connected_component(net: SkywayNetwork) -> SkywayNetwork:
-    """Induced subgraph on the largest component.
+    """Induced subgraph on the largest component, each component being the
+    nodes a ``shortest_path_tree`` from its smallest id reaches.
 
     Size ties go to the component containing the smallest node id.
     """
@@ -252,20 +253,12 @@ def largest_connected_component(net: SkywayNetwork) -> SkywayNetwork:
     seen: set[int] = set()
     best: set[int] = set()
     for start in sorted(net.nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nb in net._adj[cur]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        # strict > keeps the earlier (smaller-min-id) component on ties
-        if len(comp) > len(best):
-            best = comp
+        if start not in seen:
+            comp = set(shortest_path_tree(net, start).dist)
+            seen |= comp
+            # strict > keeps the earlier (smaller-min-id) component on ties
+            if len(comp) > len(best):
+                best = comp
     nodes = [net.nodes[nid] for nid in sorted(best)]
     segs = [s for s in net.segments if s.u in best and s.v in best]
     return SkywayNetwork(nodes, segs)
@@ -299,12 +292,12 @@ def synthesize_network(n_nodes: int, seed: int, *,
     """Generate a clustered geometric skyway network.
 
     Nodes scatter around 8 randomly placed cluster centers in a 30 km
-    square and link to their 3 nearest neighbors within 6 km (ties to the
-    smaller id), so segment lengths stay mostly short while
-    cluster-to-cluster bridges come out long.  The links come from a ring
-    search over cells sized to the nodes' density (``_nearest_links``), so
-    that step grows about as n, not n**2, in the fixed square.  Pad counts
-    are uniform over the inclusive ``pads`` range.
+    square, clamped into it, and link to their 3 nearest neighbors within
+    6 km (ties to the smaller id), so segment lengths stay mostly short
+    while cluster-to-cluster bridges come out long.  The links come from a
+    ring search over cells sized to the nodes' density (``_nearest_links``),
+    so that step grows about as n, not n**2, in the fixed square.  Pad
+    counts are uniform over the inclusive ``pads`` range.
     Each segment's wind is drawn from its own ``random.Random(seed)`` in
     (u, v) order: speed uniform in [0, 13.8) m/s, then direction uniform in
     [0, 360).  The result is usually disconnected; pass it through
@@ -365,30 +358,25 @@ def _nearest_links(nodes: list[Node], reach: float, k: int) -> set[tuple[int, in
     nearest first and ties to the smaller id, found by a ring search.
 
     The nodes go into square cells of side about span / sqrt(n), one node a
-    cell over their bounding square, clamped to [floor, reach].  The floor
-    is reach / 16, or max |coordinate| * 2**-53 where that is larger (and
-    then it wins over the reach).  Each node scans the Chebyshev rings of
-    cells 0, 1, 2, ... around its own, keeping the (distance, id) pairs
-    within reach, and stops after ring r once ``limit < r * cell - margin``:
-    ``limit`` is the k-th smallest distance held, or ``reach`` while fewer
-    than k are held, and ``margin`` is max(|x|, |y|) * 2**-47 for the node
-    at (x, y).
+    cell over their bounding square, clamped to [reach / 16, reach].  Each
+    node scans the Chebyshev rings of cells 0, 1, 2, ... around its own,
+    keeping the (distance, id) pairs within reach, and stops after ring r
+    once ``limit < r * cell``: ``limit`` is the k-th smallest distance held,
+    or ``reach`` while fewer than k are held.
 
-    The stop is exact.  ``x // cell`` is exact while |x| < 2**50 * cell, and
-    beyond that puts x at most |x| * 2**-50 outside its cell.  A node b in
-    ring r + 1 or beyond is thus at least r * cell off node a along one axis,
-    less (|a| + |b|) * 2**-50 on that axis when either index is inexact; then
-    |a| > 2**49 * cell, and |b| <= |a| + reach for any b that could be
-    picked, so the margin covers both errors and the rounding of
-    ``r * cell - margin`` with room to spare.  Rounding is monotone, so the
-    computed difference is at least that float bound, and ``hypot(dx, dy)``
-    is never below max(|dx|, |dy|): b is strictly farther than every pair
-    held, or out of reach, and cannot displace a pair.
+    The stop is exact for ``synthesize_network``'s nodes, which lie in the
+    30 km square, at its 6 km reach.  There x / cell is at most 80 at the
+    375 m floor, so ``x // cell`` is the exact floor, and a node b in ring
+    r + 1 or beyond is more than r * cell off node a along one axis.
+    Rounding is monotone, so the computed offset is at least the float
+    ``r * cell``, and a faithful ``hypot(dx, dy)`` is never below
+    max(|dx|, |dy|): b is strictly farther than ``limit``, so it is out of
+    reach or cannot displace a pair held.
 
-    Without the floor, co-located nodes, or a node with fewer than k others
-    in reach, would scan about (reach / cell)**2 cells.  With it the reach
-    is at most 16 cells and the margin at most 64, so no node scans past
-    ring 81.
+    Without the floor, co-located nodes (clamping piles nodes on the
+    square's edges), or a node with fewer than k others in reach, would
+    scan about (reach / cell)**2 cells.  With it the reach is at most 16
+    cells, so no node scans past ring 17.
     """
     pairs: set[tuple[int, int]] = set()
     if not nodes:
@@ -396,8 +384,7 @@ def _nearest_links(nodes: list[Node], reach: float, k: int) -> set[tuple[int, in
     xs = [node.x for node in nodes]
     ys = [node.y for node in nodes]
     span = max(max(xs) - min(xs), max(ys) - min(ys))
-    top = max(max(map(abs, xs)), max(map(abs, ys)))
-    cell = max(min(span / math.sqrt(len(nodes)), reach), reach / 16, top * 2**-53)
+    cell = max(min(span / math.sqrt(len(nodes)), reach), reach / 16)
     grid: dict[tuple[int, int], list[Node]] = {}
     for node in nodes:
         grid.setdefault((int(node.x // cell), int(node.y // cell)), []).append(node)
@@ -405,7 +392,6 @@ def _nearest_links(nodes: list[Node], reach: float, k: int) -> set[tuple[int, in
     for node in nodes:
         x, y = node.x, node.y
         gx, gy = int(x // cell), int(y // cell)
-        margin = max(abs(x), abs(y)) * 2**-47
         near = []
         r = 0
         while True:
@@ -420,7 +406,7 @@ def _nearest_links(nodes: list[Node], reach: float, k: int) -> set[tuple[int, in
                         near.append((d, other.id))
             near.sort()
             limit = near[k - 1][0] if len(near) >= k else reach
-            if limit < r * cell - margin:
+            if limit < r * cell:
                 break
             r += 1
         for _, oid in near[:k]:

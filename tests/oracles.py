@@ -76,6 +76,36 @@ def diameter_every_root(net) -> float:
     return best
 
 
+def largest_component_as_written(net):
+    """``largest_connected_component`` as it was before it found each
+    component through ``shortest_path_tree``, kept as written: a depth-first
+    walk over the adjacency index from each unseen node in id order, the
+    strict > keeping the component of the smallest id on size ties."""
+    from swarmway.network import SkywayNetwork
+
+    if not net.nodes:
+        raise ValueError("empty network has no components")
+    seen: set[int] = set()
+    best: set[int] = set()
+    for start in sorted(net.nodes):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nb in net._adj[cur]:
+                if nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        seen |= comp
+        if len(comp) > len(best):
+            best = comp
+    nodes = [net.nodes[nid] for nid in sorted(best)]
+    segs = [s for s in net.segments if s.u in best and s.v in best]
+    return SkywayNetwork(nodes, segs)
+
+
 def nearest_links_full_sort(nodes) -> set[tuple[int, int]]:
     """Each node's links to its 3 nearest others within 6 km, ties by id.
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,6 +42,7 @@ from swarmway.network import (
     synthesize_network,
     synthesize_requests,
 )
+from swarmway.preflight import redundancy_count
 from swarmway.sharing import ShareContext, fb_compose
 
 FLAT = CoefficientTable({
@@ -467,12 +469,15 @@ class TestWriters:
 
 class TestCli:
 
-    def test_synth_writes_loadable_network(self, tmp_path, capsys):
+    def test_synth_writes_loadable_network(self, tmp_path, capsys, caplog):
         out = tmp_path / "net.csv"
         assert main(["synth", "--seed", "7", "--nodes", "40",
                      "--out", str(out)]) == 0
-        assert "wrote" in capsys.readouterr().out
         net = load_network(out)
+        # the status line is logged to stderr, like run's progress
+        assert capsys.readouterr() == (
+            "", f"wrote {len(net.nodes)} nodes, {len(net.segments)} segments to {out}\n")
+        assert {r.name for r in caplog.records} == {"swarmway"}
         assert 2 <= len(net.nodes) <= 40
         assert all(seg.wind is not None for seg in net.segments)
 
@@ -783,6 +788,20 @@ class TestCli:
         assert code == 3
         assert "has only 12 slots" in capsys.readouterr().err
         assert not (tmp_path / "exp" / "results.csv").exists()
+
+    def test_swarm_size_bound_is_the_most_support_redundancy_count_gives(self):
+        # n delivery drones with pb take up to max(n, 4) support drones: a
+        # request fits exactly n + max(n, 4) slots and no fewer
+        def table(slots):
+            return SimpleNamespace(max_slots=lambda kind: slots)
+
+        for n in range(1, 13):
+            assert max(redundancy_count(float(p), n) for p in range(101)) == max(n, 4)
+            request = [DeliveryRequest(0, 0, 1, [0.1] * n)]
+            cli._check_swarm_sizes(request, table(n + max(n, 4)), ("pb",))
+            with pytest.raises(NetworkFormatError, match=f"up to {n + max(n, 4)} drones"):
+                cli._check_swarm_sizes(request, table(n + max(n, 4) - 1), ("pb",))
+            cli._check_swarm_sizes(request, table(n), ("baseline",))
 
     def test_seven_packages_without_sharing_run(self, tmp_path):
         net, reqs = self.requests_file(tmp_path, weights=";".join(["0.1"] * 7))
