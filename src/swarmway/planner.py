@@ -168,7 +168,9 @@ class _RateCache:
     sharing it would move work between the timed regions of pb and fb.
 
     ``failed`` is the swarm index of the drone that failed the last
-    ``_plain_fails`` check, which the next check judges first."""
+    ``_plain_fails`` check, which the next check judges first, and
+    ``failed_block`` the index in ``blocks`` of the block that failed the
+    last shared ``_flight``, which the next flies first."""
 
     def __init__(self, swarm: Swarm, model: EnergyModel):
         self.swarm = swarm
@@ -176,7 +178,7 @@ class _RateCache:
         self.ids = tuple(d.id for d in swarm.drones)
         self.caps = tuple(d.capacity for d in swarm.drones)
         self.floors = tuple(cap * 1e-6 for cap in self.caps)
-        self.failed = 0
+        self.failed = self.failed_block = 0
         self._legs: dict[tuple[int, int], tuple] = {}
         self._rows: dict[tuple[int, int], tuple] = {}
         self._by_sector: dict[str, dict[int, float]] = {}
@@ -394,51 +396,94 @@ def feasible_leg(
     rate_cache: _RateCache | None = None,
 ) -> LegOutcome | None:
     """Traverse one segment if the batteries survive it; None otherwise.
-    ``batteries`` defaults to full ones.
-
-    With sharing enabled, each support drone independently serves its
-    contiguous block of delivery drones, offering whatever its battery
-    holds beyond its own projected drain for the leg.  A block whose
-    composer would grant nothing (and every drone when sharing is off)
-    drains in closed form, exactly as the composer's trace would.
-
-    Each block is judged as soon as it is built, and the first that fails
-    ends the leg before the next is composed: a composed block by
-    ``_grid_feasible`` on its own traces, and a draining drone, in id
-    order, by b + (a - b) * tt / tt < -FLOOR_TOLERANCE on its trace
-    (0, b) -> (tt, a), a = b - rate * tt.  That is ``_grid_feasible``'s
-    read at tt, and its reads run monotone from b at 0 to it, at most b as
-    rates are positive; so it decides alone.  a does not: at some legs
-    that end at the floor the two differ by an ulp.
-    """
+    ``batteries`` defaults to full ones.  This is ``_flight`` on the path
+    [u, v]: the leg's segment, rates and swap table are read before any
+    block is composed, so a leg that cannot build them raises first."""
     cache = rate_cache or _RateCache(swarm, model)
-    seg, sector, tt, rates, _ = cache.row(net, u, v)
     before = batteries if batteries is not None else {d.id: d.capacity for d in swarm.drones}
+    legs = _flight(net, [u, v], model, before, share, cache)
+    return legs[0] if legs else None
 
+
+def _flight(net, path, model, batteries, share, cache):
+    """Fly ``path`` from ``batteries`` without stopping: its legs, or None
+    if a drone fails one.
+
+    With sharing, each support drone serves its contiguous block of
+    delivery drones, offering what its battery holds beyond its own drain
+    for the leg; a block whose composer would grant nothing drains in
+    closed form, exactly as the composer's trace would.  Without sharing
+    or without blocks every drone drains, as one group in swarm order.
+
+    A block reads only its own drones' batteries, rates and swaps, so each
+    group flies the whole path alone, and the first leg it fails ends the
+    flight.  The first group is the block that failed the last flight
+    (``cache.failed_block``).  A composed block is judged by
+    ``_grid_feasible`` on its traces; a draining drone, in group order, by
+    b + (a - b) * tt / tt < -FLOOR_TOLERANCE, a = b - rate * tt.  That is
+    ``_grid_feasible``'s read at tt on its trace (0, b) -> (tt, a), the
+    lowest of its reads as rates are positive.  a alone does not decide:
+    at some legs that end at the floor the two differ by an ulp.
+
+    Each leg's row and swap table are read before any group flies, up to
+    the first leg that cannot build them (a ValueError from its segment,
+    the coefficients or the swap table).  That leg ends the legs the
+    groups fly, and raises only if no group fails a leg before it.  The
+    checks in front of a fly-through have read those legs already.  Only
+    a flight that succeeds builds its legs, keyed and with its plans in
+    block order, as a leg composed block by block would be.
+    """
     blocks = cache.blocks if share is not None else []
-    plan = SharingPlan() if blocks else None
-    swaps = cache.swaps(sector) if blocks else None
-    consumed, traces = {}, {}
-    for block in blocks or [None]:
-        result = None
-        if block is not None:
-            result = _share_block(block, before, rates, tt, share, model, swaps)
-        if result is None:
-            for i in block.ids if block else rates:  # rates: every drone, in order
-                b = before[i]
-                consumed[i] = spent = rates[i] * tt
-                a = b - spent
-                if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
-                    return None
-                traces[i] = [(0.0, b), (tt, a)]
-            continue
-        if not _grid_feasible(result.traces, tt):
+    first = cache.failed_block if blocks else 0
+    steps, error = [], None  # each leg before the first bad one
+    for u, v in zip(path, path[1:]):
+        try:
+            row = cache.row(net, u, v)
+            swaps = cache.swaps(row[1]) if blocks else None
+        except ValueError as exc:
+            error = exc
+            break
+        steps.append((row, swaps, {}, {}, {}))  # and its drains, traces, plans by block
+    state = dict(batteries)  # each group moves only its own drones on
+    for g in (first, *range(first), *range(first + 1, len(blocks) or 1)):
+        block = blocks[g] if blocks else None
+        for (_, _, tt, rates, _), swaps, consumed, traces, plans in steps:
+            result = block and _share_block(block, state, rates, tt, share, model, swaps)
+            if result is None:
+                for i in block.ids if block else cache.ids:
+                    b = state[i]
+                    consumed[i] = spent = rates[i] * tt
+                    state[i] = a = b - spent
+                    if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
+                        break
+                    traces[i] = [(0.0, b), (tt, a)]
+                else:  # every drone of the group flies the leg
+                    continue
+            elif _grid_feasible(result.traces, tt):
+                consumed.update(result.consumed)
+                traces.update(result.traces)
+                plans[g] = result.plan
+                for i, points in result.traces.items():
+                    state[i] = points[-1][1]
+                continue
+            if blocks:
+                cache.failed_block = g
             return None
-        consumed.update(result.consumed)
-        traces.update(result.traces)
-        plan.allocations.extend(result.plan.allocations)
-        plan.swaps.extend(result.plan.swaps)
-    return LegOutcome(u, v, seg.distance_m, tt, sector, consumed, plan, traces)
+    if error is not None:
+        raise error
+    order = [i for block in blocks for i in block.ids] if first else None
+    legs = []
+    for j, ((seg, sector, tt, _, _), _, consumed, traces, plans) in enumerate(steps):
+        plan = SharingPlan() if blocks else None
+        for g in sorted(plans):
+            plan.allocations.extend(plans[g].allocations)
+            plan.swaps.extend(plans[g].swaps)
+        if order:  # drains and traces in block order
+            consumed = {i: consumed[i] for i in order}
+            traces = {i: traces[i] for i in order}
+        legs.append(LegOutcome(path[j], path[j + 1], seg.distance_m, tt, sector,
+                               consumed, plan, traces))
+    return legs
 
 
 def _pool(battery, drained, reserve, share) -> float:
@@ -538,7 +583,7 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
 
     The legs are read up to the first one whose rates cannot be built
     (a ValueError from the coefficients or the swap table);
-    ``feasible_leg`` raises there if the composition gets that far.
+    ``_flight`` raises there if no block fails a leg before it.
     Leg 1's swap table is built first, as the composition builds it.
     """
     legs = []
@@ -613,12 +658,12 @@ def _plain_fails(net, path, batteries, cache) -> bool:
 
     Without sharing each drone drains on its own at its standing rate, so
     the check judges one drone at a time down the path, each leg by
-    ``feasible_leg``'s read, and reads a leg's row only once a drone
+    ``_flight``'s read, and reads a leg's row only once a drone
     reaches it.  The order cannot change the verdict; it starts with the
     drone that failed the last check (``cache.failed``), which most often
     fails this one too.  A leg whose rates cannot be built ends the legs
     that later drones read, and raises its ValueError only if no drone
-    fails a leg before it, where ``feasible_leg`` raises it too.
+    fails a leg before it, where ``_flight`` raises it too.
     """
     ids, first = cache.ids, cache.failed
     tts, rows = [], []  # of the legs read so far, in path order
@@ -650,28 +695,19 @@ def _fly_through(swarm, net, path, model, batteries, share, cache):
 
     A fly-through that ``_plain_fails`` (without sharing) or
     ``_sharing_cannot_save`` (with it) rules out returns None without
-    composing a leg.
+    composing a leg; any other is ``_flight``.
     """
     if (_plain_fails(net, path, batteries, cache) if share is None
             else _sharing_cannot_save(net, path, model, batteries, share, cache)):
         return None
-    legs = []
-    state = dict(batteries)
-    for a, b in zip(path, path[1:]):
-        leg = feasible_leg(swarm, net, a, b, model, batteries=state,
-                           share=share, rate_cache=cache)
-        if leg is None:
-            return None
-        legs.append(leg)
-        state = leg.batteries_after
-    return legs
+    return _flight(net, path, model, batteries, share, cache)
 
 
 def _price_stop(net, u, v, destination, cache):
     """(tt + nt, visit) of flying u -> v from full batteries and recharging
     everyone at v, or (tt, None) at the ``destination``; None when a drone
     cannot fly the leg.  From full both composers are idle on one leg, so it
-    drains as ``feasible_leg`` reads a draining drone, with sharing or
+    drains as ``_flight`` reads a draining drone, with sharing or
     without, and no leg is built.
 
     One pass over the leg's rates judges each drone and takes its drain

@@ -785,3 +785,59 @@ def full_recharge_as_written(swarm, node, sector, drains, model, cache):
             cache.pad_candidates(sector, node.pads), times))
     sched = pad_schedule(times, node.pads)
     return NodeVisit(node.id, sched.node_time, sched.queues)
+
+
+def fly_legs_as_written(swarm, net, path, model, batteries, share, cache):
+    """``planner._fly_through``'s flight before it flew one provider block
+    at a time, as written: leg by leg, each leg judging its blocks in
+    order as they are built and ending at the first that fails."""
+    from swarmway.planner import (
+        FLOOR_TOLERANCE,
+        LegOutcome,
+        SharingPlan,
+        _grid_feasible,
+        _share_block,
+    )
+
+    legs, state = [], dict(batteries)
+    for u, v in zip(path, path[1:]):
+        seg, sector, tt, rates, _ = cache.row(net, u, v)
+        blocks = cache.blocks if share is not None else []
+        plan = SharingPlan() if blocks else None
+        swaps = cache.swaps(sector) if blocks else None
+        consumed, traces = {}, {}
+        for block in blocks or [None]:
+            result = None
+            if block is not None:
+                result = _share_block(block, state, rates, tt, share, model, swaps)
+            if result is None:
+                for i in block.ids if block else rates:  # rates: every drone, in order
+                    b = state[i]
+                    consumed[i] = spent = rates[i] * tt
+                    a = b - spent
+                    if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
+                        return None
+                    traces[i] = [(0.0, b), (tt, a)]
+                continue
+            if not _grid_feasible(result.traces, tt):
+                return None
+            consumed.update(result.consumed)
+            traces.update(result.traces)
+            plan.allocations.extend(result.plan.allocations)
+            plan.swaps.extend(result.plan.swaps)
+        leg = LegOutcome(u, v, seg.distance_m, tt, sector, consumed, plan, traces)
+        legs.append(leg)
+        state = leg.batteries_after
+    return legs
+
+
+def fly_through_as_written(swarm, net, path, model, batteries, share, cache):
+    """``planner._fly_through`` before it flew one provider block at a
+    time, as written: the plain check or the sharing bound, then
+    ``fly_legs_as_written``."""
+    from swarmway.planner import _plain_fails, _sharing_cannot_save
+
+    if (_plain_fails(net, path, batteries, cache) if share is None
+            else _sharing_cannot_save(net, path, model, batteries, share, cache)):
+        return None
+    return fly_legs_as_written(swarm, net, path, model, batteries, share, cache)

@@ -57,6 +57,8 @@ from instances import transfer_sums
 from oracles import (
     best_walk,
     feasible_leg_as_written,
+    fly_legs_as_written,
+    fly_through_as_written,
     full_recharge_as_written,
     grid_scan_feasible,
     leg_grid_feasible,
@@ -1466,6 +1468,163 @@ class TestSharedLegsAsWritten:
         no_time = [m for a, b in zip(path, path[1:]) if (m := no_time_message(net, a, b, model))]
         if no_time:
             assert got == ("raises", "ValueError", no_time[0])
+
+
+def block_hinted_cache(swarm, model, first):
+    """A fresh cache whose next shared flight flies block ``first`` (its
+    index in the cache's blocks) first."""
+    cache = planner._RateCache(swarm, model)
+    cache.failed_block = first
+    return cache
+
+
+def flown(fly, *args):
+    """What a flight gives, field by field: each leg's repr (its dicts in
+    key order, its allocations and swaps in order) and its traces; or
+    None; or the ValueError it raises, with its message."""
+    try:
+        legs = fly(*args)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return legs and [(repr(leg), repr(leg.traces)) for leg in legs]
+
+
+def composed_blocks(fly, *args):
+    """The providers of the blocks ``fly`` composes, in order, and what it
+    gives."""
+    providers = []
+    share_block = planner._share_block
+
+    def counted(block, *rest):
+        providers.append(block.provider)
+        return share_block(block, *rest)
+
+    with mock.patch.object(planner, "_share_block", counted):
+        got = flown(fly, *args)
+    return providers, got
+
+
+def raising_swaps(cache, bad):
+    """``cache`` with a swap table that raises in the ``bad`` sector."""
+    swaps = cache.swaps
+
+    def table(sector):
+        if sector == bad:
+            raise ValueError(f"no swap table in sector {sector!r}")
+        return swaps(sector)
+
+    cache.swaps = table
+    return cache
+
+
+class TestBlockMajorFlight:
+    """A fly-through flies one provider block over the whole path at a
+    time, from the block that failed the last flight, and builds its legs
+    only when every block survives: the same verdicts, legs and errors as
+    leg by leg, as written, whichever block goes first."""
+
+    def assert_as_written(self, swarm, net, path, model, batteries, share):
+        case = (swarm, net, path, model, batteries, share)
+        want = flown(fly_through_as_written, *case, planner._RateCache(swarm, model))
+        want_legs = flown(fly_legs_as_written, *case, planner._RateCache(swarm, model))
+        blocks = planner._RateCache(swarm, model).blocks if share is not None else []
+        for first in range(len(blocks) or 1):
+            got = flown(planner._fly_through, *case, block_hinted_cache(swarm, model, first))
+            assert got == want
+            cache = block_hinted_cache(swarm, model, first)
+            providers, got = composed_blocks(planner._flight, net, path, model,
+                                             batteries, share, cache)
+            assert got == want_legs
+            if got is None and blocks:
+                # the block left as the hint fails first when flown again
+                hint = blocks[cache.failed_block].provider
+                again, got = composed_blocks(planner._flight, net, path, model,
+                                             batteries, share, cache)
+                assert got is None and set(again) <= {hint}
+                event("the forced block failed" if hint == blocks[first].provider
+                      else "a later block failed")
+        verdict = "raises" if want_legs and want_legs[0] == "raises" else (
+            "flies" if want_legs else "fails")
+        event(f"{share.strategy if share else 'no sharing'}, {len(blocks)} blocks: "
+              f"checked {'flies' if want else 'fails'}, legs {verdict}")
+
+    @given(shared_fly_throughs())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_fly_throughs_as_written(self, case):
+        self.assert_as_written(*case)
+
+    @given(plain_fly_throughs(), st.one_of(st.none(), SHARE_CONFIGS))
+    @settings(max_examples=300, deadline=None)
+    def test_plain_fly_throughs_as_written(self, case, share):
+        self.assert_as_written(*case, share)
+
+    @given(blocks_on_legs(), st.sampled_from(WIND_SECTORS), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_a_bad_leg_raises_only_if_no_block_fails_before_it(self, case, bad, swap):
+        # leg j is the first whose segment takes no time, or, in the ``bad``
+        # sector, whose coefficients are missing or whose swap table raises
+        swarm, net, path, model, batteries, share = case
+        if not swap:
+            model = EnergyModel(model.spec, table_without(bad))
+
+        def fresh():
+            cache = planner._RateCache(swarm, model)
+            return raising_swaps(cache, bad) if swap else cache
+
+        reads = fresh()
+        j, message = len(path) - 1, None
+        for k, (a, b) in enumerate(zip(path, path[1:])):
+            try:
+                _, sector, _, _, _ = reads.row(net, a, b)
+                if share is not None and reads.blocks:
+                    reads.swaps(sector)
+            except ValueError as exc:
+                j, message = k, str(exc)
+                break
+        prefix = flown(fly_legs_as_written, swarm, net, path[:j + 1], model, batteries,
+                       share, fresh())
+        want = flown(fly_legs_as_written, swarm, net, path, model, batteries, share,
+                     fresh())
+        if message is not None:
+            # it raises exactly when every block flies the legs before j
+            assert (want == ("raises", message)) == (prefix is not None)
+        verdict = "fails" if want is None else "raises" if want[0] == "raises" else "flies"
+        event(f"a bad leg: {message is not None}, {verdict}")
+        blocks = reads.blocks if share is not None else []
+        for first in range(len(blocks) or 1):
+            cache = block_hinted_cache(swarm, model, first)
+            got = flown(planner._flight, net, path, model, batteries, share,
+                        raising_swaps(cache, bad) if swap else cache)
+            assert got == want
+
+    @pytest.mark.parametrize("bad", ["no time", "coefficients", "swaps"])
+    def test_feasible_leg_raises_before_any_block_is_composed(self, bad):
+        # both blocks would compose: their consumers are empty, their
+        # support drones full
+        spec = DroneSpec(battery_capacity=4096.0, cruise_speed=60.0,
+                         base_consumption_rate=64.0)
+        drones = [make_delivery_drone(0, 0.0, spec), make_support_drone(1, spec),
+                  make_delivery_drone(2, 0.0, spec), make_support_drone(3, spec)]
+        swarm = swarm_of(drones)
+        table = FLAT if bad != "coefficients" else CoefficientTable({
+            (kind, slot, "head"): 1.0 for kind in FORMATION_KINDS for slot in range(12)})
+        model = EnergyModel(spec, table, 0.0)
+        net = line_net(1e-323 if bad == "no time" else 3.0)
+        cache = planner._RateCache(swarm, model)
+        if bad == "swaps":
+            raising_swaps(cache, "tail")
+        assert len(cache.blocks) == 2
+        batteries = {0: 0.0, 1: 4096.0, 2: 0.0, 3: 4096.0}
+        messages = {"no time": no_time_message(net, 0, 1, model),
+                    "coefficients": "no coefficient",
+                    "swaps": "no swap table in sector 'tail'"}
+        for first in range(2):
+            cache.failed_block = first
+            providers, got = composed_blocks(
+                lambda: feasible_leg(swarm, net, 0, 1, model, batteries=batteries,
+                                     share=ShareConfig("pb"), rate_cache=cache))
+            assert got[0] == "raises" and messages[bad] in got[1]
+            assert providers == []
 
 
 class TestSharedFlyThroughBoundOnWorlds:
