@@ -121,10 +121,6 @@ class DeliveryPlan:
         return [self.source] + [leg.v for leg in self.legs]
 
     @property
-    def stuck_node(self) -> int | None:
-        return self.path[-1] if self.status == "stuck" else None
-
-    @property
     def tt_total(self) -> float:
         return sum(leg.tt for leg in self.legs)
 
@@ -168,9 +164,9 @@ class _RateCache:
     sharing it would move work between the timed regions of pb and fb.
 
     ``failed`` is the swarm index of the drone that failed the last
-    ``_plain_fails`` check, which the next check judges first, and
-    ``failed_block`` the index in ``blocks`` of the block that failed the
-    last shared ``_flight``, which the next flies first."""
+    ``_flight`` flown drone by drone, and ``failed_block`` the index in
+    ``blocks`` of the block that failed the last flown block by block:
+    the next flight of that kind flies it first."""
 
     def __init__(self, swarm: Swarm, model: EnergyModel):
         self.swarm = swarm
@@ -398,7 +394,7 @@ def feasible_leg(
     """Traverse one segment if the batteries survive it; None otherwise.
     ``batteries`` defaults to full ones.  This is ``_flight`` on the path
     [u, v]: the leg's segment, rates and swap table are read before any
-    block is composed, so a leg that cannot build them raises first."""
+    group flies it, so a leg that cannot build them raises first."""
     cache = rate_cache or _RateCache(swarm, model)
     before = batteries if batteries is not None else {d.id: d.capacity for d in swarm.drones}
     legs = _flight(net, [u, v], model, before, share, cache)
@@ -413,74 +409,92 @@ def _flight(net, path, model, batteries, share, cache):
     delivery drones, offering what its battery holds beyond its own drain
     for the leg; a block whose composer would grant nothing drains in
     closed form, exactly as the composer's trace would.  Without sharing
-    or without blocks every drone drains, as one group in swarm order.
+    or without blocks each drone drains on its own.
 
-    A block reads only its own drones' batteries, rates and swaps, so each
-    group flies the whole path alone, and the first leg it fails ends the
-    flight.  The first group is the block that failed the last flight
-    (``cache.failed_block``).  A composed block is judged by
-    ``_grid_feasible`` on its traces; a draining drone, in group order, by
-    b + (a - b) * tt / tt < -FLOOR_TOLERANCE, a = b - rate * tt.  That is
-    ``_grid_feasible``'s read at tt on its trace (0, b) -> (tt, a), the
+    A group, a block or else a drone, reads only its own drones'
+    batteries, rates and swaps, so each flies the whole path alone and
+    the first leg it fails ends the flight.  The first group flown is the
+    one that failed the last flight of its kind (``cache.failed_block`` or
+    ``cache.failed``), which most often fails this one too.  A composed
+    block is judged by ``_grid_feasible`` on its traces; a draining drone
+    by b + (a - b) * tt / tt < -FLOOR_TOLERANCE, a = b - rate * tt: that
+    is ``_grid_feasible``'s read at tt on its trace (0, b) -> (tt, a), the
     lowest of its reads as rates are positive.  a alone does not decide:
     at some legs that end at the floor the two differ by an ulp.
 
-    Each leg's row and swap table are read before any group flies, up to
-    the first leg that cannot build them (a ValueError from its segment,
-    the coefficients or the swap table).  That leg ends the legs the
-    groups fly, and raises only if no group fails a leg before it.  The
-    checks in front of a fly-through have read those legs already.  Only
-    a flight that succeeds builds its legs, keyed and with its plans in
-    block order, as a leg composed block by block would be.
+    A leg's row and swap table are read when the first group reaches it.
+    The first leg that cannot build them (a ValueError from its segment,
+    the coefficients or the swap table) ends the legs later groups fly,
+    and raises only if no group fails a leg before it.  Only a flight that
+    succeeds builds its legs, in ``_legs``, from the blocks it composed.
     """
     blocks = cache.blocks if share is not None else []
-    first = cache.failed_block if blocks else 0
-    steps, error = [], None  # each leg before the first bad one
-    for u, v in zip(path, path[1:]):
-        try:
-            row = cache.row(net, u, v)
-            swaps = cache.swaps(row[1]) if blocks else None
-        except ValueError as exc:
-            error = exc
-            break
-        steps.append((row, swaps, {}, {}, {}))  # and its drains, traces, plans by block
+    groups = [block.ids for block in blocks] or [(i,) for i in cache.ids]
+    first = cache.failed_block if blocks else cache.failed
+    rows, swaps, composed = [], [], {}  # of the legs read; (leg, block) -> result
+    end, error = len(path) - 1, None
     state = dict(batteries)  # each group moves only its own drones on
-    for g in (first, *range(first), *range(first + 1, len(blocks) or 1)):
+    for g in (first, *range(first), *range(first + 1, len(groups))):
         block = blocks[g] if blocks else None
-        for (_, _, tt, rates, _), swaps, consumed, traces, plans in steps:
-            result = block and _share_block(block, state, rates, tt, share, model, swaps)
+        for j in range(end):
+            if j == len(rows):
+                try:
+                    row = cache.row(net, path[j], path[j + 1])
+                    swaps.append(cache.swaps(row[1]) if blocks else None)
+                except ValueError as exc:
+                    end, error = j, exc
+                    break
+                rows.append(row)
+            _, _, tt, rates, _ = rows[j]
+            result = block and _share_block(block, state, rates, tt, share, model, swaps[j])
             if result is None:
-                for i in block.ids if block else cache.ids:
+                for i in groups[g]:
                     b = state[i]
-                    consumed[i] = spent = rates[i] * tt
-                    state[i] = a = b - spent
+                    state[i] = a = b - rates[i] * tt
                     if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
                         break
-                    traces[i] = [(0.0, b), (tt, a)]
                 else:  # every drone of the group flies the leg
                     continue
             elif _grid_feasible(result.traces, tt):
-                consumed.update(result.consumed)
-                traces.update(result.traces)
-                plans[g] = result.plan
+                composed[j, g] = result
                 for i, points in result.traces.items():
                     state[i] = points[-1][1]
                 continue
             if blocks:
                 cache.failed_block = g
+            else:
+                cache.failed = g
             return None
     if error is not None:
         raise error
-    order = [i for block in blocks for i in block.ids] if first else None
-    legs = []
-    for j, ((seg, sector, tt, _, _), _, consumed, traces, plans) in enumerate(steps):
+    return _legs(path, rows, composed, batteries, blocks, cache)
+
+
+def _legs(path, rows, composed, batteries, blocks, cache):
+    """The legs of a flight along ``path`` that every group survives, from
+    each leg's row and the results ``composed`` by (leg, block index);
+    every other drone drains by ``_flight``'s expressions.  Keyed and with
+    plans in block order, or in swarm order without ``blocks``."""
+    groups = [block.ids for block in blocks] or [cache.ids]
+    state, legs = dict(batteries), []
+    for j, (seg, sector, tt, rates, _) in enumerate(rows):
+        consumed, traces = {}, {}
         plan = SharingPlan() if blocks else None
-        for g in sorted(plans):
-            plan.allocations.extend(plans[g].allocations)
-            plan.swaps.extend(plans[g].swaps)
-        if order:  # drains and traces in block order
-            consumed = {i: consumed[i] for i in order}
-            traces = {i: traces[i] for i in order}
+        for g, ids in enumerate(groups):
+            result = composed.get((j, g))
+            if result is None:
+                for i in ids:
+                    b = state[i]
+                    consumed[i] = spent = rates[i] * tt
+                    state[i] = a = b - spent
+                    traces[i] = [(0.0, b), (tt, a)]
+                continue
+            consumed.update(result.consumed)
+            traces.update(result.traces)
+            plan.allocations.extend(result.plan.allocations)
+            plan.swaps.extend(result.plan.swaps)
+            for i, points in result.traces.items():
+                state[i] = points[-1][1]
         legs.append(LegOutcome(path[j], path[j + 1], seg.distance_m, tt, sector,
                                consumed, plan, traces))
     return legs
@@ -652,63 +666,13 @@ def _sharing_cannot_save(net, path, model, batteries, share, cache) -> bool:
     return False
 
 
-def _plain_fails(net, path, batteries, cache) -> bool:
-    """True when flying ``path`` from ``batteries`` without sharing fails,
-    decided without building a leg.
-
-    Without sharing each drone drains on its own at its standing rate, so
-    the check judges one drone at a time down the path, each leg by
-    ``_flight``'s read, and reads a leg's row only once a drone
-    reaches it.  The order cannot change the verdict; it starts with the
-    drone that failed the last check (``cache.failed``), which most often
-    fails this one too.  A leg whose rates cannot be built ends the legs
-    that later drones read, and raises its ValueError only if no drone
-    fails a leg before it, where ``_flight`` raises it too.
-    """
-    ids, first = cache.ids, cache.failed
-    tts, rows = [], []  # of the legs read so far, in path order
-    end, error = len(path) - 1, None
-    for i in (first, *range(first), *range(first + 1, len(ids))):
-        b = batteries[ids[i]]
-        for j in range(end):
-            if j == len(rows):
-                try:
-                    _, _, tt, _, row = cache.row(net, path[j], path[j + 1])
-                except ValueError as exc:
-                    end, error = j, exc
-                    break
-                tts.append(tt)
-                rows.append(row)
-            tt = tts[j]
-            a = b - rows[j][i] * tt
-            if b + (a - b) * tt / tt < -FLOOR_TOLERANCE:
-                cache.failed = i
-                return True
-            b = a
-    if error is not None:
-        raise error
-    return False
-
-
-def _fly_through(swarm, net, path, model, batteries, share, cache):
-    """Fly consecutive segments without stopping; None if any leg fails.
-
-    A fly-through that ``_plain_fails`` (without sharing) or
-    ``_sharing_cannot_save`` (with it) rules out returns None without
-    composing a leg; any other is ``_flight``.
-    """
-    if (_plain_fails(net, path, batteries, cache) if share is None
-            else _sharing_cannot_save(net, path, model, batteries, share, cache)):
-        return None
-    return _flight(net, path, model, batteries, share, cache)
-
-
 def _price_stop(net, u, v, destination, cache):
     """(tt + nt, visit) of flying u -> v from full batteries and recharging
     everyone at v, or (tt, None) at the ``destination``; None when a drone
     cannot fly the leg.  From full both composers are idle on one leg, so it
     drains as ``_flight`` reads a draining drone, with sharing or
-    without, and no leg is built.
+    without, and no leg is built: a stop taken builds its leg in ``_legs``
+    from the same row, with no block composed.
 
     One pass over the leg's rates judges each drone and takes its drain
     cap - (cap - rate * tt), the leg's own end battery taken back from
@@ -740,17 +704,19 @@ def _price_stop(net, u, v, destination, cache):
     return tt + visit.nt, visit
 
 
-def _moves(swarm, net, node, destination, tree, model, share, cache, full, closed):
+def _moves(net, node, destination, tree, model, share, cache, full, closed):
     """The walker's moves from ``node`` on full batteries, (cost, next
     node, step): the rest of ``tree``'s path flown through, plain and then
-    shared, alone when that works, its cost its legs' tt and its step the
-    legs; else each feasible stop in neighbor order, its cost tt + nt and
-    its step the visit (None at the ``destination``).  Neighbors in
-    ``closed``, and padless ones but the destination, are not priced."""
+    shared unless ``_sharing_cannot_save`` rules that out, alone when that
+    works, its cost its legs' tt and its step the legs; else each feasible
+    stop in neighbor order, its cost tt + nt and its step the visit (None
+    at the ``destination``).  Neighbors in ``closed``, and padless ones but
+    the destination, are not priced."""
     remaining = tree.path_to_root(node)
-    legs = _fly_through(swarm, net, remaining, model, full, None, cache)
-    if legs is None and share is not None:
-        legs = _fly_through(swarm, net, remaining, model, full, share, cache)
+    legs = _flight(net, remaining, model, full, None, cache)
+    if (legs is None and share is not None
+            and not _sharing_cannot_save(net, remaining, model, full, share, cache)):
+        legs = _flight(net, remaining, model, full, share, cache)
     if legs is not None:
         return [(sum(leg.tt for leg in legs), destination, legs)]
     moves = []
@@ -783,7 +749,8 @@ def compose(
 
     Every round starts on full batteries: at the source and after each
     recharge, so ``_price_stop`` judges and prices each neighbor without
-    building its leg; only the stop taken builds one.  A round's moves are
+    building its leg; only the stop taken builds one, in ``_legs`` from the
+    row it was judged on, without judging it again.  A round's moves are
     then a pure function of its node, so the first round at a node keeps
     them and a later one picks from them, less the nodes closed since.
     A plan that repeats a stop holds the same visit object twice.
@@ -796,6 +763,7 @@ def compose(
         plan.status = "unreachable"
         return plan
     cache = _RateCache(swarm, model)
+    blocks = cache.blocks if share is not None else []
     full = {d.id: d.capacity for d in swarm.drones}
     current = request.source
     visit_count = {current: 1}
@@ -805,8 +773,8 @@ def compose(
     while current != request.destination:
         moves = moves_at.get(current)
         if moves is None:
-            moves = moves_at[current] = _moves(swarm, net, current, request.destination,
-                                               tree, model, share, cache, full, closed)
+            moves = moves_at[current] = _moves(net, current, request.destination, tree,
+                                               model, share, cache, full, closed)
         best = None
         for move in moves:
             if move[1] not in closed and (best is None or move[0] < best[0]):
@@ -818,8 +786,8 @@ def compose(
         if isinstance(step, list):  # the fly-through's legs
             plan.legs.extend(step)
         else:
-            plan.legs.append(feasible_leg(swarm, net, current, nb, model, batteries=full,
-                                          share=share, rate_cache=cache))
+            plan.legs += _legs([current, nb], [cache.row(net, current, nb)], {}, full,
+                               blocks, cache)
             if step is not None:
                 plan.visits.append(step)
         visit_count[nb] = count = visit_count.get(nb, 0) + 1
@@ -968,14 +936,15 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
 
 def _simulate_static_path(swarm, net, path, model, request_id, strategy):
     """Fly a fixed path with full recharges at the intermediate stops, each
-    judged and priced as ``compose`` prices a stop."""
+    judged, priced and built as ``compose`` takes a stop."""
     plan = DeliveryPlan(request_id, strategy, "stuck", path[0], [], [])
     cache = _RateCache(swarm, model)
+    full = {d.id: d.capacity for d in swarm.drones}
     for a, b in zip(path, path[1:]):
         stop = _price_stop(net, a, b, path[-1], cache)
         if stop is None:
             return plan
-        plan.legs.append(feasible_leg(swarm, net, a, b, model, rate_cache=cache))
+        plan.legs += _legs([a, b], [cache.row(net, a, b)], {}, full, [], cache)
         if stop[1] is not None:
             plan.visits.append(stop[1])
     plan.status = "success"

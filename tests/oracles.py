@@ -508,10 +508,10 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
 
     while current != request.destination:
         remaining = tree.path_to_root(current)
-        legs = planner._fly_through(swarm, net, remaining, model, batteries, None, cache)
-        if legs is None and share is not None:
-            legs = planner._fly_through(swarm, net, remaining, model, batteries, share,
-                                        cache)
+        legs = planner._flight(net, remaining, model, batteries, None, cache)
+        if legs is None and share is not None and not planner._sharing_cannot_save(
+                net, remaining, model, batteries, share, cache):
+            legs = planner._flight(net, remaining, model, batteries, share, cache)
         if legs is not None:
             plan.legs.extend(legs)
             current = request.destination
@@ -592,8 +592,8 @@ def best_walk(swarm, net, request, model, *, share=None, tree=None):
         settled.add(node)
         if node == request.destination:
             break
-        for move_cost, nb, step in planner._moves(swarm, net, node, request.destination,
-                                                  tree, model, share, cache, full, settled):
+        for move_cost, nb, step in planner._moves(net, node, request.destination, tree,
+                                                  model, share, cache, full, settled):
             if nb not in cost or at + move_cost < cost[nb]:
                 cost[nb] = at + move_cost
                 came[nb] = (node, step)
@@ -744,8 +744,9 @@ def plain_drain_as_written(before, rates, tt, ids):
 
 
 def plain_fails_as_written(net, path, batteries, cache) -> bool:
-    """``planner._plain_fails`` before it judged one drone at a time, as
-    written: every drone leg by leg through ``plain_drain_as_written``."""
+    """Whether flying ``path`` without sharing fails, as the plain check
+    before ``planner._flight`` judged one drone at a time, as written:
+    every drone leg by leg through ``plain_drain_as_written``."""
     state = batteries
     for u, v in zip(path, path[1:]):
         _, sector, tt = cache.leg(net, u, v)
@@ -788,9 +789,9 @@ def full_recharge_as_written(swarm, node, sector, drains, model, cache):
 
 
 def fly_legs_as_written(swarm, net, path, model, batteries, share, cache):
-    """``planner._fly_through``'s flight before it flew one provider block
-    at a time, as written: leg by leg, each leg judging its blocks in
-    order as they are built and ending at the first that fails."""
+    """``planner._flight`` before it flew one provider block at a time,
+    as written: leg by leg, each leg judging its blocks in order as they
+    are built and ending at the first that fails."""
     from swarmway.planner import (
         FLOOR_TOLERANCE,
         LegOutcome,
@@ -832,12 +833,12 @@ def fly_legs_as_written(swarm, net, path, model, batteries, share, cache):
 
 
 def fly_through_as_written(swarm, net, path, model, batteries, share, cache):
-    """``planner._fly_through`` before it flew one provider block at a
-    time, as written: the plain check or the sharing bound, then
-    ``fly_legs_as_written``."""
-    from swarmway.planner import _plain_fails, _sharing_cannot_save
+    """A fly-through before ``planner._flight`` flew one provider block at
+    a time, as written: ``plain_fails_as_written`` or the sharing bound,
+    then ``fly_legs_as_written``."""
+    from swarmway.planner import _sharing_cannot_save
 
-    if (_plain_fails(net, path, batteries, cache) if share is None
+    if (plain_fails_as_written(net, path, batteries, cache) if share is None
             else _sharing_cannot_save(net, path, model, batteries, share, cache)):
         return None
     return fly_legs_as_written(swarm, net, path, model, batteries, share, cache)

@@ -362,7 +362,7 @@ def test_criterion_6_walker_detours_where_statics_strand():
     ok = (dij.status == "stuck" and fw.status == "stuck"
           and walked.status == "success" and walked.path == [0, 1, 2, 3])
     _check(6, ok, f"statics {dij.status}/{fw.status} at node "
-                  f"{dij.stuck_node}, walker {walked.status} via {walked.path}")
+                  f"{dij.path[-1]}, walker {walked.status} via {walked.path}")
 
 
 def test_criterion_7_energy_positioning_dt_within_slack(sweep):

@@ -322,6 +322,42 @@ class TestSupportSpacing:
             check_support_spacing(FLAT)
 
 
+class TestClusteredSupportDrones:
+    """A swarm whose support drones cluster fails as it always has: its
+    swap table raises the first time a shared flight reads it, and only a
+    shared flight reads it, so a stop taken, built without one, moves no
+    failure."""
+
+    def test_a_compose_raises_exactly_when_the_plain_fly_through_fails(self):
+        # column slots 0-4: delivery drones in 0-1, support drones in 2-4,
+        # so the provider in slot 3, serving slot 1, has no delivery drone
+        # beside it
+        net = largest_connected_component(synthesize_network(276, 0))
+        spec = DroneSpec()
+        model = EnergyModel(spec, default_table())
+        outcomes = {"raises": 0, "succeeds": 0}
+        for request in synthesize_requests(net, 40, 0):
+            swarm = swarm_of([make_delivery_drone(i, w, spec)
+                              for i, w in enumerate(request.package_weights[:2])]
+                             + [make_support_drone(i, spec) for i in (2, 3, 4)])
+            tree = shortest_path_tree(net, request.destination)
+            full = {d.id: d.capacity for d in swarm.drones}
+            fails = plain_fails_as_written(net, tree.path_to_root(request.source), full,
+                                           planner._RateCache(swarm, model))
+            for strategy in ("pb", "fb"):
+                try:
+                    plan = compose(swarm, net, request, model, share=ShareConfig(strategy),
+                                   tree=tree)
+                except ValueError as exc:
+                    assert "never cluster support drones" in str(exc)
+                    assert fails
+                    outcomes["raises"] += 1
+                else:
+                    assert not fails and plan.status == "success"
+                    outcomes["succeeds"] += 1
+        assert outcomes == {"raises": 72, "succeeds": 8}
+
+
 class TestGridCheck:
     """The per-piece grid check against the point-by-point scan."""
 
@@ -412,7 +448,7 @@ class TestCompose:
         swarm, model = self.stop_swarm()
         plan = compose(swarm, line_net(30), DeliveryRequest(3, 0, 1, [0.3, 0.3]), model)
         assert plan.status == "stuck"
-        assert plan.stuck_node == 0
+        assert plan.path[-1] == 0
         assert plan.path == [0]
         assert plan.legs == []
 
@@ -431,7 +467,7 @@ class TestCompose:
         net = line_net(10, 30)
         plan = compose(swarm, net, DeliveryRequest(5, 0, 2, [0.3, 0.3]), model)
         assert plan.status == "stuck"
-        assert plan.stuck_node == 1
+        assert plan.path[-1] == 1
         # it shuttles 0 -> 1 -> 0 -> 1 before giving up
         assert plan.path == [0, 1, 0, 1]
         assert len(plan.visits) == 3
@@ -915,15 +951,24 @@ class TestSharedFlyThroughBound:
         assert rates[2] * tts[0] < FLOOR_TOLERANCE / 4
 
 
+def plain_check(net, path, model, batteries, cache):
+    """Whether the plain fly-through fails: ``_flight`` without sharing."""
+    return planner._flight(net, path, model, batteries, None, cache) is None
+
+
 def plain_fails(swarm, net, path, model, batteries):
-    return planner._plain_fails(net, path, batteries, planner._RateCache(swarm, model))
+    return plain_check(net, path, model, batteries, planner._RateCache(swarm, model))
 
 
-def hinted_cache(swarm, model, first):
-    """A fresh cache whose next plain check judges drone ``first`` (its
-    index in the swarm) first."""
+def hinted_cache(swarm, model, first, share=None):
+    """A fresh cache whose next flight under ``share`` flies group
+    ``first`` first: its index in the cache's blocks, or in the swarm
+    when the flight has no blocks."""
     cache = planner._RateCache(swarm, model)
-    cache.failed = first
+    if share is not None and cache.blocks:
+        cache.failed_block = first
+    else:
+        cache.failed = first
     return cache
 
 
@@ -1095,8 +1140,7 @@ class TestPlainFlyThrough:
             # whichever drone is judged first
             for first in range(len(batteries)):
                 with pytest.raises(ValueError, match="no coefficient .* sector 'head'"):
-                    planner._plain_fails(case[1], case[2], case[4],
-                                         hinted_cache(case[0], case[3], first))
+                    plain_check(*case[1:], hinted_cache(case[0], case[3], first))
             with pytest.raises(ValueError, match="no coefficient .* sector 'head'"):
                 fly_leg_by_leg(*case, None)
         # and is never reached after one that fails: drone 1 runs dry on leg
@@ -1108,7 +1152,7 @@ class TestPlainFlyThrough:
         assert fly_leg_by_leg(*case, None) is None
         for first in range(3):
             cache = hinted_cache(case[0], case[3], first)
-            assert planner._plain_fails(case[1], case[2], case[4], cache) is True
+            assert plain_check(*case[1:], cache) is True
             assert cache.failed == 1
 
 
@@ -1129,14 +1173,22 @@ class TestSharedLegFromFull:
                             quantum=data.draw(st.one_of(st.sampled_from((28.0, 2240.0)),
                                                         st.floats(1.0, 4000.0))))
         full = {d.id: d.capacity for d in swarm.drones}
-        fails = planner._plain_fails(net, [u, v], full, planner._RateCache(swarm, model))
+        fails = plain_fails(swarm, net, [u, v], model, full)
         event(f"{share.strategy}, {len(swarm.support_drones())} support drones, "
               f"plain fails: {fails}")
         leg = feasible_leg(swarm, net, u, v, model, share=share)
         assert (leg is None) == fails
         if leg is not None:
+            plain = feasible_leg(swarm, net, u, v, model)
             assert leg.plan is None or leg.plan.allocations == []
-            assert leg.batteries_after == feasible_leg(swarm, net, u, v, model).batteries_after
+            assert leg.batteries_after == plain.batteries_after
+            # so a stop taken builds its leg from its row, composing nothing
+            cache = planner._RateCache(swarm, model)
+            for blocks, want in ((cache.blocks, leg), ([], plain)):
+                built = planner._legs([u, v], [cache.row(net, u, v)], {}, full, blocks,
+                                      cache)
+                assert (repr(built), repr(built[0].traces), repr(built[0].shared)) == \
+                    (repr([want]), repr(want.traces), repr(want.shared))
 
 
 
@@ -1169,9 +1221,10 @@ def stop_legs(draw, metres=st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 60000.
 
 class TestStopDrains:
     """The walker and the static routers price a stop from one pass over
-    the leg's rates, ``_price_stop``: the same verdict as ``_plain_fails``
-    and the leg ``feasible_leg`` builds, and restore times from the same
-    drains as those taken from the travel time and from that leg."""
+    the leg's rates, ``_price_stop``: the same verdict as the plain
+    ``_flight`` and the leg ``feasible_leg`` builds, and restore times
+    from the same drains as those taken from the travel time and from
+    that leg."""
 
     @given(stop_legs(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -1187,7 +1240,7 @@ class TestStopDrains:
                 mock.patch.object(planner, "pad_schedule",
                                   wraps=planner.pad_schedule) as search:
             stop = planner._price_stop(net, 0, 1, destination, cache)
-        fails = planner._plain_fails(net, [0, 1], full, cache)
+        fails = plain_check(net, [0, 1], model, full, cache)
         leg = feasible_leg(swarm, net, 0, 1, model)
         assert (stop is None) == fails == (leg is None)
         assert repr(stop) == repr(price_stop_as_written(
@@ -1227,7 +1280,7 @@ class TestStopDrains:
         message = no_time_message(net, 0, 1, model)
         assert message.startswith("segment (0, 1): ")
         for check in (lambda: planner._price_stop(net, 0, 1, 1 if at_end else None, cache),
-                      lambda: planner._plain_fails(net, [0, 1], full, cache),
+                      lambda: plain_check(net, [0, 1], model, full, cache),
                       lambda: feasible_leg(swarm, net, 0, 1, model)):
             with pytest.raises(ValueError) as info:
                 check()
@@ -1260,8 +1313,8 @@ def table_without(sector):
 
 
 class TestPlainChecksAsWritten:
-    """``_plain_fails`` judges one drone at a time, from the drone that
-    failed the last check, and ``_price_stop`` reads a leg's rates in one
+    """The plain ``_flight`` judges one drone at a time, from the drone that
+    failed the last flight, and ``_price_stop`` reads a leg's rates in one
     pass: the same verdicts, errors, prices and visits as both as written
     (every drone leg by leg through ``plain_drain_as_written``, and a dict
     of end batteries priced by ``_full_recharge``)."""
@@ -1276,7 +1329,7 @@ class TestPlainChecksAsWritten:
                          planner._RateCache(swarm, model))
         for first in range(len(swarm.drones)):
             cache = hinted_cache(swarm, model, first)
-            got, verdict = judged(planner._plain_fails, net, path, batteries, cache)
+            got, verdict = judged(plain_check, net, path, model, batteries, cache)
             assert got == want
             if verdict:  # the drone left as the hint fails alone, the hinted one first
                 hint = cache.ids[cache.failed]
@@ -1287,7 +1340,7 @@ class TestPlainChecksAsWritten:
         # one cache over every suffix of the path, each hint left by the last
         cache = planner._RateCache(swarm, model)
         for k in range(len(path) - 1):
-            assert judged(planner._plain_fails, net, path[k:], batteries, cache)[0] == \
+            assert judged(plain_check, net, path[k:], model, batteries, cache)[0] == \
                 judged(plain_fails_as_written, net, path[k:], batteries,
                        planner._RateCache(swarm, model))[0]
 
@@ -1470,12 +1523,13 @@ class TestSharedLegsAsWritten:
             assert got == ("raises", "ValueError", no_time[0])
 
 
-def block_hinted_cache(swarm, model, first):
-    """A fresh cache whose next shared flight flies block ``first`` (its
-    index in the cache's blocks) first."""
-    cache = planner._RateCache(swarm, model)
-    cache.failed_block = first
-    return cache
+def fly_through(net, path, model, batteries, share, cache):
+    """A fly-through as ``_moves`` flies one: ``_flight``, unless sharing
+    is on and ``_sharing_cannot_save`` rules it out."""
+    if share is not None and planner._sharing_cannot_save(net, path, model, batteries,
+                                                          share, cache):
+        return None
+    return planner._flight(net, path, model, batteries, share, cache)
 
 
 def flown(fly, *args):
@@ -1518,20 +1572,21 @@ def raising_swaps(cache, bad):
 
 
 class TestBlockMajorFlight:
-    """A fly-through flies one provider block over the whole path at a
-    time, from the block that failed the last flight, and builds its legs
-    only when every block survives: the same verdicts, legs and errors as
-    leg by leg, as written, whichever block goes first."""
+    """A fly-through flies one group, a provider block or else a drone,
+    over the whole path at a time, from the group that failed the last
+    flight, and builds its legs only when every group survives: the same
+    verdicts, legs and errors as leg by leg, as written, whichever group
+    goes first."""
 
     def assert_as_written(self, swarm, net, path, model, batteries, share):
         case = (swarm, net, path, model, batteries, share)
         want = flown(fly_through_as_written, *case, planner._RateCache(swarm, model))
         want_legs = flown(fly_legs_as_written, *case, planner._RateCache(swarm, model))
         blocks = planner._RateCache(swarm, model).blocks if share is not None else []
-        for first in range(len(blocks) or 1):
-            got = flown(planner._fly_through, *case, block_hinted_cache(swarm, model, first))
+        for first in range(len(blocks) or len(swarm.drones)):
+            got = flown(fly_through, *case[1:], hinted_cache(swarm, model, first, share))
             assert got == want
-            cache = block_hinted_cache(swarm, model, first)
+            cache = hinted_cache(swarm, model, first, share)
             providers, got = composed_blocks(planner._flight, net, path, model,
                                              batteries, share, cache)
             assert got == want_legs
@@ -1591,8 +1646,8 @@ class TestBlockMajorFlight:
         verdict = "fails" if want is None else "raises" if want[0] == "raises" else "flies"
         event(f"a bad leg: {message is not None}, {verdict}")
         blocks = reads.blocks if share is not None else []
-        for first in range(len(blocks) or 1):
-            cache = block_hinted_cache(swarm, model, first)
+        for first in range(len(blocks) or len(swarm.drones)):
+            cache = hinted_cache(swarm, model, first, share)
             got = flown(planner._flight, net, path, model, batteries, share,
                         raising_swaps(cache, bad) if swap else cache)
             assert got == want
@@ -1657,22 +1712,36 @@ class TestSharedFlyThroughBoundOnWorlds:
 
         fired = {"pb": 0, "fb": 0, "plain": 0}
         flown = set()  # (cache, path, share); a cache lives for one compose
-        fly_through = planner._fly_through
+        flight, cannot_save = planner._flight, planner._sharing_cannot_save
 
-        def checked(swarm, net, path, model, batteries, share, cache):
+        def legs_as_written(net, path, model, batteries, share, cache):
+            return fly_legs_as_written(cache.swarm, net, path, model, batteries, share,
+                                       planner._RateCache(cache.swarm, model))
+
+        def once(path, share, cache):
             key = (cache, tuple(path), share)
             assert key not in flown, (path, share)
             flown.add(key)
-            got = fly_through(swarm, net, path, model, batteries, share, cache)
-            case = (swarm, net, path, model, batteries)
-            if share is None:
-                fired["plain"] += plain_fails(*case)
-            else:
-                fired[share.strategy] += rules_out(*case, share)
-            assert repr(got) == repr(fly_leg_by_leg(*case, share))
+
+        def checked_bound(net, path, model, batteries, share, cache):
+            once(path, share, cache)
+            ruled_out = cannot_save(net, path, model, batteries, share, cache)
+            fired[share.strategy] += ruled_out
+            if ruled_out:
+                assert legs_as_written(net, path, model, batteries, share, cache) is None
+            return ruled_out
+
+        def checked_flight(net, path, model, batteries, share, cache):
+            if share is None:  # a shared flight has passed the bound above
+                once(path, share, cache)
+            got = flight(net, path, model, batteries, share, cache)
+            fired["plain"] += share is None and got is None
+            assert repr(got) == repr(legs_as_written(net, path, model, batteries, share,
+                                                     cache))
             return got
 
-        monkeypatch.setattr(planner, "_fly_through", checked)
+        monkeypatch.setattr(planner, "_sharing_cannot_save", checked_bound)
+        monkeypatch.setattr(planner, "_flight", checked_flight)
         run_experiment(net, requests, default_table(),
                        replace(cfg, strategies=("baseline", "pb", "fb")), spec=spec)
         assert all(fired[strategy] >= n for strategy, n in least.items()), fired
@@ -1699,11 +1768,11 @@ class TestRevisitedStops:
             cfg, spec = ExperimentConfig(), None
 
         plans = []
-        # feasible_leg calls made outside a fly-through, and the legs of
-        # the fly-throughs that succeeded, in the current compose
+        # legs built outside a flight, and the legs of the flights that
+        # succeeded, in the current compose
         seen = {"depth": 0, "stops": 0, "flown": 0, "priced": 0}
         priced = set()  # the directed stops priced in the current compose
-        feasible, fly_through = planner.feasible_leg, planner._fly_through
+        build, flight = planner._legs, planner._flight
         price_stop = planner._price_stop
 
         def counted_price(net, u, v, destination, cache):
@@ -1711,14 +1780,14 @@ class TestRevisitedStops:
             priced.add((u, v))
             return price_stop(net, u, v, destination, cache)
 
-        def counted_leg(*args, **kwargs):
+        def counted_build(*args):
             seen["stops"] += not seen["depth"]
-            return feasible(*args, **kwargs)
+            return build(*args)
 
-        def counted_fly_through(*args):
+        def counted_flight(*args):
             seen["depth"] += 1
             try:
-                legs = fly_through(*args)
+                legs = flight(*args)
             finally:
                 seen["depth"] -= 1
             seen["flown"] += len(legs or [])
@@ -1736,8 +1805,8 @@ class TestRevisitedStops:
             plans.append(got)
             return got
 
-        monkeypatch.setattr(planner, "feasible_leg", counted_leg)
-        monkeypatch.setattr(planner, "_fly_through", counted_fly_through)
+        monkeypatch.setattr(planner, "_legs", counted_build)
+        monkeypatch.setattr(planner, "_flight", counted_flight)
         monkeypatch.setattr(planner, "_price_stop", counted_price)
         monkeypatch.setattr(bench, "compose", checked)
         run_experiment(net, requests, default_table(),
@@ -1803,8 +1872,8 @@ class TestRevisitedStops:
                     best[0] = min(best[0], cost)
                     return
                 if node not in moves_at:
-                    moves_at[node] = planner._moves(swarm, net, node, request.destination,
-                                                    tree, model, share, cache, full, set())
+                    moves_at[node] = planner._moves(net, node, request.destination, tree,
+                                                    model, share, cache, full, set())
                 for move_cost, nb, _ in moves_at[node]:
                     assert move_cost >= 0  # so no longer sequence can do better
                     if nb not in on and cost + move_cost < best[0]:
@@ -1941,7 +2010,7 @@ class TestStaticBaselines:
         fw = floyd_warshall_baseline(swarm, net, request, model, costs=costs)
         for plan in (dij, fw):
             assert plan.status == "stuck"
-            assert plan.stuck_node == 0
+            assert plan.path[-1] == 0
             assert plan.path == [0]
         walked = compose(swarm, net, request, model)
         assert walked.status == "success"
