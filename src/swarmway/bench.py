@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .energy import DroneSpec, EnergyModel
-from .formations import CoefficientTable
+from .formations import FORMATION_KINDS, CoefficientTable
 from .network import DeliveryRequest, NetworkFormatError, SkywayNetwork, shortest_path_tree
 from .planner import (
     ShareConfig,
@@ -35,6 +35,7 @@ from .preflight import (
     POSITIONING_SETTINGS,
     build_swarm,
     network_diameter,
+    redundancy_count,
     route_average_wind,
 )
 
@@ -187,6 +188,32 @@ def check_segment_times(net: SkywayNetwork, cruise_speed: float) -> None:
             raise NetworkFormatError(str(exc)) from None
 
 
+def check_requests(net: SkywayNetwork, requests, table: CoefficientTable,
+                   strategies, max_payload: float) -> None:
+    """Raise NetworkFormatError naming the first request with a node
+    outside ``net``, a package over ``max_payload``, or a largest swarm
+    over the table's slots.  With pb or fb among ``strategies``, n delivery
+    drones take up to the most support drones ``redundancy_count`` gives
+    over the probabilities ``check_support_spacing`` scans.  Every
+    formation kind is costed for every swarm, so the smallest bounds it."""
+    sharing = any(s in SHARING_STRATEGIES for s in strategies)
+    kind = min(FORMATION_KINDS, key=table.max_slots)
+    slots = table.max_slots(kind)
+    sizes = {n: n + max(redundancy_count(float(p), n) for p in range(101)) if sharing else n
+             for n in {len(req.package_weights) for req in requests}}  # largest swarms
+    for req in requests:
+        for nid in (req.source, req.destination):
+            if nid not in net.nodes:
+                raise NetworkFormatError(f"request {req.id}: unknown node {nid}")
+        for w in req.package_weights:
+            if w > max_payload:
+                raise NetworkFormatError(f"request {req.id}: weight {w} exceeds {max_payload}")
+        n = len(req.package_weights)
+        if sizes[n] > slots:
+            raise NetworkFormatError(f"request {req.id}: {n} packages need up to {sizes[n]} "
+                                     f"drones, but formation {kind!r} has only {slots} slots")
+
+
 def run_experiment(
     net: SkywayNetwork,
     requests: list[DeliveryRequest],
@@ -204,7 +231,9 @@ def run_experiment(
     cost tables shared between the two static routers stay outside the
     timed region.  The static edge grouping is built once per sweep, like
     the diameter.  A segment that flies in no time, or in no finite time,
-    fails the sweep before planning (``check_segment_times``).
+    fails the sweep before planning (``check_segment_times``), and so does
+    a request the swarm cannot serve (``check_requests``).  Planning
+    writes to neither the network nor a swarm.
     """
     if spec is None:
         base = DroneSpec()
@@ -213,6 +242,7 @@ def run_experiment(
     else:  # fb flies the spec's share rate: check the turn it gives
         cfg = replace(cfg, share_rate=spec.inflight_share_rate)
     check_segment_times(net, spec.cruise_speed)
+    check_requests(net, requests, table, cfg.strategies, spec.max_payload)
     model = EnergyModel(spec, table)
     diameter = network_diameter(net)
     needs_static = any(s in cfg.strategies for s in ("dijkstra", "floyd"))

@@ -19,6 +19,7 @@ import sys
 from .bench import (
     SHARING_STRATEGIES,
     ExperimentConfig,
+    check_requests,
     check_segment_times,
     run_experiment,
     write_plot_data,
@@ -26,7 +27,7 @@ from .bench import (
     write_summary,
 )
 from .energy import DroneSpec
-from .formations import FORMATION_KINDS, default_table, load_coefficients
+from .formations import default_table, load_coefficients
 from .network import (
     NetworkFormatError,
     largest_connected_component,
@@ -123,27 +124,6 @@ def _load_or_synthesize(network_path, synth_nodes, seed):
     return net
 
 
-def _check_swarm_sizes(requests, table, strategies) -> None:
-    """Reject requests whose largest possible swarm overflows the table's slots.
-
-    With pb or fb in the sweep, n delivery drones take up to the most
-    support drones ``redundancy_count`` gives over the probabilities
-    ``check_support_spacing`` scans.  Every formation kind is costed for
-    every swarm, so the smallest kind bounds the size.
-    """
-    sharing = any(s in SHARING_STRATEGIES for s in strategies)
-    kind = min(FORMATION_KINDS, key=table.max_slots)
-    slots = table.max_slots(kind)
-    for req in requests:
-        n = len(req.package_weights)
-        size = n + max(redundancy_count(float(p), n) for p in range(101)) if sharing else n
-        if size > slots:
-            raise NetworkFormatError(
-                f"request {req.id}: {n} packages need up to {size} drones, "
-                f"but formation {kind!r} has only {slots} slots"
-            )
-
-
 def _cmd_run(args) -> None:
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     positionings = tuple(s.strip() for s in args.positioning.split(",") if s.strip())
@@ -162,7 +142,7 @@ def _cmd_run(args) -> None:
                                  nodes=net.nodes)
     else:
         requests = synthesize_requests(net, args.requests, args.seed)
-    _check_swarm_sizes(requests, table, strategies)
+    check_requests(net, requests, table, strategies, DroneSpec().max_payload)
 
     def progress(done, total):
         if done % 200 == 0 or done == total:

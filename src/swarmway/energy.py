@@ -49,7 +49,7 @@ class DroneSpec:
 @dataclass
 class Drone:
     """One swarm member.  Every plan starts it on a full battery of
-    ``capacity``; its slot is mutable flight state."""
+    ``capacity``; its slot is set when the swarm is built, and planning only reads it."""
 
     id: int
     role: str  # "delivery" or "support"

@@ -124,7 +124,6 @@ class SkywayNetwork:
             self.segments.append(seg)
             self._adj[seg.u][seg.v] = seg
             self._adj[seg.v][seg.u] = seg
-        self._headings: dict[tuple[int, int], float] = {}
 
     def neighbors(self, node_id: int) -> list[int]:
         """Adjacent node ids, ascending."""
@@ -138,12 +137,8 @@ class SkywayNetwork:
 
     def heading(self, u: int, v: int) -> float:
         """Travel bearing u -> v in degrees CCW from +x."""
-        heading = self._headings.get((u, v))
-        if heading is None:
-            a, b = self.nodes[u], self.nodes[v]
-            heading = math.degrees(math.atan2(b.y - a.y, b.x - a.x)) % 360.0
-            self._headings[(u, v)] = heading
-        return heading
+        a, b = self.nodes[u], self.nodes[v]
+        return math.degrees(math.atan2(b.y - a.y, b.x - a.x)) % 360.0
 
 
 def read_rows(path, parse) -> None:

@@ -389,15 +389,13 @@ def feasible_leg(
     *,
     batteries: dict[int, float] | None = None,
     share: ShareConfig | None = None,
-    rate_cache: _RateCache | None = None,
 ) -> LegOutcome | None:
     """Traverse one segment if the batteries survive it; None otherwise.
     ``batteries`` defaults to full ones.  This is ``_flight`` on the path
     [u, v]: the leg's segment, rates and swap table are read before any
     group flies it, so a leg that cannot build them raises first."""
-    cache = rate_cache or _RateCache(swarm, model)
     before = batteries if batteries is not None else {d.id: d.capacity for d in swarm.drones}
-    legs = _flight(net, [u, v], model, before, share, cache)
+    legs = _flight(net, [u, v], model, before, share, _RateCache(swarm, model))
     return legs[0] if legs else None
 
 
@@ -934,14 +932,18 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
     return ids, dist, nxt
 
 
-def _simulate_static_path(swarm, net, path, model, request_id, strategy):
-    """Fly a fixed path with full recharges at the intermediate stops, each
-    judged, priced and built as ``compose`` takes a stop."""
-    plan = DeliveryPlan(request_id, strategy, "stuck", path[0], [], [])
+def _simulate_static_path(swarm, net, request, path, model, strategy):
+    """Fly a fixed ``path`` from the request's source to its destination,
+    with full recharges at the intermediate stops, each judged, priced and
+    built as ``compose`` takes a stop; an empty path is unreachable."""
+    plan = DeliveryPlan(request.id, strategy, "stuck", request.source, [], [])
+    if not path:
+        plan.status = "unreachable"
+        return plan
     cache = _RateCache(swarm, model)
     full = {d.id: d.capacity for d in swarm.drones}
     for a, b in zip(path, path[1:]):
-        stop = _price_stop(net, a, b, path[-1], cache)
+        stop = _price_stop(net, a, b, request.destination, cache)
         if stop is None:
             return plan
         plan.legs += _legs([a, b], [cache.row(net, a, b)], {}, full, [], cache)
@@ -960,11 +962,8 @@ def dijkstra_baseline(
     costs,
 ) -> DeliveryPlan:
     """Route on static costs with Dijkstra, then fly that path as-is."""
-    tree = static_dijkstra(net, costs, request.source)
-    if request.destination not in tree.dist:
-        return DeliveryPlan(request.id, "dijkstra", "unreachable", request.source, [], [])
-    path = tree.path_to_root(request.destination)[::-1]
-    return _simulate_static_path(swarm, net, path, model, request.id, "dijkstra")
+    path = static_dijkstra(net, costs, request.source).path_to_root(request.destination)
+    return _simulate_static_path(swarm, net, request, path[::-1], model, "dijkstra")
 
 
 def floyd_warshall_baseline(
@@ -977,13 +976,9 @@ def floyd_warshall_baseline(
 ) -> DeliveryPlan:
     """Route on static costs with Floyd-Warshall, then fly that path as-is."""
     ids, dist, nxt = floyd_warshall_tables(net, costs)
-    index = {nid: i for i, nid in enumerate(ids)}
-    si, di = index[request.source], index[request.destination]
-    if not np.isfinite(dist[si, di]):
-        return DeliveryPlan(request.id, "floyd", "unreachable", request.source, [], [])
-    path = [request.source]
-    at = si
-    while at != di:
-        at = int(nxt[at, di])
+    at, to = ids.index(request.source), ids.index(request.destination)
+    path = [request.source] if np.isfinite(dist[at, to]) else []
+    while path and at != to:
+        at = int(nxt[at, to])
         path.append(ids[at])
-    return _simulate_static_path(swarm, net, path, model, request.id, "floyd")
+    return _simulate_static_path(swarm, net, request, path, model, "floyd")

@@ -523,11 +523,10 @@ def walk_every_round(swarm, net, request, model, *, share=None, tree=None):
                 continue
             if nb != request.destination and net.nodes[nb].pads < 1:
                 continue
-            leg = planner.feasible_leg(swarm, net, current, nb, model,
-                                       batteries=batteries, share=share,
-                                       rate_cache=cache)
-            if leg is None:
+            legs = planner._flight(net, [current, nb], model, batteries, share, cache)
+            if legs is None:
                 continue
+            [leg] = legs
             if nb == request.destination:
                 visit, nt = None, 0.0
             else:
@@ -610,8 +609,7 @@ def best_walk(swarm, net, request, model, *, share=None, tree=None):
         if isinstance(step, list):
             plan.legs.extend(step)
             continue
-        plan.legs.append(planner.feasible_leg(swarm, net, u, v, model, batteries=full,
-                                              share=share, rate_cache=cache))
+        plan.legs += planner._flight(net, [u, v], model, full, share, cache)
         if step is not None:
             plan.visits.append(step)
     plan.status = "success"

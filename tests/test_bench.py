@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -405,6 +406,61 @@ class TestRunExperiment:
             run_experiment(net, synthesize_requests(net, 6, 1), default_table(),
                            ExperimentConfig(strategies=(strategy,)))
 
+    def test_planning_writes_to_neither_the_network_nor_a_swarm(self, monkeypatch):
+        # the acceptance world has padless nodes, whose headings no static
+        # edge reads before a plan flies into them
+        net = largest_connected_component(synthesize_network(276, 2118, pads=(0, 3)))
+        planned, written = [], []
+
+        def pinned(name):
+            plan = getattr(bench, name)
+
+            def wrapper(swarm, net, request, *args, **kwargs):
+                before = pickle.dumps(vars(net)), pickle.dumps(swarm)
+                result = plan(swarm, net, request, *args, **kwargs)
+                after = pickle.dumps(vars(net)), pickle.dumps(swarm)
+                planned.append(result.strategy)
+                for what, old, new in zip(("network", "swarm"), before, after):
+                    if old != new:
+                        written.append((name, result.strategy, request.id, what))
+                return result
+            return wrapper
+
+        for name in ("compose", "dijkstra_baseline", "floyd_warshall_baseline"):
+            monkeypatch.setattr(bench, name, pinned(name))
+        rows, _ = run_experiment(net, synthesize_requests(net, 30, 0), default_table(),
+                                 ExperimentConfig())
+        assert sorted(planned) == sorted(r["strategy"] for r in rows
+                                         if math.isfinite(r["distance_m"]))
+        assert set(planned) == set(STRATEGIES)
+        assert written == []
+
+    @pytest.mark.parametrize("bad, message", [
+        ("packages", "request 6: 12 packages need up to 24 drones"),
+        ("source", "request 6: unknown node {missing}"),
+        ("destination", "request 6: unknown node {missing}"),
+        ("weight", "request 6: weight 1.5 exceeds 1.4"),
+    ])
+    def test_bad_request_fails_before_planning(self, monkeypatch, bad, message):
+        # the sweep failed after some composes, or raised a bare KeyError,
+        # or gave a trimmed-away source an unreachable row
+        full = synthesize_network(60, 1)
+        net = largest_connected_component(full)
+        missing = min(set(full.nodes) - set(net.nodes))
+        source, destination = sorted(net.nodes)[:2]
+        request = {
+            "packages": DeliveryRequest(6, source, destination, [0.1] * 12),
+            "source": DeliveryRequest(6, missing, destination, [0.1]),
+            "destination": DeliveryRequest(6, source, missing, [0.1]),
+            "weight": DeliveryRequest(6, source, destination, [0.1, 1.5]),
+        }[bad]
+        for name in ("compose", "dijkstra_baseline", "floyd_warshall_baseline"):
+            monkeypatch.setattr(bench, name,
+                                lambda *args, **kwargs: pytest.fail("planning started"))
+        with pytest.raises(NetworkFormatError, match=message.format(missing=missing)):
+            run_experiment(net, synthesize_requests(net, 6, 1) + [request],
+                           default_table(), ExperimentConfig())
+
 
 class TestWriters:
 
@@ -798,10 +854,14 @@ class TestCli:
         for n in range(1, 13):
             assert max(redundancy_count(float(p), n) for p in range(101)) == max(n, 4)
             request = [DeliveryRequest(0, 0, 1, [0.1] * n)]
-            cli._check_swarm_sizes(request, table(n + max(n, 4)), ("pb",))
+
+            def check(slots, strategies):
+                bench.check_requests(corridor_net(), request, table(slots), strategies, 1.4)
+
+            check(n + max(n, 4), ("pb",))
             with pytest.raises(NetworkFormatError, match=f"up to {n + max(n, 4)} drones"):
-                cli._check_swarm_sizes(request, table(n + max(n, 4) - 1), ("pb",))
-            cli._check_swarm_sizes(request, table(n), ("baseline",))
+                check(n + max(n, 4) - 1, ("pb",))
+            check(n, ("baseline",))
 
     def test_seven_packages_without_sharing_run(self, tmp_path):
         net, reqs = self.requests_file(tmp_path, weights=";".join(["0.1"] * 7))

@@ -587,12 +587,11 @@ def fly_leg_by_leg(swarm, net, path, model, batteries, share):
     cache = planner._RateCache(swarm, model)
     legs, state = [], dict(batteries)
     for a, b in zip(path, path[1:]):
-        leg = feasible_leg(swarm, net, a, b, model, batteries=state, share=share,
-                           rate_cache=cache)
-        if leg is None:
+        got = planner._flight(net, [a, b], model, state, share, cache)
+        if got is None:
             return None
-        legs.append(leg)
-        state = leg.batteries_after
+        legs += got
+        state = got[0].batteries_after
     return legs
 
 
@@ -1373,6 +1372,13 @@ def no_time_message(net, a, b, model):
             f"at {model.spec.cruise_speed:g} km/h; need > 0")
 
 
+def flown_leg(net, u, v, model, batteries, share, cache):
+    """``feasible_leg`` on a cache that outlives one call: ``_flight`` on
+    the path [u, v]."""
+    legs = planner._flight(net, [u, v], model, batteries, share, cache)
+    return legs and legs[0]
+
+
 def judged(check, *args, **kwargs):
     """What ``check`` gives, by ``repr`` and with a leg's traces, or the
     ValueError it raises, with its message; and what it gave."""
@@ -1465,8 +1471,7 @@ class TestSharedLegsAsWritten:
         for a, b in zip(path, path[1:]):
             built.clear()
             with mock.patch.object(planner, "_share_block", counted):
-                got, _ = judged(feasible_leg, swarm, net, a, b, model, batteries=state,
-                                share=share, rate_cache=cache)
+                got, _ = judged(flown_leg, net, a, b, model, state, share, cache)
             want, leg = judged(feasible_leg_as_written, swarm, net, a, b, model,
                                batteries=state, share=share, rate_cache=old_cache)
             assert got == want
@@ -1675,9 +1680,8 @@ class TestBlockMajorFlight:
                     "swaps": "no swap table in sector 'tail'"}
         for first in range(2):
             cache.failed_block = first
-            providers, got = composed_blocks(
-                lambda: feasible_leg(swarm, net, 0, 1, model, batteries=batteries,
-                                     share=ShareConfig("pb"), rate_cache=cache))
+            providers, got = composed_blocks(planner._flight, net, [0, 1], model, batteries,
+                                             ShareConfig("pb"), cache)
             assert got[0] == "raises" and messages[bad] in got[1]
             assert providers == []
 
