@@ -430,23 +430,31 @@ class PathTree:
         return path
 
 
-def shortest_path_tree(net: SkywayNetwork, root: int, costs=None) -> PathTree:
+def shortest_path_tree(net: SkywayNetwork, root: int, costs=None,
+                       target: int | None = None) -> PathTree:
     """Dijkstra from ``root``; ties keep the first-found parent.
 
     Edges weigh their segment distance, or ``costs[(u, v)]`` for the
     directed step u -> v when ``costs`` is given; ``inf`` edges are skipped.
-    Nodes settle in (distance, id) order, so neither the result nor its
-    ties depend on the order segments were added.
+    Nodes settle in (distance, id) order while every edge lengthens the
+    paths through it, so neither the result nor its ties depend on the
+    order segments were added.  With a ``target`` the search stops once it
+    settles, and the tree holds only the nodes settled so far: each edge
+    costs >= 0 and a relax needs a strict <, so no later node can lower a
+    settled node's distance or change its parent, and the target's route
+    is the full tree's.  Nodes not yet settled read as unreached.
     """
-    dist: dict[int, float] = {root: 0.0}
+    dist: dict[int, float] = {root: 0.0}  # tentative until settled
     parent: dict[int, int | None] = {root: None}
-    done: set[int] = set()
+    settled: dict[int, float] = {}
     heap: list[tuple[float, int]] = [(0.0, root)]
     while heap:
         d, cur = heapq.heappop(heap)
-        if cur in done:
+        if cur in settled:
             continue
-        done.add(cur)
+        settled[cur] = d
+        if cur == target:
+            break
         for nb, seg in net._adj[cur].items():
             w = seg.distance_m if costs is None else costs[(cur, nb)]
             if w == math.inf:
@@ -456,4 +464,4 @@ def shortest_path_tree(net: SkywayNetwork, root: int, costs=None) -> PathTree:
                 dist[nb] = nd
                 parent[nb] = cur
                 heapq.heappush(heap, (nd, nb))
-    return PathTree(root, dist, parent)
+    return PathTree(root, settled, parent)

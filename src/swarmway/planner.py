@@ -870,9 +870,11 @@ def static_edge_costs(swarm: Swarm, edges, model: EnergyModel):
     return costs
 
 
-def static_dijkstra(net: SkywayNetwork, costs, source: int) -> PathTree:
-    """Single-source shortest static costs; ties keep the first-found parent."""
-    return shortest_path_tree(net, source, costs)
+def static_dijkstra(net: SkywayNetwork, costs, source: int,
+                    target: int | None = None) -> PathTree:
+    """Shortest static costs from ``source``, stopping once ``target``
+    settles; ties keep the first-found parent."""
+    return shortest_path_tree(net, source, costs, target)
 
 
 def floyd_warshall_tables(net: SkywayNetwork, costs):
@@ -904,6 +906,12 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
     flat, nflat = dist.reshape(-1), nxt.reshape(-1)
     cand = np.empty((n, n))
     mask = np.empty((n, n), dtype=bool)
+    # cand = lhs @ rhs with lhs = [col, 1] and rhs = [1; row]: each cell is
+    # col[i]*1.0 + 1.0*row[j], two exact products and one rounding, so it
+    # equals col[i] + row[j] bit for bit in any order, with or without FMA.
+    # numpy's broadcast add runs its inner loop once per row; the product
+    # writes the table in one BLAS call, about 3x faster at n = 263.
+    lhs, rhs = np.ones((n, 2)), np.ones((2, n))
     for k in range(n):
         # A cell whose row cannot reach k, or whose column k cannot reach,
         # has candidate inf, which never passes the strict <, so skipping
@@ -924,7 +932,13 @@ def floyd_warshall_tables(net: SkywayNetwork, costs):
             idx = cells[better]
             flat[idx] = sub[better]
         else:
-            np.add(col[:, None], row, out=cand)
+            lhs[:, 0], rhs[1] = col, row
+            # Costs are >= 0 or inf, so no stored cell forms inf - inf.  But
+            # OpenBLAS pads a tail (n % 8 != 0) with zeros and raises the
+            # invalid flag for inf * 0 in lanes it never stores; numpy would
+            # report that as a RuntimeWarning, which the tests make an error.
+            with np.errstate(invalid="ignore"):
+                np.matmul(lhs, rhs, out=cand)
             np.less(cand, dist, out=mask)
             idx = mask.reshape(-1).nonzero()[0]
             flat[idx] = cand.reshape(-1)[idx]
@@ -962,7 +976,8 @@ def dijkstra_baseline(
     costs,
 ) -> DeliveryPlan:
     """Route on static costs with Dijkstra, then fly that path as-is."""
-    path = static_dijkstra(net, costs, request.source).path_to_root(request.destination)
+    tree = static_dijkstra(net, costs, request.source, request.destination)
+    path = tree.path_to_root(request.destination)
     return _simulate_static_path(swarm, net, request, path[::-1], model, "dijkstra")
 
 

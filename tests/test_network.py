@@ -613,6 +613,47 @@ class TestShortestPaths:
                 want = static_dijkstra_reference(net, edge_costs, source)
                 assert (tree.dist, tree.parent) == want
 
+    @given(world=directed_cost_worlds())
+    @settings(max_examples=200, deadline=None)
+    def test_a_tree_stopped_at_a_target_holds_what_settled_before_it(self, world):
+        # nodes settle in (distance, id) order, so the tree stopped at t
+        # holds exactly the nodes at or ahead of t in that order, each at
+        # its full-tree distance, and t's route is the full tree's
+        net, costs = world
+        for source in net.nodes:
+            full = shortest_path_tree(net, source, costs)
+            for target in net.nodes:
+                tree = shortest_path_tree(net, source, costs, target)
+                assert tree.path_to_root(target) == full.path_to_root(target)
+                if target not in full.dist:
+                    assert tree.dist == full.dist  # the search ran out first
+                    continue
+                ahead = (full.dist[target], target)
+                assert tree.dist == {v: d for v, d in full.dist.items() if (d, v) <= ahead}
+
+    def test_a_stopped_tree_keeps_the_route_over_zero_costs(self):
+        # a 0.0 edge can settle its head after a larger id at the same
+        # distance, yet no settled node's distance or parent changes later
+        rng = random.Random(23)
+        settled_late = 0
+        for _ in range(80):
+            n = rng.randint(2, 9)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            net = SkywayNetwork([Node(i, 0.0, 0.0, 1) for i in range(n)],
+                                [Segment(u, v, 1.0, CALM) for u, v in pairs])
+            costs = {edge: rng.choice([0.0, 0.0, 1.0, 2.0, math.inf])
+                     for u, v in pairs for edge in ((u, v), (v, u))}
+            for source in range(n):
+                full = shortest_path_tree(net, source, costs)
+                for target in range(n):
+                    tree = shortest_path_tree(net, source, costs, target)
+                    assert tree.path_to_root(target) == full.path_to_root(target)
+                    assert all(full.dist[v] == d for v, d in tree.dist.items())
+                    if target in full.dist:
+                        ahead = (full.dist[target], target)
+                        settled_late += any((d, v) > ahead for v, d in tree.dist.items())
+        assert settled_late > 0
+
     def test_tree_paths_lead_to_root(self):
         net = largest_connected_component(synthesize_network(40, seed=13))
         ids = sorted(net.nodes)

@@ -2350,6 +2350,19 @@ def sparse_world(rng):
     return nodes, [tuple(sorted(p)) for p in pairs]
 
 
+def blas_world(rng, n):
+    """``n`` nodes with scattered ids on a chain, with chords for about six
+    links a node, so most pivots reach more than half the rows."""
+    ids = rng.sample(range(5000), n)
+    nodes = [Node(nid, float(i), 0.0, 1) for i, nid in enumerate(ids)]
+    pairs = set(zip(ids, ids[1:]))
+    while len(pairs) < 3 * n:
+        a, b = rng.sample(ids, 2)
+        if (b, a) not in pairs:
+            pairs.add((a, b))
+    return SkywayNetwork(nodes, [Segment(a, b, 1000.0, CALM) for a, b in sorted(pairs)])
+
+
 class TestFloydWarshallTables:
     def test_matches_the_triple_loop_including_tie_breaks(self):
         # small integer costs make equal-cost alternatives common, and one
@@ -2397,6 +2410,35 @@ class TestFloydWarshallTables:
         # both kinds of pivot run
         assert sparse_pivots > pivots / 2
         assert dense_pivots > 0
+
+    @pytest.mark.parametrize("n_nodes", [61, 99, 125])
+    def test_matches_the_triple_loop_at_blas_sizes(self, n_nodes):
+        # a dense pivot adds column and row by one BLAS product; n % 8 != 0
+        # leaves a tail past the kernel's blocks, and inf directions put
+        # inf into its operands
+        rng = random.Random(n_nodes)
+        net = blas_world(rng, n_nodes)
+        costs = {}
+        for seg in net.segments:
+            for edge in ((seg.u, seg.v), (seg.v, seg.u)):
+                costs[edge] = math.inf if rng.random() < 0.2 else rng.uniform(0.1, 3.0)
+        sparse = self.assert_matches_the_triple_loop(net, costs)
+        assert 0 < sparse < n_nodes / 2
+
+    def test_matches_the_triple_loop_with_subnormal_costs(self):
+        # subnormal sums are exact and a subnormal vanishes beside a normal
+        # cost; a kernel that flushed subnormals to zero would differ here
+        rng = random.Random(71)
+        net = blas_world(rng, 75)
+        tiny = [0.0, 5e-324, 2.5e-320, 1e-310, 2e-308]
+        costs = {}
+        for seg in net.segments:
+            for edge in ((seg.u, seg.v), (seg.v, seg.u)):
+                costs[edge] = rng.choice(
+                    [rng.choice(tiny), rng.choice(tiny), rng.uniform(0.1, 3.0), math.inf])
+        assert self.assert_matches_the_triple_loop(net, costs) < 75 / 2
+        _, dist, _ = floyd_warshall_tables(net, costs)
+        assert ((dist > 0.0) & (dist < np.finfo(float).smallest_normal)).sum() > 100
 
     @pytest.mark.parametrize("n_nodes", [1, 3])
     def test_no_costs(self, n_nodes):
@@ -2469,6 +2511,7 @@ class TestFloydWarshallTables:
         want_ids, want_dist, want_nxt, sparse = reference_floyd(net, costs)
         assert ids == want_ids
         assert nxt.dtype == np.int64
-        assert np.array_equal(dist, np.array(want_dist))
+        # bit for bit: the same float in every cell, not only an equal one
+        assert np.array_equal(dist.view(np.int64), np.array(want_dist).view(np.int64))
         assert np.array_equal(nxt, np.array(want_nxt))
         return sparse
