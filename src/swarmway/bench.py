@@ -84,12 +84,9 @@ class ExperimentConfig:
                 raise ValueError(f"positionings: unknown setting {p!r}")
         if len(set(self.positionings)) != len(self.positionings):
             raise ValueError("positionings: duplicates not allowed")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma: {self.gamma} outside [0, 1]")
-        if not 0.0 <= self.delta_frac < 1.0:
-            raise ValueError(f"delta_frac: {self.delta_frac} outside [0, 1)")
-        for name in ("quantum", "share_rate", "pad_minutes", "failure_scale",
-                     "bin_width_km"):
+        # ShareConfig owns the ranges of gamma, delta_frac and quantum
+        ShareConfig("fb", self.gamma, self.delta_frac, self.quantum)
+        for name in ("share_rate", "pad_minutes", "failure_scale", "bin_width_km"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name}: must be finite and > 0")
         # a leg of tt minutes takes tt / turn fb turns, each a few dict passes

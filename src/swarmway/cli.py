@@ -138,8 +138,7 @@ def _cmd_run(args) -> None:
         except ValueError as exc:
             raise NetworkFormatError(f"{args.coeffs}: {exc}") from None
     if args.requests_file:
-        requests = load_requests(args.requests_file, max_weight=DroneSpec().max_payload,
-                                 nodes=net.nodes)
+        requests = load_requests(args.requests_file)
     else:
         requests = synthesize_requests(net, args.requests, args.seed)
     check_requests(net, requests, table, strategies, DroneSpec().max_payload)
@@ -213,10 +212,10 @@ def main(argv=None) -> int:
         else:
             _cmd_calibrate(args)
     except (NetworkFormatError, OSError) as exc:  # before ValueError, its base
-        print(f"error: {exc}", file=sys.stderr)
+        log.error("error: %s", exc)
         return 3
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        log.error("error: %s", exc)
         return 2
     finally:
         log.removeHandler(handler)

@@ -69,11 +69,11 @@ class ShareConfig:
         if self.strategy not in ("pb", "fb"):
             raise ValueError(f"unknown sharing strategy {self.strategy!r}")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma {self.gamma} outside [0, 1]")
+            raise ValueError(f"gamma: {self.gamma} outside [0, 1]")
         if not 0.0 <= self.delta_frac < 1.0:
-            raise ValueError(f"delta_frac {self.delta_frac} outside [0, 1)")
+            raise ValueError(f"delta_frac: {self.delta_frac} outside [0, 1)")
         if not 0 < self.quantum < math.inf:
-            raise ValueError(f"quantum must be finite and > 0, got {self.quantum}")
+            raise ValueError("quantum: must be finite and > 0")
 
 
 @dataclass

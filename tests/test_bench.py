@@ -771,13 +771,18 @@ class TestCli:
     def test_unknown_request_node_exits_3(self, tmp_path, capsys, end):
         net, reqs = self.requests_file(tmp_path, **{end: 99999})
         assert self.run_requests_file(tmp_path, net, reqs) == 3
-        assert "unknown node 99999" in capsys.readouterr().err
-        assert not (tmp_path / "exp" / "results.csv").exists()
+        err = capsys.readouterr().err
+        assert "unknown node 99999" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "exp").exists()
 
     def test_overweight_package_exits_3(self, tmp_path, capsys):
         net, reqs = self.requests_file(tmp_path, weights="0.5;2.5")
         assert self.run_requests_file(tmp_path, net, reqs) == 3
-        assert "weight 2.5 exceeds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "weight 2.5 exceeds" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "exp").exists()
 
     def test_nan_package_weight_exits_3(self, tmp_path, capsys):
         net, reqs = self.requests_file(tmp_path, weights="0.5;nan")

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmway import network
+from swarmway.bench import check_requests
+from swarmway.formations import default_table
 from swarmway.network import (
     MAX_WIND_SPEED,
     DeliveryRequest,
@@ -35,6 +37,9 @@ from oracles import (
     nearest_links_grid_as_written,
     static_dijkstra_reference,
 )
+
+
+SMALL_WORLD = largest_connected_component(synthesize_network(12, 4))
 
 
 def line_net(*dists, pads=2, wind=CALM):
@@ -173,11 +178,47 @@ class TestFiles:
         assert cells(load_requests(path)) == cells(reqs)
 
     def test_load_requests_weight_cap(self, tmp_path):
+        # the loader parses; the payload cap is the sweep's check
         path = tmp_path / "reqs.csv"
         path.write_text("0,1,2,0.5;2.3\n")
-        assert len(load_requests(path)) == 1
-        with pytest.raises(NetworkFormatError, match="exceeds"):
-            load_requests(path, max_weight=1.4)
+        requests = load_requests(path)
+        assert len(requests) == 1
+        with pytest.raises(NetworkFormatError, match="weight 2.3 exceeds 1.4"):
+            check_requests(line_net(1.0, 1.0), requests, default_table(), ("pb",),
+                           max_payload=1.4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_check_requests_rejects_exactly_the_bad_rows_of_a_file(self, data):
+        # what load_requests once checked itself: endpoints in the network,
+        # packages within the payload; the first bad row is named
+        ids = sorted(SMALL_WORLD.nodes)
+        outside = sorted(set(range(-2, max(ids) + 3)) - set(ids)) + [99999]
+        node = st.one_of(st.sampled_from(ids), st.sampled_from(outside))
+        weight = st.one_of(st.sampled_from((1.4, math.nextafter(1.4, math.inf), 2.3)),
+                           st.floats(0.01, 2.0))
+        rows = data.draw(st.lists(st.tuples(node, node, st.lists(weight, min_size=1,
+                                                                 max_size=5)),
+                                  min_size=1, max_size=6))
+        rows = [(rid, src, dst, ws) for rid, (src, dst, ws) in enumerate(rows) if src != dst]
+        problems = []
+        for rid, src, dst, ws in rows:
+            problems += [f"request {rid}: unknown node {nid}"
+                         for nid in (src, dst) if nid not in SMALL_WORLD.nodes]
+            problems += [f"request {rid}: weight {w} exceeds 1.4" for w in ws if w > 1.4]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "reqs.csv")
+            with open(path, "w") as fh:
+                fh.writelines(f"{rid},{src},{dst},{';'.join(map(repr, ws))}\n"
+                              for rid, src, dst, ws in rows)
+            requests = load_requests(path)
+        check = lambda: check_requests(SMALL_WORLD, requests, default_table(), ("pb",), 1.4)
+        if problems:
+            with pytest.raises(NetworkFormatError) as caught:
+                check()
+            assert str(caught.value) == problems[0]
+        else:
+            check()
 
 
 class TestComponents:

@@ -1316,7 +1316,7 @@ class TestPlainChecksAsWritten:
     failed the last flight, and ``_price_stop`` reads a leg's rates in one
     pass: the same verdicts, errors, prices and visits as both as written
     (every drone leg by leg through ``plain_drain_as_written``, and a dict
-    of end batteries priced by ``_full_recharge``)."""
+    of end batteries priced by ``full_recharge_as_written``)."""
 
     @given(plain_fly_throughs(), st.sampled_from((None, *WIND_SECTORS)))
     @settings(max_examples=300, deadline=None)
