@@ -234,6 +234,7 @@ def pad_candidates(times: tuple[float, ...],
             loads[pad] = prev
 
     recurse(0, 0, 0.0)
+    del recurse  # it holds itself through its closure cell: free it by refcount
     best = min(node_time for node_time, _ in found)
     return [_queues(assign, pads) for node_time, assign in found
             if node_time <= best * band]

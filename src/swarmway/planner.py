@@ -464,7 +464,10 @@ def _flight(net, path, model, batteries, share, cache):
                 cache.failed = g
             return None
     if error is not None:
-        raise error
+        try:
+            raise error
+        finally:  # the traceback holds this frame: let go of the error
+            error = None
     return _legs(path, rows, composed, batteries, blocks, cache)
 
 
